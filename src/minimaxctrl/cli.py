@@ -33,7 +33,8 @@ from .minimax_cert import (
     verify_certificate,
 )
 from .model_set import ConfigError, ExperimentConfig, load_config
-from .regret import regret_report, suboptimality_gaps, sublinearity_diagnostic
+from .regret import (MIN_DIAGNOSTIC_STEPS, regret_report, suboptimality_gaps,
+                     sublinearity_diagnostic)
 from .simulate import DivergedRollout, accumulated_cost, rollout, write_trajectory_csv
 
 EXIT_OK = 0
@@ -138,6 +139,11 @@ def cmd_reproduce(args):
     stages = {}
     t0 = time.perf_counter()
     cfg = load_config(args.config)
+    if cfg.horizon < MIN_DIAGNOSTIC_STEPS:
+        raise ConfigError(
+            f"reproduce needs a horizon of at least {MIN_DIAGNOSTIC_STEPS} steps "
+            f"for the sublinearity diagnostic, got {cfg.horizon}"
+        )
     ms, p = cfg.model_set, cfg.penalties
     out_dir = _out_dir(args)
 

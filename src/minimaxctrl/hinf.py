@@ -4,21 +4,22 @@ The synthesis solves the soft-constrained dynamic game
 
     min_u max_w  sum_k ( |x_k|_Q^2 + |u_k|_R^2 - gamma^2 |w_k|^2 )
 
-for x+ = A x + B u + w by iterating the game Riccati map
+for x+ = A x + B u + w.  Its value matrix solves the game Riccati equation
 
-    M <- Q + A' M Lambda^-1 A,    Lambda = I + (B R^-1 B' - gamma^-2 I) M
+    M = Q + A' M Lambda^-1 A,    Lambda = I + G M,    G = B R^-1 B' - gamma^-2 I,
 
-from M = Q.  At a feasible attenuation level the iteration converges to a
-stabilizing solution with M < gamma^2 I, and the saddle-point strategies are
-u = -K x with K = R^-1 B' M Lambda^-1 A and w = L x with
-L = gamma^-2 M Lambda^-1 A.  The smallest feasible level is found by
-bisection, and an independent frequency-domain oracle evaluates the actual
-closed-loop H-infinity norm on a grid.
+which `solve_riccati` computes by structure-preserving doubling; at
+gamma = inf, G = B R^-1 B' and the same solver gives the LQR solution.  At
+a feasible level the solution is stabilizing with 0 < M < gamma^2 I, and
+the saddle-point strategies are u = -K x with K = R^-1 B' M Lambda^-1 A and
+w = L x with L = gamma^-2 M Lambda^-1 A.  The smallest feasible level is
+found by bisection, and an independent frequency-domain oracle evaluates
+the actual closed-loop H-infinity norm on a grid.
 
-All functions are pure; `solve_riccati` and `synthesize`-style entry points
-signal lack of a solution by returning `Infeasible` (falsy, carries the
-reason) rather than raising, since probing infeasible levels is the normal
-mode of bisection.
+All functions are pure and memoise nothing; `solve_riccati` and
+`synthesize`-style entry points signal lack of a solution by returning
+`Infeasible` (falsy, carries the reason) rather than raising, since probing
+infeasible levels is the normal mode of bisection.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-RICCATI_BUDGET = 50_000
+RICCATI_BUDGET = 64  # doublings, i.e. 2^64 - 1 fixed-point iterations
 RICCATI_TOL = 1e-11
 FEAS_MARGIN = 1e-10
 BISECT_REL_TOL = 1e-5
@@ -55,16 +56,16 @@ class HinfSolution:
     Attributes
     ----------
     M : (n, n) ndarray
-        Riccati fixed point, Q <= M < gamma^2 I.
+        Stabilizing Riccati solution, Q <= M < gamma^2 I.
     Lambda : (n, n) ndarray
         I + (B R^-1 B' - gamma^-2 I) M, the operator inverted by the gains.
     K : (m, n) ndarray
         Control gain, u = -K x.
     L : (n, n) ndarray
-        Worst-case disturbance gain, w = L x.
+        Worst-case disturbance gain, w = L x (zero at gamma = inf).
     gamma : float
     iterations : int
-        Fixed-point iterations used.
+        Doubling steps used.
     """
 
     M: np.ndarray
@@ -99,8 +100,8 @@ def _pd_with_margin(S, margin):
         return False
 
 
-def solve_riccati(A, B, penalties, gamma, budget=RICCATI_BUDGET, tol=RICCATI_TOL):
-    """Solve the game Riccati equation at level gamma.
+def solve_riccati(A, B, penalties, gamma):
+    """Solve the game Riccati equation at level gamma by doubling.
 
     Parameters
     ----------
@@ -109,24 +110,29 @@ def solve_riccati(A, B, penalties, gamma, budget=RICCATI_BUDGET, tol=RICCATI_TOL
     penalties : Penalties
         Positive definite Q and R.
     gamma : float
-        Attenuation level to attempt.
-    budget, tol : int, float
-        Iteration cap and relative-change stopping tolerance.
+        Attenuation level to attempt; ``numpy.inf`` solves the LQR case.
 
     Returns
     -------
     HinfSolution or Infeasible
-        Infeasible (falsy, with reason) when the iteration escapes the
-        feasible region I - gamma^-2 M > 0, violates M < gamma^2 I, or
-        fails to converge within the budget.  Structural problems
-        (dimension mismatch, non-positive gamma) raise ValueError instead.
+        Infeasible (falsy, with reason) when an iterate escapes the
+        feasible region I - gamma^-2 M > 0, the iterates diverge, the
+        doubling does not converge within RICCATI_BUDGET steps, or the
+        limit is not the stabilizing solution with 0 < M < gamma^2 I.
+        Structural problems (dimension mismatch, non-positive gamma)
+        raise ValueError instead.
 
     Notes
     -----
-    Every iterate is checked for min eig(I - gamma^-2 M) > 1e-10 before
-    Lambda is inverted; by similarity, eig(Lambda) >= eig(I - gamma^-2 M),
-    so the check also guards the solve.  Iterates are symmetrized each
-    step to suppress drift.
+    Structure-preserving doubling: from (A_0, G_0, H_0) = (A, G, Q), with
+    W = I + G_k H_k, A_k+1 = A_k W^-1 A_k, G_k+1 = G_k + A_k W^-1 G_k A_k'
+    and H_k+1 = H_k + A_k' H_k W^-1 A_k.  H_k is the (2^k - 1)-th iterate
+    of M <- Q + A' M Lambda^-1 A from M = Q, so convergence is quadratic
+    where that iteration crawls (near gamma*).  The iterates rise
+    monotonically, so checking I - gamma^-2 H_k > 1e-10 I on the doubled
+    ones suffices; but doubling can pass over escaping iterates and land
+    on a non-stabilizing or indefinite solution, so the limit must also be
+    positive definite with Lambda^-1 A (= A - B K + L) Schur stable.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -142,23 +148,35 @@ def solve_riccati(A, B, penalties, gamma, budget=RICCATI_BUDGET, tol=RICCATI_TOL
     ginv2 = gamma ** -2
     G = B @ np.linalg.solve(R, B.T) - ginv2 * eye
 
-    M = Q.copy()
-    for it in range(1, budget + 1):
+    Ak, Gk, M = A, G, Q
+    for it in range(1, RICCATI_BUDGET + 1):
         if not _pd_with_margin(eye - ginv2 * M, FEAS_MARGIN):
             return Infeasible(
-                f"I - gamma^-2 M lost positive definiteness at iteration {it} "
+                f"I - gamma^-2 M lost positive definiteness at doubling {it - 1} "
                 f"(gamma={gamma:.6g})"
             )
-        X = np.linalg.solve(eye + G @ M, A)  # Lambda^-1 A
-        Mn = Q + A.T @ (M @ X)
-        Mn = 0.5 * (Mn + Mn.T)
-        delta = float(np.max(np.abs(Mn - M)))
-        M = Mn
-        if delta <= tol * max(1.0, float(np.max(np.abs(M)))):
+        try:
+            X = np.linalg.solve(eye + Gk @ M, np.hstack([Ak, Gk]))
+        except np.linalg.LinAlgError:
+            return Infeasible(f"singular doubling step {it} (gamma={gamma:.6g})")
+        # an unstabilizable pair at gamma = inf overflows within ~10 doublings
+        with np.errstate(over="ignore", invalid="ignore"):
+            step = Ak.T @ M @ X[:, :n]
+            step = 0.5 * (step + step.T)
+            M = M + step
+            Gk = Gk + Ak @ X[:, n:] @ Ak.T
+            Gk = 0.5 * (Gk + Gk.T)
+            Ak = Ak @ X[:, :n]
+            delta = float(np.max(np.abs(step)))
+        if not np.isfinite(delta):
+            return Infeasible(
+                f"Riccati iterates diverged at doubling {it} (gamma={gamma:.6g})"
+            )
+        if delta <= RICCATI_TOL * max(1.0, float(np.max(np.abs(M)))):
             break
     else:
         return Infeasible(
-            f"Riccati iteration did not converge in {budget} steps "
+            f"Riccati doubling did not converge in {RICCATI_BUDGET} steps "
             f"(gamma={gamma:.6g})"
         )
 
@@ -166,55 +184,48 @@ def solve_riccati(A, B, penalties, gamma, budget=RICCATI_BUDGET, tol=RICCATI_TOL
         return Infeasible(
             f"converged M violates M < gamma^2 I (gamma={gamma:.6g})"
         )
+    if not _pd_with_margin(M, 0.0):
+        return Infeasible(
+            f"converged M is not positive definite (gamma={gamma:.6g})"
+        )
     Lam = eye + G @ M
     X = np.linalg.solve(Lam, A)
+    if float(np.max(np.abs(np.linalg.eigvals(X)))) >= 1.0:
+        return Infeasible(
+            f"converged M is not stabilizing (gamma={gamma:.6g})"
+        )
     MX = M @ X
     K = np.linalg.solve(R, B.T @ MX)
     L = ginv2 * MX
     return HinfSolution(M=M, Lambda=Lam, K=K, L=L, gamma=gamma, iterations=it)
 
 
-_GAMMA_STAR_CACHE = {}
-
-
-def optimal_attenuation(A, B, penalties, rel_tol=BISECT_REL_TOL,
-                        gamma_max=GAMMA_MAX):
+def optimal_attenuation(A, B, penalties):
     """Smallest feasible attenuation level gamma* for (A, B), by bisection.
 
     The lower end of the initial bracket is sqrt(max eig Q), below which
     M >= Q already contradicts M < gamma^2 I; the upper end grows by
-    doubling until feasible.  Raises BracketError if even `gamma_max`
-    is infeasible (e.g. an unstabilizable pair).  Relative tolerance
-    on the returned level: `rel_tol`.
+    doubling until feasible.  Raises BracketError if even GAMMA_MAX is
+    infeasible (e.g. an unstabilizable pair).  Relative tolerance on the
+    returned level: BISECT_REL_TOL.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    key = (A.tobytes(), B.tobytes(), penalties.Q.tobytes(),
-           penalties.R.tobytes(), A.shape, B.shape, rel_tol, gamma_max)
-    hit = _GAMMA_STAR_CACHE.get(key)
-    if hit is not None:
-        return hit
-
     lo = float(np.sqrt(np.max(np.linalg.eigvalsh(penalties.Q))))
     hi = max(2.0 * lo, 1.0)
     while not solve_riccati(A, B, penalties, hi):
         hi *= 2.0
-        if hi > gamma_max:
-            if solve_riccati(A, B, penalties, gamma_max):
-                hi = gamma_max
+        if hi > GAMMA_MAX:
+            if solve_riccati(A, B, penalties, GAMMA_MAX):
+                hi = GAMMA_MAX
                 break
             raise BracketError(
-                f"no feasible attenuation level up to {gamma_max:.3g}"
+                f"no feasible attenuation level up to {GAMMA_MAX:.3g}"
             )
-    while hi - lo > rel_tol * hi:
+    while hi - lo > BISECT_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         if solve_riccati(A, B, penalties, mid):
             hi = mid
         else:
             lo = mid
-    _GAMMA_STAR_CACHE[key] = hi
     return hi
 
 

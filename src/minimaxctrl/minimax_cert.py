@@ -25,7 +25,7 @@ both one-sided evaluations rhs_il and rhs_li, so each sweep symmetrizes
 with the tight upper bound (rhs_il + rhs_li) / 2 + |rhs_il - rhs_li| / 2
 rather than the plain average (which sits strictly below one side
 whenever they differ and can never verify).  For one model the sweep is
-exactly the completed-square form of the H-infinity Riccati iteration, so
+exactly the completed-square form of the H-infinity Riccati map, so
 an F = 1 set reproduces the known-model design.  The heuristic can fail
 at levels where a certificate exists (the verifier has the final word;
 there are no false positives), so the level found by
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hinf import BracketError, Infeasible, solve_riccati, optimal_attenuation
+from .hinf import GAMMA_MAX, BracketError, Infeasible, solve_riccati, optimal_attenuation
 from .model_set import ConfigError
 
 import json
@@ -164,8 +164,7 @@ def verify_certificate(ms, penalties, cert, tol=VERIFY_TOL):
     )
 
 
-def synthesize_certificate(ms, penalties, gamma, sweep_budget=SWEEP_BUDGET,
-                           verify_tol=VERIFY_TOL):
+def synthesize_certificate(ms, penalties, gamma):
     """Attempt a certificate at level gamma (see module docstring).
 
     Returns the certificate, or Infeasible with the failing stage: a model
@@ -196,7 +195,7 @@ def synthesize_certificate(ms, penalties, gamma, sweep_budget=SWEEP_BUDGET,
 
     P = np.broadcast_to(penalties.Q, (F, F, n, n)).copy()
     delta_rel = np.inf
-    for _ in range(sweep_budget):
+    for _ in range(SWEEP_BUDGET):
         eigs = np.linalg.eigvalsh(P)
         if float(np.min(eigs)) <= EIG_MARGIN or float(np.max(eigs)) >= g2 - EIG_MARGIN:
             return Infeasible(
@@ -230,7 +229,7 @@ def synthesize_certificate(ms, penalties, gamma, sweep_budget=SWEEP_BUDGET,
     iu, ju = np.triu_indices(F)
     P[ju, iu] = P[iu, ju]
     cert = MinimaxCertificate(gamma_bar=gamma, gains=K, P=P)
-    check = verify_certificate(ms, penalties, cert, tol=verify_tol)
+    check = verify_certificate(ms, penalties, cert)
     if not check.feasible:
         return Infeasible(
             f"converged family fails verification at gamma={gamma:.6g} "
@@ -240,25 +239,16 @@ def synthesize_certificate(ms, penalties, gamma, sweep_budget=SWEEP_BUDGET,
     return cert
 
 
-_GAMMA_BAR_CACHE = {}
-
-
-def minimal_feasible_gamma(ms, penalties, rel_tol=GAMMA_BAR_REL_TOL,
-                           gamma_max=1e6):
+def minimal_feasible_gamma(ms, penalties):
     """Smallest certifiable level found by bisection; returns (gamma_bar, cert).
 
     The lower bracket is max_i gamma*_i (no certificate can beat the best
     known-model level of any member); the upper bracket is found by
     doubling, with a finer geometric sweep as fallback since the synthesis
     heuristic's feasible set need not be an interval.  Raises BracketError
-    when nothing up to gamma_max is certifiable.
+    when nothing up to GAMMA_MAX is certifiable.  Relative tolerance on the
+    returned level: GAMMA_BAR_REL_TOL.
     """
-    key = (ms.A.tobytes(), ms.B.tobytes(), ms.A.shape, ms.B.shape,
-           penalties.Q.tobytes(), penalties.R.tobytes(), rel_tol, gamma_max)
-    hit = _GAMMA_BAR_CACHE.get(key)
-    if hit is not None:
-        return hit
-
     lo = max(
         optimal_attenuation(*ms.pair(i), penalties) for i in range(1, ms.size + 1)
     )
@@ -266,32 +256,30 @@ def minimal_feasible_gamma(ms, penalties, rel_tol=GAMMA_BAR_REL_TOL,
     best = synthesize_certificate(ms, penalties, hi)
     while not best:
         hi *= 2.0
-        if hi > gamma_max:
+        if hi > GAMMA_MAX:
             break
         best = synthesize_certificate(ms, penalties, hi)
     if not best:
         hi = 1.25 * lo
-        while hi <= gamma_max:
+        while hi <= GAMMA_MAX:
             best = synthesize_certificate(ms, penalties, hi)
             if best:
                 break
             hi *= 1.25
         if not best:
             raise BracketError(
-                f"no certifiable level up to {gamma_max:.3g} "
+                f"no certifiable level up to {GAMMA_MAX:.3g} "
                 f"(last reason: {best.reason})"
             )
 
-    while hi - lo > rel_tol * hi:
+    while hi - lo > GAMMA_BAR_REL_TOL * hi:
         mid = 0.5 * (lo + hi)
         res = synthesize_certificate(ms, penalties, mid)
         if res:
             hi, best = mid, res
         else:
             lo = mid
-    result = (hi, best)
-    _GAMMA_BAR_CACHE[key] = result
-    return result
+    return hi, best
 
 
 def value_bound(cert, x0):

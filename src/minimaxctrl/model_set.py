@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disturbance as _dist
+from .hinf import solve_riccati
 
 SYMMETRY_TOL = 1e-9
 PD_MIN_EIG = 1e-12
@@ -28,11 +29,14 @@ def enforce_symmetry(M, name="matrix", tol=SYMMETRY_TOL):
     """Return the symmetrized copy of M, rejecting real asymmetry.
 
     Asymmetry up to `tol` (max-abs of M - M.T) is treated as numerical noise
-    and averaged away; anything larger is an input error, not noise.
+    and averaged away; anything larger is an input error, not noise, and so
+    is a non-finite entry.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"{name} must be square, got shape {M.shape}")
+    if not np.all(np.isfinite(M)):
+        raise ConfigError(f"{name} has a non-finite entry")
     gap = float(np.max(np.abs(M - M.T))) if M.size else 0.0
     if gap > tol:
         raise ConfigError(f"{name} is asymmetric by {gap:.3e} (limit {tol:.1e})")
@@ -60,6 +64,10 @@ class ModelSet:
             raise ConfigError(
                 f"B stack shape {self.B.shape} does not match A stack {self.A.shape}"
             )
+        for name, S in (("A", self.A), ("B", self.B)):
+            bad = np.flatnonzero(~np.isfinite(S).reshape(F, -1).all(axis=1))
+            if bad.size:
+                raise ConfigError(f"model {bad[0] + 1}: {name} has a non-finite entry")
 
     @classmethod
     def from_pairs(cls, pairs):
@@ -163,13 +171,15 @@ class ExperimentConfig:
         if self.horizon < 0:
             raise ConfigError("horizon must be >= 0")
         self.gamma = float(self.gamma)
-        if not self.gamma > 0:
-            raise ConfigError("gamma must be positive")
+        if not 0 < self.gamma < np.inf:
+            raise ConfigError("gamma must be positive and finite")
         if self.x0 is None:
             self.x0 = np.ones(ms.n)
         self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
         if self.x0.shape[0] != ms.n:
             raise ConfigError(f"x0 has length {self.x0.shape[0]}, expected {ms.n}")
+        if not np.all(np.isfinite(self.x0)):
+            raise ConfigError("x0 has a non-finite entry")
         _dist.validate_spec(self.disturbance, ms, self.true_index, self.horizon)
 
     def __eq__(self, other):
@@ -294,49 +304,24 @@ def save_config(cfg, path):
         fh.write("\n")
 
 
-def lqr_fixed_point(A, B, Q, R, budget=10_000, tol=1e-10):
-    """Iterate the standard LQR Riccati map P <- Q + A'PA - A'PB(R+B'PB)^-1 B'PA.
-
-    Returns (P, iterations) on convergence (relative change <= tol), or
-    (None, budget) if the budget runs out, which for a detectable (Q > 0)
-    problem means the pair is not stabilizable.
-    """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    P = np.array(Q, dtype=float)
-    for it in range(1, budget + 1):
-        PA = P @ A
-        PB = P @ B
-        G = R + B.T @ PB
-        Pn = Q + A.T @ PA - PA.T @ B @ np.linalg.solve(G, PB.T @ A)
-        Pn = 0.5 * (Pn + Pn.T)
-        delta = float(np.max(np.abs(Pn - P)))
-        scale = max(1.0, float(np.max(np.abs(Pn))))
-        P = Pn
-        if delta <= tol * scale:
-            return P, it
-        if scale > 1e100:
-            break  # unbounded growth, give up before overflow
-    return None, budget
-
-
 @dataclass
 class StabilizabilityReport:
     index: int
     stabilizable: bool
-    iterations: int
+    iterations: int | None
 
 
-def validate_stabilizability(ms, penalties, budget=10_000, tol=1e-10):
-    """Check each (A_i, B_i) by whether its LQR Riccati iteration converges.
+def validate_stabilizability(ms, penalties):
+    """Check each (A_i, B_i) by solving its LQR Riccati equation.
 
-    Convergence of the fixed point from P = Q certifies a stabilizing
-    solution exists; exhausting the budget flags the pair as not
-    stabilizable under these penalties.
+    The LQR case is `solve_riccati` at gamma = inf.  A stabilizing solution
+    certifies the pair as stabilizable; divergence of the doubling, or a
+    limit that does not stabilize, flags it as not stabilizable under these
+    penalties.  `iterations` counts the doublings, None when flagged.
     """
     reports = []
     for i in range(1, ms.size + 1):
-        A, B = ms.pair(i)
-        P, its = lqr_fixed_point(A, B, penalties.Q, penalties.R, budget, tol)
-        reports.append(StabilizabilityReport(i, P is not None, its))
+        sol = solve_riccati(*ms.pair(i), penalties, np.inf)
+        reports.append(StabilizabilityReport(
+            i, bool(sol), sol.iterations if sol else None))
     return reports

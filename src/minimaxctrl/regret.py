@@ -17,6 +17,7 @@ import numpy as np
 W_MATCH_TOL = 1e-12
 RATIO_SLACK = 1e-12
 DECAY_FACTOR = 0.5
+MIN_DIAGNOSTIC_STEPS = 4
 
 
 @dataclass(eq=False)
@@ -141,8 +142,9 @@ def sublinearity_diagnostic(R, slack=RATIO_SLACK, decay_factor=DECAY_FACTOR):
     """
     R = np.asarray(R, dtype=float)
     T = len(R) - 1
-    if T < 4:
-        raise ValueError("diagnostic needs at least 4 steps of regret")
+    if T < MIN_DIAGNOSTIC_STEPS:
+        raise ValueError(
+            f"diagnostic needs at least {MIN_DIAGNOSTIC_STEPS} steps of regret")
     steps = np.arange(T + 1, dtype=float)
     ratio = np.empty(T + 1)
     ratio[0] = np.nan

@@ -1,8 +1,9 @@
 """Shared fixtures: the four-model benchmark set and its certificate.
 
-Everything expensive (attenuation bisections, certificate synthesis) is
-session-scoped; the library memoizes the bisections as well, so tests
-that re-derive these values stay cheap.
+The attenuation bisections and the certificate synthesis are
+session-scoped fixtures.  The library keeps no memo caches, so a test that
+calls a bisection again recomputes it; the doubling Riccati solver keeps
+that cheap.
 """
 import pathlib
 

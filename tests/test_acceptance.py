@@ -24,8 +24,6 @@ import pytest
 import minimaxctrl as mc
 from minimaxctrl import cli
 from minimaxctrl.fileio import sha256_of
-from minimaxctrl.hinf import _GAMMA_STAR_CACHE
-from minimaxctrl.model_set import lqr_fixed_point
 
 import conftest
 from conftest import CONFIG_PATH
@@ -75,7 +73,6 @@ def scenarios(bench_cfg, certified, benchmark_controller):
 
 
 def test_criterion_01_attenuation_table(models, penalties):
-    _GAMMA_STAR_CACHE.clear()
     t0 = time.perf_counter()
     computed = [
         mc.optimal_attenuation(*models.pair(i), penalties) for i in range(1, 5)
@@ -176,6 +173,8 @@ def test_criterion_07_sinusoid_regret_grows(scenarios):
 
 
 def test_criterion_08_oracle_equivalences(models, penalties):
+    from scipy.linalg import solve_discrete_are
+
     p1 = mc.Penalties(Q=np.eye(1), R=np.eye(1))
     A1, B1 = np.array([[0.5]]), np.array([[0.0]])
     scan = mc.closed_loop_scan(A1, B1, np.zeros((1, 1)), p1)
@@ -187,7 +186,7 @@ def test_criterion_08_oracle_equivalences(models, penalties):
     for i in range(1, 5):
         A, B = models.pair(i)
         sol = mc.solve_riccati(A, B, penalties, 1e6)
-        P, _ = lqr_fixed_point(A, B, penalties.Q, penalties.R)
+        P = solve_discrete_are(A, B, penalties.Q, penalties.R)
         K_lqr = np.linalg.solve(penalties.R + B.T @ P @ B, B.T @ P @ A)
         b_err = max(b_err, float(np.max(np.abs(sol.K - K_lqr))))
     b_ok = b_err <= 1e-6

@@ -89,6 +89,43 @@ def test_missing_config_is_input_error(tmp_path):
     assert run(["synth-hinf", str(tmp_path / "nope.json")]) == 2
 
 
+def edited_config(tmp_path, where, value):
+    """Copy of the shipped config with the entry at key path `where` replaced."""
+    doc = json.loads(CONFIG_PATH.read_text())
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+def synthesis_must_not_run(*args, **kwargs):
+    pytest.fail("input error detected only after synthesis started")
+
+
+@pytest.mark.parametrize("where, value", [
+    (("models", 3, "A", 1, 2), float("nan")),
+    (("penalties", "Q", 0, 0), float("inf")),
+    (("experiment", "x0", 0), float("nan")),
+], ids=["model", "penalties", "x0"])
+def test_non_finite_input_is_rejected_at_load(tmp_path, monkeypatch, where, value):
+    monkeypatch.setattr(cli, "minimal_feasible_gamma", synthesis_must_not_run)
+    cfg = edited_config(tmp_path, where, value)
+    code = run(["reproduce", cfg, "--scenario", "fig1",
+                "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+
+
+def test_short_horizon_is_rejected_before_synthesis(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "minimal_feasible_gamma", synthesis_must_not_run)
+    cfg = edited_config(tmp_path, ("experiment", "horizon"), 0)
+    code = run(["reproduce", cfg, "--scenario", "fig1",
+                "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+
+
 @pytest.mark.parametrize("scenario", ["fig1", "fig2", "fig3"])
 def test_reproduce_bundle(tmp_path, scenario):
     out = tmp_path / scenario

@@ -3,7 +3,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minimaxctrl as mc
-from minimaxctrl.model_set import lqr_fixed_point
 
 # Attenuation levels for the four benchmark models, frozen from two
 # independent oracles that agree to 4 digits: the Riccati-existence
@@ -94,21 +93,69 @@ def test_high_gamma_recovers_lqr(models, penalties):
     for i in range(1, 5):
         A, B = models.pair(i)
         sol = mc.solve_riccati(A, B, penalties, 1e6)
-        P, _ = lqr_fixed_point(A, B, penalties.Q, penalties.R)
-        K_lqr = np.linalg.solve(
-            penalties.R + B.T @ P @ B, B.T @ P @ A
-        )
-        np.testing.assert_allclose(sol.K, K_lqr, atol=1e-6)
         P_ref = solve_discrete_are(A, B, penalties.Q, penalties.R)
         K_ref = np.linalg.solve(penalties.R + B.T @ P_ref @ B, B.T @ P_ref @ A)
         np.testing.assert_allclose(sol.K, K_ref, atol=1e-6)
+
+
+def game_dare_feasible(A, B, penalties, gamma):
+    """Independent verdict from scipy: the game Riccati equation as a DARE.
+
+    The stacked input [u; w] has input matrix [B I] and indefinite weight
+    diag(R, -gamma^2 I).  The level is feasible when the stabilizing
+    solution exists with 0 < M < gamma^2 I.
+    """
+    from scipy.linalg import block_diag, solve_discrete_are
+
+    n = A.shape[0]
+    Bt = np.hstack([B, np.eye(n)])
+    Rt = block_diag(penalties.R, -gamma ** 2 * np.eye(n))
+    try:
+        M = solve_discrete_are(A, Bt, penalties.Q, Rt)
+    except (np.linalg.LinAlgError, ValueError):
+        return False
+    eigs = np.linalg.eigvalsh(0.5 * (M + M.T))
+    if eigs[0] <= 0.0 or eigs[-1] >= gamma ** 2:
+        return False
+    gain = np.linalg.solve(Rt + Bt.T @ M @ Bt, Bt.T @ M @ A)
+    return bool(np.max(np.abs(np.linalg.eigvals(A - Bt @ gain))) < 1.0)
+
+
+def seeded_model_set(seed, n, m, F):
+    """A_i = X + X' + 0.1 N and B_i = B0 + 0.1 N with X ~ U(0,1), B0 ~ U(0,2)."""
+    rng = np.random.default_rng(seed)
+    X = rng.uniform(0.0, 1.0, (n, n))
+    A0 = X + X.T
+    B0 = rng.uniform(0.0, 2.0, (n, m))
+    pairs = []
+    for _ in range(F):
+        pairs.append((A0 + 0.1 * rng.standard_normal((n, n)),
+                      B0 + 0.1 * rng.standard_normal((n, m))))
+    return pairs
+
+
+def test_feasibility_matches_game_dare_oracle():
+    """Verdicts agree with scipy on open-loop unstable models over a grid.
+
+    Model 4 of the seed-1006 draw at gamma 16 and 20 is the case where the
+    doubling passes over the escaping iterates and converges to a
+    stabilizing but indefinite solution: only the M > 0 check rejects it.
+    """
+    grid = np.concatenate([np.geomspace(1.5, 300.0, 24), [16.0, 20.0]])
+    for seed, n, m, F in ((1006, 4, 1, 5), (1003, 4, 2, 6)):
+        penalties = mc.Penalties(Q=np.eye(n), R=np.eye(m))
+        for A, B in seeded_model_set(seed, n, m, F):
+            assert np.max(np.abs(np.linalg.eigvals(A))) > 1.0
+            for g in grid:
+                expected = game_dare_feasible(A, B, penalties, g)
+                assert bool(mc.solve_riccati(A, B, penalties, g)) == expected, (seed, g)
 
 
 def test_bracket_error_when_nothing_feasible(penalties):
     A = np.diag([2.0, 2.0, 2.0])
     B = np.zeros((3, 1))
     with pytest.raises(mc.BracketError):
-        mc.optimal_attenuation(A, B, penalties, gamma_max=1e4)
+        mc.optimal_attenuation(A, B, penalties)
 
 
 def test_scan_grid_properties(models, penalties, gamma_stars):

@@ -104,10 +104,11 @@ def test_duplicated_model_matches_single(models, penalties):
     np.testing.assert_allclose(cert2.P[0, 1], cert2.P[0, 0], atol=1e-6)
 
 
-def test_minimal_feasible_gamma_is_cached(models, penalties, certified):
-    again = mc.minimal_feasible_gamma(models, penalties)
-    assert again[0] == certified[0]
-    assert again[1] is certified[1]
+def test_minimal_feasible_gamma_is_deterministic(models, penalties, certified):
+    gamma_bar, cert = mc.minimal_feasible_gamma(models, penalties)
+    assert gamma_bar == certified[0]
+    np.testing.assert_array_equal(cert.gains, certified[1].gains)
+    np.testing.assert_array_equal(cert.P, certified[1].P)
 
 
 def test_value_bound_is_max_quadratic_form(certified):

@@ -62,12 +62,12 @@ def test_residual_update_shapes_and_growth(models):
 
 def test_true_model_residual_is_disturbance_energy(models, penalties):
     """alpha_j accumulates exactly the injected disturbance energy."""
-    from minimaxctrl.model_set import lqr_fixed_point
+    from scipy.linalg import solve_discrete_are
 
     rng = np.random.default_rng(7)
     j = 2
     A, B = models.pair(j)
-    P, _ = lqr_fixed_point(A, B, penalties.Q, penalties.R)
+    P = solve_discrete_are(A, B, penalties.Q, penalties.R)
     K = np.linalg.solve(penalties.R + B.T @ P @ B, B.T @ P @ A)
     s = initial_state(4)
     x = np.ones(3)
@@ -89,15 +89,22 @@ def test_hinf_step_is_linear_feedback(benchmark_controller):
     )
 
 
+# smallest residual whose product with every scale below stays normal
+NORMAL_AFTER_SCALING = np.finfo(np.float64).tiny * 2.0 ** 30
+
+
 @settings(max_examples=50, deadline=None)
 @given(
-    alpha=hnp.arrays(np.float64, 4, elements=st.floats(0, 1e6, allow_nan=False)),
+    alpha=hnp.arrays(np.float64, 4, elements=st.one_of(
+        st.just(0.0), st.floats(NORMAL_AFTER_SCALING, 1e6))),
     scale=st.sampled_from([2.0 ** k for k in range(-30, 31)]),
 )
 def test_selection_invariant_under_common_scaling(certified, alpha, scale):
     """The switch only sees residual order, never their common size.
 
-    Scales are powers of two so the comparison is exact in floats.
+    Scales are powers of two and every scaled residual stays zero or
+    normal, so the scaling is exact in floats (a subnormal product drops
+    bits and can turn distinct residuals into a tie).
     """
     _, cert = certified
     x = np.array([0.5, -1.0, 2.0])
