@@ -10,8 +10,6 @@ from .model_set import (
     ModelSet,
     Penalties,
     load_config,
-    save_config,
-    validate_stabilizability,
 )
 from .hinf import (
     BracketError,
@@ -32,12 +30,11 @@ from .minimax_cert import (
     value_bound,
     verify_certificate,
 )
-from .policies import ControllerState, hinf_step, initial_state, minimax_step, update_residuals
+from .policies import hinf_step, minimax_step, update_residuals
 from .disturbance import (
     DisturbanceSpec,
     confusing_disturbance,
     emit,
-    general_confusing,
     hinf_worst_case,
     peak_sinusoid_spec,
 )
@@ -45,7 +42,6 @@ from .simulate import (
     DivergedRollout,
     Trajectory,
     accumulated_cost,
-    empirical_l2_gain,
     rollout,
     write_trajectory_csv,
 )
@@ -68,7 +64,6 @@ __all__ = [
     "BracketError",
     "CertificateCheck",
     "ConfigError",
-    "ControllerState",
     "DisturbanceSpec",
     "DivergedRollout",
     "ExperimentConfig",
@@ -87,11 +82,8 @@ __all__ = [
     "confusing_disturbance",
     "cost_difference_regret",
     "emit",
-    "empirical_l2_gain",
-    "general_confusing",
     "hinf_step",
     "hinf_worst_case",
-    "initial_state",
     "load_certificate",
     "load_config",
     "minimal_feasible_gamma",
@@ -102,7 +94,6 @@ __all__ = [
     "regret_report",
     "rollout",
     "save_certificate",
-    "save_config",
     "solve_riccati",
     "stepwise_regret",
     "sublinearity_diagnostic",
@@ -110,7 +101,6 @@ __all__ = [
     "synthesize_certificate",
     "total_regret",
     "update_residuals",
-    "validate_stabilizability",
     "value_bound",
     "verify_certificate",
     "write_trajectory_csv",

@@ -120,7 +120,7 @@ def cmd_verify(args):
     return EXIT_OK if check.feasible else EXIT_INFEASIBLE
 
 
-def _scenario_spec(scenario, cfg, cert, bench):
+def _scenario_spec(scenario, cfg, bench):
     """Disturbance spec for one reproduction scenario.
 
     fig1: the benchmark designer's own worst-case feedback w = L x.
@@ -166,7 +166,7 @@ def cmd_reproduce(args):
         print(f"benchmark design infeasible at gamma_bar={gbar:.6g}: {bench.reason}",
               file=sys.stderr)
         return EXIT_INFEASIBLE
-    spec = _scenario_spec(args.scenario, cfg, cert, bench)
+    spec = _scenario_spec(args.scenario, cfg, bench)
     rcfg = ExperimentConfig(
         model_set=ms, penalties=p, true_index=cfg.true_index,
         horizon=cfg.horizon, gamma=gbar, disturbance=spec, x0=cfg.x0,

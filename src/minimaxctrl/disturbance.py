@@ -11,11 +11,11 @@ Implemented kinds:
   the truth: w_k = (A_i - A_j) x_k + (B_i - B_j) u_k for target i, true j.
 * ``external``        -- a supplied sequence, e.g. loaded from CSV.
 
-Feedback strategies are tied to a *generating loop* (which controller's
-closed loop produces the recorded sequence): the worst-case policy is
-generated along the H-infinity loop, the confusing one along the adaptive
-loop; zero/sinusoid/external sequences are open.  The recorded sequence is
-then replayed verbatim on the other controller so both see the same inputs.
+Each kind fixes its *generating loop* (which controller's closed loop
+produces the recorded sequence): the worst-case policy is generated along
+the H-infinity loop, the confusing one along the adaptive loop;
+zero/sinusoid/external sequences are open.  The recorded sequence is then
+replayed verbatim on the other controller so both see the same inputs.
 """
 from __future__ import annotations
 
@@ -27,7 +27,7 @@ import numpy as np
 from . import fileio, hinf
 
 KINDS = ("zero", "hinf_worst_case", "sinusoid", "confusing", "external")
-DEFAULT_LOOP = {
+GENERATING_LOOP = {
     "zero": "open",
     "sinusoid": "open",
     "external": "open",
@@ -42,17 +42,15 @@ class DisturbanceSpec:
 
     Only the fields relevant to `kind` are used.  `model_set` and
     `true_index` are runtime context attached when the spec is validated
-    against an experiment; they are not serialized.
+    against an experiment.
     """
 
     kind: str
-    generating_loop: str = None
     amplitude: float = 1.0
     omega: float = 0.0
     phase: float = 0.0
     direction: np.ndarray = None
     target: int = None
-    theta: np.ndarray = None
     sequence: np.ndarray = None
     L: np.ndarray = None
     model_set: object = field(default=None, repr=False)
@@ -61,8 +59,11 @@ class DisturbanceSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if self.generating_loop is None:
-            self.generating_loop = DEFAULT_LOOP[self.kind]
+
+    @property
+    def generating_loop(self):
+        """'open', 'hinf' or 'minimax', fixed by the kind."""
+        return GENERATING_LOOP[self.kind]
 
 
 def hinf_worst_case(L_star, x_k):
@@ -88,18 +89,7 @@ def confusing_disturbance(ms, j, i, x_k, u_k):
     return (Ai - Aj) @ x_k + (Bi - Bj) @ u_k
 
 
-def general_confusing(ms, theta, x_k, u_k):
-    """Weighted mix of model responses: w = sum_f theta_f (A_f x + B_f u)."""
-    theta = np.asarray(theta, dtype=float)
-    if theta.shape != (ms.size,):
-        raise ValueError(f"theta must have {ms.size} entries, got {theta.shape}")
-    x_k = np.asarray(x_k, dtype=float)
-    u_k = np.atleast_1d(np.asarray(u_k, dtype=float))
-    responses = ms.A @ x_k + ms.B @ u_k  # (F, n)
-    return theta @ responses
-
-
-def peak_sinusoid_spec(A, B, K, penalties, grid_size=hinf.GRID_SIZE):
+def peak_sinusoid_spec(A, B, K, penalties):
     """Unit sinusoid at the closed loop's worst frequency.
 
     Scans the weighted closed-loop frequency response for u = -Kx, places a
@@ -109,7 +99,7 @@ def peak_sinusoid_spec(A, B, K, penalties, grid_size=hinf.GRID_SIZE):
     entry to the positive real axis, taking the real part, and
     renormalizing.
     """
-    scan = hinf.closed_loop_scan(A, B, K, penalties, grid_size)
+    scan = hinf.closed_loop_scan(A, B, K, penalties)
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
     if B.ndim == 1:
@@ -149,15 +139,8 @@ def emit(spec, k, x_k, u_k):
         if spec.model_set is None or spec.true_index is None:
             raise ValueError("confusing spec is not bound to an experiment "
                              "(missing model set / true index)")
-        if spec.theta is None:
-            return confusing_disturbance(spec.model_set, spec.true_index,
-                                         spec.target, x_k, u_k)
-        theta = spec.theta
-        if theta.ndim == 2:
-            if k >= theta.shape[0]:
-                raise ValueError(f"theta schedule exhausted at step {k}")
-            theta = theta[k]
-        return general_confusing(spec.model_set, theta, x_k, u_k)
+        return confusing_disturbance(spec.model_set, spec.true_index,
+                                     spec.target, x_k, u_k)
     if spec.kind == "external":
         if k >= spec.sequence.shape[0]:
             raise ValueError(f"external sequence exhausted at step {k}")
@@ -165,32 +148,34 @@ def emit(spec, k, x_k, u_k):
     raise ValueError(f"unknown disturbance kind {spec.kind!r}")
 
 
-def validate_spec(spec, ms, true_index, horizon):
+def _finite(value, name):
+    """Float array of `value`, rejecting NaN and infinite entries."""
+    value = np.asarray(value, dtype=float)
+    if not np.all(np.isfinite(value)):
+        raise ValueError(f"{name} has a non-finite entry")
+    return value
+
+
+def validate_spec(spec, ms, true_index):
     """Check a spec against an experiment and bind runtime context.
 
-    Normalizes array fields, applies kind-specific checks (unit direction,
-    valid confusing target, sequence width), and attaches the model set and
-    true index that `emit` needs for the confusing kind.  Raises ValueError
-    with a config-style message on any inconsistency.
+    Normalizes array fields, applies kind-specific checks (finite entries,
+    unit direction, valid confusing target, sequence width), and attaches
+    the model set and true index that `emit` needs for the confusing kind.
+    Raises ValueError with a config-style message on any inconsistency.
     """
     if spec.kind not in KINDS:
         raise ValueError(f"unknown disturbance kind {spec.kind!r}")
-    loops = ("open",) if DEFAULT_LOOP[spec.kind] == "open" else ("hinf", "minimax")
-    if spec.generating_loop not in loops:
-        raise ValueError(
-            f"disturbance kind {spec.kind!r} cannot declare generating_loop "
-            f"{spec.generating_loop!r} (allowed: {', '.join(loops)})"
-        )
     n = ms.n
     if spec.kind == "sinusoid":
-        spec.amplitude = float(spec.amplitude)
-        spec.omega = float(spec.omega)
-        spec.phase = float(spec.phase)
+        spec.amplitude = float(_finite(spec.amplitude, "sinusoid amplitude"))
+        spec.omega = float(_finite(spec.omega, "sinusoid omega"))
+        spec.phase = float(_finite(spec.phase, "sinusoid phase"))
         if spec.direction is None:
             if n != 1:
                 raise ValueError("sinusoid needs an explicit direction when n > 1")
             spec.direction = np.ones(1)
-        spec.direction = np.asarray(spec.direction, dtype=float).reshape(-1)
+        spec.direction = _finite(spec.direction, "sinusoid direction").reshape(-1)
         if spec.direction.shape[0] != n:
             raise ValueError(
                 f"sinusoid direction has length {spec.direction.shape[0]}, "
@@ -213,32 +198,12 @@ def validate_spec(spec, ms, true_index, horizon):
             raise ValueError(
                 "confusing target must differ from the true model index"
             )
-        if spec.theta is not None:
-            spec.theta = np.asarray(spec.theta, dtype=float)
-            if spec.theta.ndim == 1:
-                if spec.theta.shape != (ms.size,):
-                    raise ValueError(
-                        f"theta must have {ms.size} entries, got "
-                        f"{spec.theta.shape[0]}"
-                    )
-            elif spec.theta.ndim == 2:
-                if spec.theta.shape[1] != ms.size:
-                    raise ValueError(
-                        f"theta schedule rows must have {ms.size} entries"
-                    )
-                if spec.theta.shape[0] < horizon:
-                    raise ValueError(
-                        f"theta schedule covers {spec.theta.shape[0]} steps, "
-                        f"horizon is {horizon}"
-                    )
-            else:
-                raise ValueError("theta must be a vector or a step-by-F array")
         spec.model_set = ms
         spec.true_index = true_index
     elif spec.kind == "external":
         if spec.sequence is None:
             raise ValueError("external disturbance needs a sequence")
-        spec.sequence = np.asarray(spec.sequence, dtype=float)
+        spec.sequence = _finite(spec.sequence, "external sequence")
         if spec.sequence.ndim == 1:
             spec.sequence = spec.sequence.reshape(-1, 1)
         if spec.sequence.ndim != 2 or spec.sequence.shape[1] != n:
@@ -248,7 +213,7 @@ def validate_spec(spec, ms, true_index, horizon):
             )
     elif spec.kind == "hinf_worst_case":
         if spec.L is not None:
-            spec.L = np.asarray(spec.L, dtype=float)
+            spec.L = _finite(spec.L, "L gain")
             if spec.L.shape != (n, n):
                 raise ValueError(f"L gain must be {n}x{n}, got {spec.L.shape}")
     return spec
@@ -258,28 +223,25 @@ _FROM_DICT_KEYS = {
     "zero": set(),
     "hinf_worst_case": set(),
     "sinusoid": {"amplitude", "omega", "phase", "direction"},
-    "confusing": {"target", "theta"},
+    "confusing": {"target"},
     "external": {"sequence", "path"},
 }
 
 
-def spec_from_dict(doc, n, base_dir=""):
+def spec_from_dict(doc, base_dir=""):
     """Build a spec from a config 'disturbance' section."""
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("disturbance section must be an object with 'kind'")
     kind = doc["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown disturbance kind {kind!r}")
-    allowed = _FROM_DICT_KEYS[kind] | {"kind", "generating_loop"}
-    unknown = set(doc) - allowed
+    unknown = set(doc) - _FROM_DICT_KEYS[kind] - {"kind"}
     if unknown:
         raise ValueError(
             f"disturbance kind {kind!r} does not accept keys: "
             f"{', '.join(sorted(unknown))}"
         )
     kwargs = {"kind": kind}
-    if "generating_loop" in doc:
-        kwargs["generating_loop"] = doc["generating_loop"]
     if kind == "sinusoid":
         kwargs["amplitude"] = doc.get("amplitude", 1.0)
         kwargs["omega"] = doc.get("omega", 0.0)
@@ -289,8 +251,6 @@ def spec_from_dict(doc, n, base_dir=""):
     elif kind == "confusing":
         if "target" in doc:
             kwargs["target"] = doc["target"]
-        if "theta" in doc:
-            kwargs["theta"] = np.asarray(doc["theta"], dtype=float)
     elif kind == "external":
         if "path" in doc:
             kwargs["sequence"] = load_sequence(
@@ -301,52 +261,8 @@ def spec_from_dict(doc, n, base_dir=""):
     return DisturbanceSpec(**kwargs)
 
 
-def spec_to_dict(spec):
-    """Serializable view of a spec (runtime context and L are dropped)."""
-    doc = {"kind": spec.kind, "generating_loop": spec.generating_loop}
-    if spec.kind == "sinusoid":
-        doc["amplitude"] = spec.amplitude
-        doc["omega"] = spec.omega
-        doc["phase"] = spec.phase
-        doc["direction"] = np.asarray(spec.direction, dtype=float).tolist()
-    elif spec.kind == "confusing":
-        doc["target"] = spec.target
-        if spec.theta is not None:
-            doc["theta"] = np.asarray(spec.theta, dtype=float).tolist()
-    elif spec.kind == "external":
-        doc["sequence"] = np.asarray(spec.sequence, dtype=float).tolist()
-    return doc
-
-
-def specs_equal(a, b):
-    if a.kind != b.kind or a.generating_loop != b.generating_loop:
-        return False
-    if a.kind == "sinusoid":
-        return (a.amplitude == b.amplitude and a.omega == b.omega
-                and a.phase == b.phase
-                and np.array_equal(a.direction, b.direction))
-    if a.kind == "confusing":
-        theta_eq = (a.theta is None) == (b.theta is None) and (
-            a.theta is None or np.array_equal(a.theta, b.theta)
-        )
-        return a.target == b.target and theta_eq
-    if a.kind == "external":
-        return np.array_equal(a.sequence, b.sequence)
-    return True
-
-
-def save_sequence(path, W):
-    """Export a disturbance sequence as CSV with columns k, w_1..w_n."""
-    W = np.asarray(W, dtype=float)
-    if W.ndim == 1:
-        W = W.reshape(-1, 1)
-    header = ["k"] + [f"w_{i + 1}" for i in range(W.shape[1])]
-    rows = [[k] + list(W[k]) for k in range(W.shape[0])]
-    fileio.write_csv(path, header, rows)
-
-
 def load_sequence(path):
-    """Read a disturbance sequence CSV written by save_sequence."""
+    """Read a disturbance sequence CSV with columns k, w_1..w_n."""
     header, rows = fileio.read_csv_columns(path)
     if not header or header[0] != "k":
         raise ValueError(f"{path}: expected first column 'k'")

@@ -90,12 +90,13 @@ def sha256_of(path):
     return digest.hexdigest()
 
 
-def svg_line_chart(series, title, width=640, height=360):
-    """Render named series as a minimal static SVG line chart (one string).
+def svg_line_chart(series, title):
+    """Render named series as a minimal static 640x360 SVG line chart.
 
     `series` maps a label to (xs, ys).  No external assets, no scripting;
     meant as a quick look at CSV contents, not as a plotting library.
     """
+    width, height = 640, 360
     palette = ("#1f6fb2", "#c23b22", "#2e8540", "#8251a1", "#b58900", "#4a4a4a")
     margin = 46.0
     xs_all = np.concatenate([np.asarray(xs, dtype=float) for xs, _ in series.values()])

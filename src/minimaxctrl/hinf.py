@@ -277,14 +277,14 @@ def _golden_max(fun, lo, hi, tol=1e-12, max_iter=200):
     return d, fd
 
 
-def closed_loop_scan(A, B, K, penalties, grid_size=GRID_SIZE):
+def closed_loop_scan(A, B, K, penalties):
     """Frequency response norm of the closed loop u = -Kx.
 
     Evaluates the largest singular value of
 
         [Q^(1/2); R^(1/2) K] (e^(j w) I - A + B K)^-1
 
-    on `grid_size` uniform frequencies over [0, pi], then runs one
+    on GRID_SIZE uniform frequencies over [0, pi], then runs one
     golden-section refinement around the grid peak.  The refined sample
     is inserted into the returned grid only when it strictly improves
     on the grid maximum, so flat responses keep the first-occurrence
@@ -303,9 +303,6 @@ def closed_loop_scan(A, B, K, penalties, grid_size=GRID_SIZE):
     elif K.ndim == 1:
         K = K.reshape(1, -1)
     n, _ = _check_shapes(A, B, penalties.Q, penalties.R)
-    if int(grid_size) < 2:
-        raise ValueError("grid_size must be at least 2")
-    grid_size = int(grid_size)
 
     Acl = A - B @ K
     radius = float(np.max(np.abs(np.linalg.eigvals(Acl))))
@@ -316,7 +313,7 @@ def closed_loop_scan(A, B, K, penalties, grid_size=GRID_SIZE):
     C = _weighted_output(penalties, K)
     eye = np.eye(n)
 
-    omegas = np.linspace(0.0, np.pi, grid_size)
+    omegas = np.linspace(0.0, np.pi, GRID_SIZE)
     z = np.exp(1j * omegas)[:, None, None] * eye - Acl
     resolvent = np.linalg.solve(z, np.broadcast_to(eye, z.shape))
     tf = C @ resolvent
@@ -331,7 +328,7 @@ def closed_loop_scan(A, B, K, penalties, grid_size=GRID_SIZE):
         return float(np.linalg.svd(C @ res, compute_uv=False)[0])
 
     lo = float(omegas[max(ipk - 1, 0)])
-    hi = float(omegas[min(ipk + 1, grid_size - 1)])
+    hi = float(omegas[min(ipk + 1, GRID_SIZE - 1)])
     w_ref, s_ref = _golden_max(sigma_at, lo, hi)
     if s_ref > peak_norm * (1.0 + 1e-12):
         pos = int(np.searchsorted(omegas, w_ref))

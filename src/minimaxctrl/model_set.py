@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disturbance as _dist
-from .hinf import solve_riccati
 
 SYMMETRY_TOL = 1e-9
 PD_MIN_EIG = 1e-12
@@ -25,12 +24,12 @@ class ConfigError(ValueError):
     """Raised for malformed configs: bad dimensions, bad values, bad files."""
 
 
-def enforce_symmetry(M, name="matrix", tol=SYMMETRY_TOL):
+def enforce_symmetry(M, name="matrix"):
     """Return the symmetrized copy of M, rejecting real asymmetry.
 
-    Asymmetry up to `tol` (max-abs of M - M.T) is treated as numerical noise
-    and averaged away; anything larger is an input error, not noise, and so
-    is a non-finite entry.
+    Asymmetry up to SYMMETRY_TOL (max-abs of M - M.T) is treated as
+    numerical noise and averaged away; anything larger is an input error,
+    not noise, and so is a non-finite entry.
     """
     M = np.asarray(M, dtype=float)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
@@ -38,8 +37,9 @@ def enforce_symmetry(M, name="matrix", tol=SYMMETRY_TOL):
     if not np.all(np.isfinite(M)):
         raise ConfigError(f"{name} has a non-finite entry")
     gap = float(np.max(np.abs(M - M.T))) if M.size else 0.0
-    if gap > tol:
-        raise ConfigError(f"{name} is asymmetric by {gap:.3e} (limit {tol:.1e})")
+    if gap > SYMMETRY_TOL:
+        raise ConfigError(
+            f"{name} is asymmetric by {gap:.3e} (limit {SYMMETRY_TOL:.1e})")
     return 0.5 * (M + M.T)
 
 
@@ -112,11 +112,6 @@ class ModelSet:
             raise ConfigError(f"model index {i} outside 1..{self.size}")
         return self.A[i - 1], self.B[i - 1]
 
-    def __eq__(self, other):
-        if not isinstance(other, ModelSet):
-            return NotImplemented
-        return np.array_equal(self.A, other.A) and np.array_equal(self.B, other.B)
-
 
 @dataclass(eq=False)
 class Penalties:
@@ -134,11 +129,6 @@ class Penalties:
                 raise ConfigError(
                     f"{name} must be positive definite (min eig {lo:.3e})"
                 )
-
-    def __eq__(self, other):
-        if not isinstance(other, Penalties):
-            return NotImplemented
-        return np.array_equal(self.Q, other.Q) and np.array_equal(self.R, other.R)
 
 
 @dataclass(eq=False)
@@ -180,20 +170,7 @@ class ExperimentConfig:
             raise ConfigError(f"x0 has length {self.x0.shape[0]}, expected {ms.n}")
         if not np.all(np.isfinite(self.x0)):
             raise ConfigError("x0 has a non-finite entry")
-        _dist.validate_spec(self.disturbance, ms, self.true_index, self.horizon)
-
-    def __eq__(self, other):
-        if not isinstance(other, ExperimentConfig):
-            return NotImplemented
-        return (
-            self.model_set == other.model_set
-            and self.penalties == other.penalties
-            and self.true_index == other.true_index
-            and self.horizon == other.horizon
-            and self.gamma == other.gamma
-            and np.array_equal(self.x0, other.x0)
-            and _dist.specs_equal(self.disturbance, other.disturbance)
-        )
+        _dist.validate_spec(self.disturbance, ms, self.true_index)
 
 
 def _matrix_from_rows(rows, name):
@@ -267,7 +244,7 @@ def load_config(path):
         if key not in exp:
             raise ConfigError(f"'experiment' is missing '{key}'")
 
-    spec = _dist.spec_from_dict(raw["disturbance"], ms.n, os.path.dirname(path))
+    spec = _dist.spec_from_dict(raw["disturbance"], os.path.dirname(path))
     cfg = ExperimentConfig(
         model_set=ms,
         penalties=penalties,
@@ -278,50 +255,3 @@ def load_config(path):
         x0=exp.get("x0"),
     )
     return cfg
-
-
-def save_config(cfg, path):
-    """Write a config back to JSON; load_config(save_config(cfg)) == cfg."""
-    doc = {
-        "models": [
-            {"A": cfg.model_set.A[i].tolist(), "B": cfg.model_set.B[i].tolist()}
-            for i in range(cfg.model_set.size)
-        ],
-        "penalties": {
-            "Q": cfg.penalties.Q.tolist(),
-            "R": cfg.penalties.R.tolist(),
-        },
-        "experiment": {
-            "true_index": cfg.true_index,
-            "x0": cfg.x0.tolist(),
-            "horizon": cfg.horizon,
-            "gamma": cfg.gamma,
-        },
-        "disturbance": _dist.spec_to_dict(cfg.disturbance),
-    }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
-
-
-@dataclass
-class StabilizabilityReport:
-    index: int
-    stabilizable: bool
-    iterations: int | None
-
-
-def validate_stabilizability(ms, penalties):
-    """Check each (A_i, B_i) by solving its LQR Riccati equation.
-
-    The LQR case is `solve_riccati` at gamma = inf.  A stabilizing solution
-    certifies the pair as stabilizable; divergence of the doubling, or a
-    limit that does not stabilize, flags it as not stabilizable under these
-    penalties.  `iterations` counts the doublings, None when flagged.
-    """
-    reports = []
-    for i in range(1, ms.size + 1):
-        sol = solve_riccati(*ms.pair(i), penalties, np.inf)
-        reports.append(StabilizabilityReport(
-            i, bool(sol), sol.iterations if sol else None))
-    return reports

@@ -1,52 +1,34 @@
 """Online control laws: fixed-gain state feedback and adaptive switching.
 
-The adaptive policy carries one accumulated residual per candidate model
-and always plays the gain of the current best explainer (least residual,
-lowest index on ties).  Residuals are updated only after the next state
-is observed, so the selection at step k uses data through step k.
+The adaptive law keeps one accumulated residual per candidate model and
+always plays the gain of the current best explainer (least residual,
+lowest index on ties).  The caller owns the residual vector: `minimax_step`
+reads it, and `update_residuals` returns the next one once the successor
+state is observed, so the selection at step k uses data through step k.
+All three functions are pure and take float arrays.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass, replace
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class ControllerState:
-    """Switching-controller memory: residuals, active model, step count."""
-
-    alpha: np.ndarray
-    current_index: int
-    step: int
+def minimax_step(cert, alpha, x):
+    """Control for state x: returns (u, l), u = -K_l x with l = 1 + argmin alpha."""
+    l = int(np.argmin(alpha)) + 1
+    return -cert.gains[l - 1] @ x, l
 
 
-def initial_state(num_models):
-    alpha = np.zeros(num_models)
-    return ControllerState(alpha=alpha, current_index=1, step=0)
-
-
-def minimax_step(cert, state, x_k):
-    """Control for the current state: u = -K_l x with l = argmin alpha."""
-    l = int(np.argmin(state.alpha)) + 1
-    u = -cert.gains[l - 1] @ np.asarray(x_k, dtype=float).reshape(-1)
-    return u, replace(state, current_index=l)
-
-
-def update_residuals(ms, state, x_k, u_k, x_next):
+def update_residuals(ms, alpha, x, u, x_next):
     """Fold one observed transition into every model's residual.
 
     Model i's residual grows by the squared size of the disturbance it
-    would need to explain the step: ||x_next - A_i x_k - B_i u_k||^2.
+    would need to explain the step: ||x_next - A_i x - B_i u||^2.  Returns
+    the new residual vector; `alpha` is not modified.
     """
-    x_k = np.asarray(x_k, dtype=float).reshape(-1)
-    u_k = np.asarray(u_k, dtype=float).reshape(-1)
-    x_next = np.asarray(x_next, dtype=float).reshape(-1)
-    w = x_next[None, :] - ms.A @ x_k - ms.B @ u_k
-    alpha = state.alpha + np.sum(w * w, axis=1)
-    return replace(state, alpha=alpha, step=state.step + 1)
+    w = x_next - ms.A @ x - ms.B @ u
+    return alpha + np.sum(w * w, axis=1)
 
 
-def hinf_step(K_star, x_k):
+def hinf_step(K, x):
     """Fixed-gain feedback u = -K x."""
-    return -np.asarray(K_star, dtype=float) @ np.asarray(x_k, dtype=float).reshape(-1)
+    return -K @ x

@@ -130,14 +130,14 @@ def suboptimality_gaps(gamma_bar, gamma_stars):
     )
 
 
-def sublinearity_diagnostic(R, slack=RATIO_SLACK, decay_factor=DECAY_FACTOR):
+def sublinearity_diagnostic(R):
     """Check whether cumulative regret is flattening out.
 
     Computes the per-step average ratio[k] = R[k] / k (undefined at
     k = 0) and its least-squares slope over the last quarter of the run.
     Verdict is "consistent-with-sublinear" when the ratio is nonincreasing
-    across that tail (up to `slack`) and the final ratio has fallen to at
-    most `decay_factor` times its peak; otherwise "inconclusive".  A
+    across that tail (up to RATIO_SLACK) and the final ratio has fallen to
+    at most DECAY_FACTOR times its peak; otherwise "inconclusive".  A
     finite run can never prove sublinearity, hence the hedged wording.
     """
     R = np.asarray(R, dtype=float)
@@ -155,8 +155,8 @@ def sublinearity_diagnostic(R, slack=RATIO_SLACK, decay_factor=DECAY_FACTOR):
     tail_k = steps[T - q + 1:]
     tail_slope = float(np.polyfit(tail_k, tail, 1)[0])
 
-    nonincreasing = bool(np.all(np.diff(tail) <= slack))
-    decayed = bool(ratio[T] <= decay_factor * np.nanmax(ratio))
+    nonincreasing = bool(np.all(np.diff(tail) <= RATIO_SLACK))
+    decayed = bool(ratio[T] <= DECAY_FACTOR * np.nanmax(ratio))
     verdict = (
         "consistent-with-sublinear" if nonincreasing and decayed else "inconclusive"
     )

@@ -1,9 +1,9 @@
 """Closed-loop rollouts of the true model against a controller.
 
 Feedback-type disturbances (worst-case linear, confusing) are only ever
-generated along the loop named in their spec.  To expose a second
-controller to the identical input, roll out the declaring loop first and
-replay the recorded sequence, which `rollout` accepts in place of a spec.
+generated along the loop their kind fixes.  To expose a second controller
+to the identical input, roll out the generating loop first and replay the
+recorded sequence, which `rollout` accepts in place of the config's spec.
 This keeps comparisons honest: both controllers see the same w, not the
 same disturbance law.
 """
@@ -16,7 +16,7 @@ import numpy as np
 from . import disturbance as _dist
 from .fileio import write_csv
 from .minimax_cert import MinimaxCertificate
-from .policies import hinf_step, initial_state, minimax_step, update_residuals
+from .policies import hinf_step, minimax_step, update_residuals
 
 DIVERGENCE_LIMIT = 1e12
 
@@ -53,8 +53,8 @@ def rollout(cfg, controller, disturbance=None):
     """Simulate cfg.horizon steps of the true model under `controller`.
 
     controller: a MinimaxCertificate (adaptive switching) or a gain matrix
-    K for fixed feedback u = -K x.  disturbance: None to use the spec in
-    cfg, a DisturbanceSpec override, or a recorded (T, n) array to replay.
+    K for fixed feedback u = -K x.  disturbance: None to generate the
+    sequence from cfg's spec, or a recorded (T, n) array to replay.
     Raises DivergedRollout when the state norm passes DIVERGENCE_LIMIT.
     """
     ms = cfg.model_set
@@ -74,27 +74,21 @@ def rollout(cfg, controller, disturbance=None):
                 f"gain must be ({ms.m}, {n}), got {controller.shape}"
             )
 
+    spec = cfg.disturbance
     recorded = None
     if disturbance is None:
-        spec = cfg.disturbance
-    elif isinstance(disturbance, _dist.DisturbanceSpec):
-        spec = disturbance
-        _dist.validate_spec(spec, ms, cfg.true_index, T)
+        loop = "minimax" if adaptive else "hinf"
+        if spec.generating_loop not in ("open", loop):
+            raise ValueError(
+                f"disturbance '{spec.kind}' is generated along the "
+                f"'{spec.generating_loop}' loop; record it there and replay "
+                f"the sequence against this controller"
+            )
     else:
         recorded = np.asarray(disturbance, dtype=float)
         if recorded.shape != (T, n):
             raise ValueError(
                 f"recorded disturbance must be ({T}, {n}), got {recorded.shape}"
-            )
-        spec = None
-
-    if spec is not None and spec.generating_loop != "open":
-        loop = "minimax" if adaptive else "hinf"
-        if spec.generating_loop != loop:
-            raise ValueError(
-                f"disturbance '{spec.kind}' is generated along the "
-                f"'{spec.generating_loop}' loop; record it there and replay "
-                f"the sequence against this controller"
             )
 
     x = np.zeros((T + 1, n))
@@ -105,18 +99,14 @@ def rollout(cfg, controller, disturbance=None):
 
     l = None
     alpha_hist = None
-    state = None
     if adaptive:
         l = np.zeros(T, dtype=int)
         alpha_hist = np.zeros((T + 1, ms.size))
-        state = initial_state(ms.size)
-        alpha_hist[0] = state.alpha
 
     Q, R = cfg.penalties.Q, cfg.penalties.R
     for k in range(T):
         if adaptive:
-            u[k], state = minimax_step(controller, state, x[k])
-            l[k] = state.current_index
+            u[k], l[k] = minimax_step(controller, alpha_hist[k], x[k])
         else:
             u[k] = hinf_step(controller, x[k])
         w[k] = recorded[k] if recorded is not None else _dist.emit(spec, k, x[k], u[k])
@@ -126,8 +116,7 @@ def rollout(cfg, controller, disturbance=None):
                 f"state norm exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}"
             )
         if adaptive:
-            state = update_residuals(ms, state, x[k], u[k], x[k + 1])
-            alpha_hist[k + 1] = state.alpha
+            alpha_hist[k + 1] = update_residuals(ms, alpha_hist[k], x[k], u[k], x[k + 1])
         step_cost[k] = x[k] @ Q @ x[k] + u[k] @ R @ u[k]
     step_cost[T] = x[T] @ Q @ x[T]
 
@@ -141,21 +130,6 @@ def accumulated_cost(traj, penalties, gamma):
     gamma = 0 gives the plain quadratic cost of the trajectory.
     """
     return float(np.sum(traj.step_cost) - gamma ** 2 * np.sum(traj.w * traj.w))
-
-
-def empirical_l2_gain(traj, penalties):
-    """Realized gain sqrt(cost / ||w||^2) for a rollout started at rest.
-
-    Only meaningful from x0 = 0 (otherwise the initial state contributes
-    cost the disturbance never paid for) and for nonzero disturbance
-    energy; both are enforced.
-    """
-    if np.any(traj.x[0] != 0.0):
-        raise ValueError("empirical gain requires x0 = 0")
-    energy = float(np.sum(traj.w * traj.w))
-    if energy <= 1e-12:
-        raise ValueError("disturbance energy is too small to define a gain")
-    return float(np.sqrt(np.sum(traj.step_cost) / energy))
 
 
 def write_trajectory_csv(traj, path):

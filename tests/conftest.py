@@ -55,6 +55,14 @@ def certified(models, penalties):
 
 
 @pytest.fixture(scope="session")
+def certificate_file(certified, tmp_path_factory):
+    """Path of the certified certificate, for CLI runs that do not test synthesis."""
+    path = tmp_path_factory.mktemp("certificate") / "certificate.json"
+    mc.save_certificate(certified[1], path)
+    return str(path)
+
+
+@pytest.fixture(scope="session")
 def benchmark_controller(models, penalties, certified):
     """Fixed-gain law for the true model at the certified level."""
     gamma_bar, _ = certified

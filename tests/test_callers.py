@@ -1,0 +1,73 @@
+"""The library's callers outside the package keep working.
+
+The benchmark tracer (bench/tracing.py) wraps package functions by
+(module, name), and the README's Library section is documented use; a
+trim of the library that breaks either must fail here.  This file reads
+bench/ and README.md and edits neither.
+"""
+import dataclasses
+import importlib
+import pathlib
+import re
+import sys
+
+import numpy as np
+import pytest
+
+import minimaxctrl as mc
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    sys.path.insert(0, str(ROOT / "bench"))
+    try:
+        yield importlib.import_module("tracing")
+    finally:
+        sys.path.remove(str(ROOT / "bench"))
+
+
+def package_bindings():
+    return {(name, attr): value
+            for name, module in sys.modules.items()
+            if name == "minimaxctrl" or name.startswith("minimaxctrl.")
+            for attr, value in vars(module).items()}
+
+
+def test_traced_functions_resolve(tracing):
+    for module, name in tracing.TRACED:
+        fn = getattr(importlib.import_module(f"minimaxctrl.{module}"), name)
+        assert callable(fn), (module, name)
+
+
+def test_tracer_sees_policy_steps_and_restores(tracing, bench_cfg, certified,
+                                               benchmark_controller):
+    """Rollouts reach the policy functions by name, and uninstall undoes install."""
+    gamma_bar, cert = certified
+    cfg = dataclasses.replace(bench_cfg, gamma=gamma_bar, horizon=5,
+                              disturbance=mc.DisturbanceSpec(kind="zero"))
+    before = package_bindings()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        mc.rollout(cfg, cert)
+        mc.rollout(cfg, benchmark_controller.K)
+    finally:
+        tracer.uninstall()
+    after = package_bindings()
+    assert after.keys() == before.keys()
+    assert all(after[key] is before[key] for key in before)
+    spans = [tracer.names[i] for i in tracer.name]
+    expected = {"policies.minimax_step": 5, "policies.update_residuals": 5,
+                "policies.hinf_step": 5, "disturbance.emit": 10}
+    assert {name: spans.count(name) for name in expected} == expected
+
+
+def test_readme_library_example_runs(monkeypatch, capsys):
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("## Library", 1)[1]
+    block = re.search(r"```python\n(.*?)```", section, re.S).group(1)
+    monkeypatch.chdir(ROOT)
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.strip()

@@ -109,7 +109,9 @@ def synthesis_must_not_run(*args, **kwargs):
     (("models", 3, "A", 1, 2), float("nan")),
     (("penalties", "Q", 0, 0), float("inf")),
     (("experiment", "x0", 0), float("nan")),
-], ids=["model", "penalties", "x0"])
+    (("disturbance",), {"kind": "sinusoid", "amplitude": float("nan"),
+                        "omega": 0.3, "direction": [1.0, 0.0, 0.0]}),
+], ids=["model", "penalties", "x0", "disturbance"])
 def test_non_finite_input_is_rejected_at_load(tmp_path, monkeypatch, where, value):
     monkeypatch.setattr(cli, "minimal_feasible_gamma", synthesis_must_not_run)
     cfg = edited_config(tmp_path, where, value)
@@ -127,9 +129,10 @@ def test_short_horizon_is_rejected_before_synthesis(tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("scenario", ["fig1", "fig2", "fig3"])
-def test_reproduce_bundle(tmp_path, scenario):
+def test_reproduce_bundle(tmp_path, certificate_file, scenario):
     out = tmp_path / scenario
-    code = run(["reproduce", CFG, "--scenario", scenario, "--out-dir", str(out)])
+    code = run(["reproduce", CFG, "--scenario", scenario,
+                "--certificate", certificate_file, "--out-dir", str(out)])
     assert code == 0
     for name in ("minimax_traj.csv", "hinf_traj.csv", "regret.csv",
                  "gaps.csv", "certificate.json", "manifest.json"):
@@ -148,13 +151,10 @@ def test_reproduce_is_byte_deterministic(tmp_path):
         assert sha256_of(out_a / name) == sha256_of(out_b / name), name
 
 
-def test_reproduce_with_supplied_certificate(tmp_path, certified):
-    _, cert = certified
-    cert_path = tmp_path / "cert.json"
-    mc.save_certificate(cert, cert_path)
+def test_reproduce_with_supplied_certificate(tmp_path, certificate_file):
     out = tmp_path / "out"
     code = run(["reproduce", CFG, "--scenario", "fig3",
-                "--certificate", str(cert_path), "--out-dir", str(out)])
+                "--certificate", certificate_file, "--out-dir", str(out)])
     assert code == 0
 
 
@@ -171,10 +171,10 @@ def test_reproduce_rejects_bad_certificate(tmp_path, certified):
     assert code == 1
 
 
-def test_svg_flag_emits_charts(tmp_path):
+def test_svg_flag_emits_charts(tmp_path, certificate_file):
     out = tmp_path / "fig1"
     code = run(["reproduce", CFG, "--scenario", "fig1", "--svg",
-                "--out-dir", str(out)])
+                "--certificate", certificate_file, "--out-dir", str(out)])
     assert code == 0
     assert (out / "states.svg").exists()
     assert (out / "regret.svg").exists()
@@ -196,13 +196,14 @@ def test_out_dir_flag_beats_env(tmp_path, monkeypatch):
     assert not (tmp_path / "env").exists()
 
 
-def test_divergence_maps_to_exit_3(tmp_path, monkeypatch):
+def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, certificate_file):
     def boom(*args, **kwargs):
         raise mc.DivergedRollout("state norm exceeded limit at step 3")
 
     monkeypatch.setattr(cli, "rollout", boom)
     out = tmp_path / "out"
-    code = run(["reproduce", CFG, "--scenario", "fig3", "--out-dir", str(out)])
+    code = run(["reproduce", CFG, "--scenario", "fig3",
+                "--certificate", certificate_file, "--out-dir", str(out)])
     assert code == 3
 
 

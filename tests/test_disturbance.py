@@ -2,20 +2,18 @@ import numpy as np
 import pytest
 
 import minimaxctrl as mc
+from minimaxctrl.fileio import write_csv
 from minimaxctrl.disturbance import (
     confusing_disturbance,
     emit,
-    general_confusing,
     load_sequence,
-    save_sequence,
     spec_from_dict,
-    spec_to_dict,
     validate_spec,
 )
 
 
 def test_zero_emits_zero(models):
-    spec = validate_spec(mc.DisturbanceSpec(kind="zero"), models, 2, 10)
+    spec = validate_spec(mc.DisturbanceSpec(kind="zero"), models, 2)
     np.testing.assert_array_equal(emit(spec, 0, np.ones(3), np.zeros(1)), np.zeros(3))
 
 
@@ -41,29 +39,12 @@ def test_confusing_needs_distinct_target(models):
         confusing_disturbance(models, 2, 2, np.ones(3), np.zeros(1))
     with pytest.raises(ValueError):
         validate_spec(
-            mc.DisturbanceSpec(kind="confusing", target=2), models, 2, 10
+            mc.DisturbanceSpec(kind="confusing", target=2), models, 2
         )
     with pytest.raises(ValueError):
         validate_spec(
-            mc.DisturbanceSpec(kind="confusing", target=9), models, 2, 10
+            mc.DisturbanceSpec(kind="confusing", target=9), models, 2
         )
-
-
-def test_general_confusing_recovers_pairwise_form(models):
-    """theta = e_i - e_j reproduces the two-model confusing construction."""
-    j, i = 2, 3
-    theta = np.zeros(4)
-    theta[i - 1], theta[j - 1] = 1.0, -1.0
-    x = np.array([0.3, 1.1, -0.4])
-    u = np.array([-0.2])
-    w_pair = confusing_disturbance(models, j, i, x, u)
-    w_gen = general_confusing(models, theta, x, u)
-    np.testing.assert_allclose(w_gen, w_pair, atol=1e-12)
-
-
-def test_general_confusing_checks_theta_length(models):
-    with pytest.raises(ValueError):
-        general_confusing(models, np.ones(3), np.ones(3), np.zeros(1))
 
 
 def test_sinusoid_respects_amplitude(models):
@@ -72,7 +53,7 @@ def test_sinusoid_respects_amplitude(models):
             kind="sinusoid", amplitude=0.8, omega=0.3, phase=0.1,
             direction=np.array([2.0, 0.0, 0.0]),  # gets normalized
         ),
-        models, 2, 100,
+        models, 2,
     )
     assert np.linalg.norm(spec.direction) == pytest.approx(1.0, abs=1e-12)
     for k in range(100):
@@ -106,7 +87,7 @@ def test_peak_sinusoid_degenerates_at_nyquist(models, penalties,
 
 
 def test_worst_case_needs_gain(models):
-    spec = validate_spec(mc.DisturbanceSpec(kind="hinf_worst_case"), models, 2, 10)
+    spec = validate_spec(mc.DisturbanceSpec(kind="hinf_worst_case"), models, 2)
     with pytest.raises(ValueError):
         emit(spec, 0, np.ones(3), np.zeros(1))
 
@@ -114,7 +95,7 @@ def test_worst_case_needs_gain(models):
 def test_worst_case_is_state_feedback(models, benchmark_controller):
     spec = validate_spec(
         mc.DisturbanceSpec(kind="hinf_worst_case", L=benchmark_controller.L),
-        models, 2, 10,
+        models, 2,
     )
     x = np.array([1.0, 2.0, 3.0])
     np.testing.assert_allclose(emit(spec, 5, x, np.zeros(1)),
@@ -142,12 +123,12 @@ def test_external_sequence_round_trip(models, tmp_path):
     rng = np.random.default_rng(3)
     W = rng.standard_normal((7, 3))
     path = tmp_path / "w.csv"
-    save_sequence(path, W)
+    write_csv(path, ["k", "w_1", "w_2", "w_3"], [[k, *W[k]] for k in range(7)])
     again = load_sequence(path)
     np.testing.assert_allclose(again, W, atol=1e-11)
 
     spec = validate_spec(
-        mc.DisturbanceSpec(kind="external", sequence=again), models, 2, 7
+        mc.DisturbanceSpec(kind="external", sequence=again), models, 2
     )
     np.testing.assert_array_equal(emit(spec, 3, np.zeros(3), np.zeros(1)), again[3])
     with pytest.raises(ValueError):
@@ -158,29 +139,16 @@ def test_external_width_checked(models):
     with pytest.raises(ValueError):
         validate_spec(
             mc.DisturbanceSpec(kind="external", sequence=np.ones((5, 2))),
-            models, 2, 5,
+            models, 2,
         )
 
 
-def test_spec_dict_round_trip(models):
-    from minimaxctrl.disturbance import specs_equal
-
-    specs = [
-        mc.DisturbanceSpec(kind="zero"),
-        mc.DisturbanceSpec(kind="hinf_worst_case"),
-        mc.DisturbanceSpec(kind="sinusoid", amplitude=0.5, omega=1.2,
-                           phase=0.3, direction=np.array([0.0, 1.0, 0.0])),
-        mc.DisturbanceSpec(kind="confusing", target=3),
-    ]
-    for spec in specs:
-        doc = spec_to_dict(spec)
-        again = spec_from_dict(doc, models.n)
-        assert specs_equal(spec, again)
-
-
-def test_spec_from_dict_rejects_unknown_keys(models):
+def test_spec_from_dict_rejects_unknown_keys():
     with pytest.raises(ValueError):
-        spec_from_dict({"kind": "zero", "amplitude": 2.0}, models.n)
+        spec_from_dict({"kind": "zero", "amplitude": 2.0})
+    with pytest.raises(ValueError):
+        spec_from_dict({"kind": "confusing", "target": 3,
+                        "theta": [0.0, -1.0, 1.0, 0.0]})
 
 
 def test_loop_defaults():
@@ -190,7 +158,25 @@ def test_loop_defaults():
     assert mc.DisturbanceSpec(kind="confusing", target=3).generating_loop == "minimax"
 
 
-def test_open_kind_cannot_claim_a_loop(models):
-    spec = mc.DisturbanceSpec(kind="zero", generating_loop="minimax")
+def test_open_kind_cannot_claim_a_loop():
+    """The generating loop is fixed by the kind, in code and in configs."""
+    with pytest.raises(TypeError):
+        mc.DisturbanceSpec(kind="zero", generating_loop="minimax")
     with pytest.raises(ValueError):
-        validate_spec(spec, models, 2, 10)
+        spec_from_dict({"kind": "zero", "generating_loop": "minimax"})
+
+
+@pytest.mark.parametrize("kind, field, value", [
+    ("sinusoid", "amplitude", np.nan),
+    ("sinusoid", "omega", np.inf),
+    ("sinusoid", "phase", -np.inf),
+    ("sinusoid", "direction", np.array([1.0, np.nan, 0.0])),
+    ("external", "sequence", np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]])),
+    ("hinf_worst_case", "L", np.diag([0.1, np.nan, 0.1])),
+])
+def test_non_finite_field_rejected(models, kind, field, value):
+    spec = mc.DisturbanceSpec(kind=kind, direction=np.ones(3),
+                              sequence=np.zeros((2, 3)))
+    setattr(spec, field, value)
+    with pytest.raises(ValueError, match="non-finite"):
+        validate_spec(spec, models, 2)

@@ -5,59 +5,56 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import minimaxctrl as mc
-from minimaxctrl.policies import (
-    hinf_step,
-    initial_state,
-    minimax_step,
-    update_residuals,
-)
+from minimaxctrl.policies import hinf_step, minimax_step, update_residuals
 
 
-def test_initial_state():
-    s = initial_state(4)
-    np.testing.assert_array_equal(s.alpha, np.zeros(4))
-    assert s.current_index == 1
-    assert s.step == 0
+def test_initial_state(bench_cfg, certified):
+    """A rollout starts from zero residuals, and the tie selects model 1."""
+    gamma_bar, cert = certified
+    cfg = dataclasses.replace(bench_cfg, gamma=gamma_bar, horizon=1,
+                              disturbance=mc.DisturbanceSpec(kind="zero"))
+    traj = mc.rollout(cfg, cert)
+    np.testing.assert_array_equal(traj.alpha_hist[0], np.zeros(4))
+    assert traj.l[0] == 1
 
 
 def test_tie_breaks_to_lowest_index(certified):
     _, cert = certified
-    s = initial_state(4)  # all residuals zero: a four-way tie
     x = np.ones(3)
-    u, s2 = minimax_step(cert, s, x)
-    assert s2.current_index == 1
+    u, l = minimax_step(cert, np.zeros(4), x)  # a four-way tie
+    assert l == 1
     np.testing.assert_allclose(u, -cert.gains[0] @ x)
 
 
 def test_selects_least_residual(certified):
     _, cert = certified
-    s = dataclasses.replace(initial_state(4), alpha=np.array([3.0, 0.5, 2.0, 0.5]))
     x = np.array([1.0, -1.0, 0.5])
-    u, s2 = minimax_step(cert, s, x)
-    assert s2.current_index == 2  # first of the tied pair
+    u, l = minimax_step(cert, np.array([3.0, 0.5, 2.0, 0.5]), x)
+    assert l == 2  # first of the tied pair
     np.testing.assert_allclose(u, -cert.gains[1] @ x)
 
 
 def test_step_is_deterministic(certified):
     _, cert = certified
-    s = dataclasses.replace(initial_state(4), alpha=np.array([1.0, 4.0, 0.2, 9.0]))
+    alpha = np.array([1.0, 4.0, 0.2, 9.0])
     x = np.array([0.3, 0.7, -0.2])
-    u1, s1 = minimax_step(cert, s, x)
-    u2, s2 = minimax_step(cert, s, x)
+    u1, l1 = minimax_step(cert, alpha, x)
+    u2, l2 = minimax_step(cert, alpha, x)
     np.testing.assert_array_equal(u1, u2)
-    assert s1.current_index == s2.current_index
+    assert l1 == l2
 
 
 def test_residual_update_shapes_and_growth(models):
-    s = initial_state(4)
+    alpha = np.zeros(4)
     x = np.ones(3)
     u = np.array([0.1])
     x_next = models.A[1] @ x + models.B[1] @ u  # exact model-2 step, no noise
-    s2 = update_residuals(models, s, x, u, x_next)
-    assert s2.step == 1
-    assert s2.alpha[1] <= 1e-28  # true model explains the step (rounding only)
-    assert np.all(s2.alpha >= 0.0)
-    assert np.any(s2.alpha[[0, 2, 3]] > 0.0)
+    alpha2 = update_residuals(models, alpha, x, u, x_next)
+    assert alpha2.shape == (4,)
+    np.testing.assert_array_equal(alpha, np.zeros(4))  # input left untouched
+    assert alpha2[1] <= 1e-28  # true model explains the step (rounding only)
+    assert np.all(alpha2 >= 0.0)
+    assert np.any(alpha2[[0, 2, 3]] > 0.0)
 
 
 def test_true_model_residual_is_disturbance_energy(models, penalties):
@@ -69,16 +66,16 @@ def test_true_model_residual_is_disturbance_energy(models, penalties):
     A, B = models.pair(j)
     P = solve_discrete_are(A, B, penalties.Q, penalties.R)
     K = np.linalg.solve(penalties.R + B.T @ P @ B, B.T @ P @ A)
-    s = initial_state(4)
+    alpha = np.zeros(4)
     x = np.ones(3)
     energy = 0.0
     for k in range(25):
         u = -K @ x
         w = 0.5 * rng.standard_normal(3)
         x_next = A @ x + B @ u + w
-        s = update_residuals(models, s, x, u, x_next)
+        alpha = update_residuals(models, alpha, x, u, x_next)
         energy += float(w @ w)
-        assert abs(s.alpha[j - 1] - energy) <= 1e-12 * max(1.0, energy)
+        assert abs(alpha[j - 1] - energy) <= 1e-12 * max(1.0, energy)
         x = x_next
 
 
@@ -108,9 +105,7 @@ def test_selection_invariant_under_common_scaling(certified, alpha, scale):
     """
     _, cert = certified
     x = np.array([0.5, -1.0, 2.0])
-    s1 = dataclasses.replace(initial_state(4), alpha=alpha)
-    s2 = dataclasses.replace(initial_state(4), alpha=alpha * scale)
-    u1, out1 = minimax_step(cert, s1, x)
-    u2, out2 = minimax_step(cert, s2, x)
-    assert out1.current_index == out2.current_index
+    u1, l1 = minimax_step(cert, alpha, x)
+    u2, l2 = minimax_step(cert, alpha * scale, x)
+    assert l1 == l2
     np.testing.assert_array_equal(u1, u2)
