@@ -187,8 +187,8 @@ def cmd_reproduce(args):
     diag = sublinearity_diagnostic(report.R)
     gaps = suboptimality_gaps(gbar, _gamma_star_table(ms, p))
     bound = value_bound(cert, rcfg.x0)
-    cost_mm = accumulated_cost(traj_mm, p, gbar)
-    cost_h = accumulated_cost(traj_h, p, gbar)
+    cost_mm = accumulated_cost(traj_mm, gbar)
+    cost_h = accumulated_cost(traj_h, gbar)
     stages["metrics"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

@@ -19,20 +19,21 @@ replayed verbatim on the other controller so both see the same inputs.
 """
 from __future__ import annotations
 
+import numbers
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import fileio, hinf
 
-KINDS = ("zero", "hinf_worst_case", "sinusoid", "confusing", "external")
-GENERATING_LOOP = {
-    "zero": "open",
-    "sinusoid": "open",
-    "external": "open",
-    "hinf_worst_case": "hinf",
-    "confusing": "minimax",
+# kind -> (generating loop, config keys besides "kind")
+KINDS = {
+    "zero": ("open", ()),
+    "hinf_worst_case": ("hinf", ()),
+    "sinusoid": ("open", ("amplitude", "omega", "phase", "direction")),
+    "confusing": ("minimax", ("target",)),
+    "external": ("open", ("sequence", "path")),
 }
 
 
@@ -41,8 +42,8 @@ class DisturbanceSpec:
     """One disturbance strategy plus the context it needs at emit time.
 
     Only the fields relevant to `kind` are used.  `model_set` and
-    `true_index` are runtime context attached when the spec is validated
-    against an experiment.
+    `true_index` are runtime context, set on the copy that `validate_spec`
+    binds to an experiment.
     """
 
     kind: str
@@ -63,7 +64,7 @@ class DisturbanceSpec:
     @property
     def generating_loop(self):
         """'open', 'hinf' or 'minimax', fixed by the kind."""
-        return GENERATING_LOOP[self.kind]
+        return KINDS[self.kind][0]
 
 
 def hinf_worst_case(L_star, x_k):
@@ -92,7 +93,8 @@ def confusing_disturbance(ms, j, i, x_k, u_k):
 def peak_sinusoid_spec(A, B, K, penalties):
     """Unit sinusoid at the closed loop's worst frequency.
 
-    Scans the weighted closed-loop frequency response for u = -Kx, places a
+    Scans the weighted closed-loop frequency response for u = -Kx (A, B
+    and K as 2-D arrays, see `hinf.closed_loop_scan`), places a
     unit-amplitude, zero-phase sinusoid at the peak frequency, and points it
     along the right singular vector of the response there.  The singular
     vector is complex in general; it is made real by rotating its largest
@@ -100,18 +102,8 @@ def peak_sinusoid_spec(A, B, K, penalties):
     renormalizing.
     """
     scan = hinf.closed_loop_scan(A, B, K, penalties)
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
-    K = np.atleast_2d(np.asarray(K, dtype=float))
-    n = A.shape[0]
-    Acl = A - B @ K
-    C = hinf._weighted_output(penalties, K)
-    resolvent = np.linalg.solve(
-        np.exp(1j * scan.peak_omega) * np.eye(n) - Acl, np.eye(n)
-    )
-    _, _, Vh = np.linalg.svd(C @ resolvent)
+    tf = hinf._frequency_response(A, B, K, penalties)(scan.peak_omega)
+    _, _, Vh = np.linalg.svd(tf)
     v = Vh[0].conj()
     lead = v[int(np.argmax(np.abs(v)))]
     v = v * (lead.conj() / abs(lead))
@@ -141,11 +133,9 @@ def emit(spec, k, x_k, u_k):
                              "(missing model set / true index)")
         return confusing_disturbance(spec.model_set, spec.true_index,
                                      spec.target, x_k, u_k)
-    if spec.kind == "external":
-        if k >= spec.sequence.shape[0]:
-            raise ValueError(f"external sequence exhausted at step {k}")
-        return spec.sequence[k]
-    raise ValueError(f"unknown disturbance kind {spec.kind!r}")
+    if k >= spec.sequence.shape[0]:  # external
+        raise ValueError(f"external sequence exhausted at step {k}")
+    return spec.sequence[k]
 
 
 def _finite(value, name):
@@ -156,16 +146,23 @@ def _finite(value, name):
     return value
 
 
-def validate_spec(spec, ms, true_index):
-    """Check a spec against an experiment and bind runtime context.
+def _integer(value, name):
+    """int(value), rejecting a number that is not whole instead of truncating it."""
+    if not isinstance(value, numbers.Real) or not float(value).is_integer():
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
-    Normalizes array fields, applies kind-specific checks (finite entries,
-    unit direction, valid confusing target, sequence width), and attaches
-    the model set and true index that `emit` needs for the confusing kind.
-    Raises ValueError with a config-style message on any inconsistency.
+
+def validate_spec(spec, ms, true_index):
+    """Check a spec against an experiment; return a bound, normalized copy.
+
+    The copy passes the kind-specific checks (finite entries, unit
+    direction, valid confusing target, sequence width) and carries the
+    model set and true index that `emit` needs for the confusing kind;
+    `spec` itself is not modified, so one spec can serve several
+    experiments.  Raises ValueError with a config-style message.
     """
-    if spec.kind not in KINDS:
-        raise ValueError(f"unknown disturbance kind {spec.kind!r}")
+    spec = replace(spec)
     n = ms.n
     if spec.kind == "sinusoid":
         spec.amplitude = float(_finite(spec.amplitude, "sinusoid amplitude"))
@@ -189,15 +186,11 @@ def validate_spec(spec, ms, true_index):
     elif spec.kind == "confusing":
         if spec.target is None:
             raise ValueError("confusing disturbance needs a target model index")
-        spec.target = int(spec.target)
+        spec.target = _integer(spec.target, "confusing target")
         if not 1 <= spec.target <= ms.size:
-            raise ValueError(
-                f"confusing target {spec.target} outside 1..{ms.size}"
-            )
+            raise ValueError(f"confusing target {spec.target} outside 1..{ms.size}")
         if spec.target == true_index:
-            raise ValueError(
-                "confusing target must differ from the true model index"
-            )
+            raise ValueError("confusing target must differ from the true model index")
         spec.model_set = ms
         spec.true_index = true_index
     elif spec.kind == "external":
@@ -219,46 +212,28 @@ def validate_spec(spec, ms, true_index):
     return spec
 
 
-_FROM_DICT_KEYS = {
-    "zero": set(),
-    "hinf_worst_case": set(),
-    "sinusoid": {"amplitude", "omega", "phase", "direction"},
-    "confusing": {"target"},
-    "external": {"sequence", "path"},
-}
-
-
 def spec_from_dict(doc, base_dir=""):
-    """Build a spec from a config 'disturbance' section."""
+    """Build a spec from a config 'disturbance' section.
+
+    Its keys are the DisturbanceSpec fields the kind accepts (KINDS), so
+    the dataclass defaults apply; "path" names a sequence CSV relative to
+    base_dir.
+    """
     if not isinstance(doc, dict) or "kind" not in doc:
         raise ValueError("disturbance section must be an object with 'kind'")
     kind = doc["kind"]
     if kind not in KINDS:
         raise ValueError(f"unknown disturbance kind {kind!r}")
-    unknown = set(doc) - _FROM_DICT_KEYS[kind] - {"kind"}
+    unknown = set(doc) - set(KINDS[kind][1]) - {"kind"}
     if unknown:
         raise ValueError(
             f"disturbance kind {kind!r} does not accept keys: "
             f"{', '.join(sorted(unknown))}"
         )
-    kwargs = {"kind": kind}
-    if kind == "sinusoid":
-        kwargs["amplitude"] = doc.get("amplitude", 1.0)
-        kwargs["omega"] = doc.get("omega", 0.0)
-        kwargs["phase"] = doc.get("phase", 0.0)
-        if "direction" in doc:
-            kwargs["direction"] = np.asarray(doc["direction"], dtype=float)
-    elif kind == "confusing":
-        if "target" in doc:
-            kwargs["target"] = doc["target"]
-    elif kind == "external":
-        if "path" in doc:
-            kwargs["sequence"] = load_sequence(
-                os.path.join(base_dir, doc["path"])
-            )
-        elif "sequence" in doc:
-            kwargs["sequence"] = np.asarray(doc["sequence"], dtype=float)
-    return DisturbanceSpec(**kwargs)
+    fields = dict(doc)
+    if "path" in fields:
+        fields["sequence"] = load_sequence(os.path.join(base_dir, fields.pop("path")))
+    return DisturbanceSpec(**fields)
 
 
 def load_sequence(path):

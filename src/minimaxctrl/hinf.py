@@ -13,10 +13,12 @@ gamma = inf, G = B R^-1 B' and the same solver gives the LQR solution.  At
 a feasible level the solution is stabilizing with 0 < M < gamma^2 I, and
 the saddle-point strategies are u = -K x with K = R^-1 B' M Lambda^-1 A and
 w = L x with L = gamma^-2 M Lambda^-1 A.  The smallest feasible level is
-found by bisection, and an independent frequency-domain oracle evaluates
-the actual closed-loop H-infinity norm on a grid.
+found by `_level_search` (which also finds the certified level of
+`minimax_cert`), and an independent frequency-domain oracle evaluates the
+actual closed-loop H-infinity norm on a grid.
 
-All functions are pure and memoise nothing; `solve_riccati` and
+All functions are pure, memoise nothing and take matrices as 2-D arrays
+(a 1-D B is a shape error); `solve_riccati` and
 `synthesize`-style entry points signal lack of a solution by returning
 `Infeasible` (falsy, carries the reason) rather than raising, since probing
 infeasible levels is the normal mode of bisection.
@@ -106,7 +108,7 @@ def solve_riccati(A, B, penalties, gamma):
     Parameters
     ----------
     A, B : ndarray
-        Model matrices, A (n,n) and B (n,m); a 1-D B is read as one column.
+        Model matrices, A (n,n) and B (n,m).
     penalties : Penalties
         Positive definite Q and R.
     gamma : float
@@ -136,8 +138,6 @@ def solve_riccati(A, B, penalties, gamma):
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
     Q, R = penalties.Q, penalties.R
     n, _ = _check_shapes(A, B, Q, R)
     gamma = float(gamma)
@@ -200,33 +200,46 @@ def solve_riccati(A, B, penalties, gamma):
     return HinfSolution(M=M, Lambda=Lam, K=K, L=L, gamma=gamma, iterations=it)
 
 
+def _level_search(probe, lo, hi, rel_tol):
+    """Smallest level the probe accepts, by doubling then bisection.
+
+    probe(level) returns a truthy result or a falsy one with a `reason`;
+    lo is a lower bound and is never probed.  hi doubles until accepted,
+    the last probe being exactly GAMMA_MAX, then [lo, hi] is bisected to
+    hi - lo <= rel_tol * hi.  Returns (level, result) at the accepted end;
+    raises BracketError with the last reason if GAMMA_MAX is rejected.
+    """
+    result = probe(hi)
+    while not result:
+        if hi >= GAMMA_MAX:
+            raise BracketError(
+                f"no feasible level up to {GAMMA_MAX:.3g} "
+                f"(last reason: {result.reason})"
+            )
+        hi = min(2.0 * hi, GAMMA_MAX)
+        result = probe(hi)
+    while hi - lo > rel_tol * hi:
+        mid = 0.5 * (lo + hi)
+        res = probe(mid)
+        if res:
+            hi, result = mid, res
+        else:
+            lo = mid
+    return hi, result
+
+
 def optimal_attenuation(A, B, penalties):
     """Smallest feasible attenuation level gamma* for (A, B), by bisection.
 
     The lower end of the initial bracket is sqrt(max eig Q), below which
-    M >= Q already contradicts M < gamma^2 I; the upper end grows by
-    doubling until feasible.  Raises BracketError if even GAMMA_MAX is
-    infeasible (e.g. an unstabilizable pair).  Relative tolerance on the
-    returned level: BISECT_REL_TOL.
+    M >= Q already contradicts M < gamma^2 I; the upper end starts at
+    max(2 lo, 1) (see `_level_search`).  Raises BracketError if even
+    GAMMA_MAX is infeasible (e.g. an unstabilizable pair).  Relative
+    tolerance on the returned level: BISECT_REL_TOL.
     """
     lo = float(np.sqrt(np.max(np.linalg.eigvalsh(penalties.Q))))
-    hi = max(2.0 * lo, 1.0)
-    while not solve_riccati(A, B, penalties, hi):
-        hi *= 2.0
-        if hi > GAMMA_MAX:
-            if solve_riccati(A, B, penalties, GAMMA_MAX):
-                hi = GAMMA_MAX
-                break
-            raise BracketError(
-                f"no feasible attenuation level up to {GAMMA_MAX:.3g}"
-            )
-    while hi - lo > BISECT_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        if solve_riccati(A, B, penalties, mid):
-            hi = mid
-        else:
-            lo = mid
-    return hi
+    return _level_search(lambda g: solve_riccati(A, B, penalties, g),
+                         lo, max(2.0 * lo, 1.0), BISECT_REL_TOL)[0]
 
 
 @dataclass(eq=False)
@@ -243,15 +256,6 @@ class FrequencyScan:
     norm: np.ndarray
     peak_omega: float
     peak_norm: float
-
-
-def _weighted_output(penalties, K):
-    """Stack [Q^(1/2); R^(1/2) K] for the regulated output."""
-    dq, Vq = np.linalg.eigh(penalties.Q)
-    dr, Vr = np.linalg.eigh(penalties.R)
-    Qh = (Vq * np.sqrt(np.maximum(dq, 0.0))) @ Vq.T
-    Rh = (Vr * np.sqrt(np.maximum(dr, 0.0))) @ Vr.T
-    return np.vstack([Qh, Rh @ K])
 
 
 def _golden_max(fun, lo, hi, tol=1e-12, max_iter=200):
@@ -277,6 +281,31 @@ def _golden_max(fun, lo, hi, tol=1e-12, max_iter=200):
     return d, fd
 
 
+def _frequency_response(A, B, K, penalties):
+    """The map omega -> [Q^(1/2); R^(1/2) K] (e^(j omega) I - A + B K)^-1.
+
+    omega may be a scalar or an array (one response per entry).  Raises
+    ValueError if A - BK is not Schur stable (spectral radius must stay
+    below 1 - 1e-9), since the response is unbounded otherwise.
+    """
+    Acl = A - B @ K
+    radius = float(np.max(np.abs(np.linalg.eigvals(Acl))))
+    if radius >= 1.0 - 1e-9:
+        raise ValueError(f"A - BK must be Schur stable (spectral radius {radius:.6g})")
+    dq, Vq = np.linalg.eigh(penalties.Q)
+    dr, Vr = np.linalg.eigh(penalties.R)
+    Qh = (Vq * np.sqrt(np.maximum(dq, 0.0))) @ Vq.T
+    Rh = (Vr * np.sqrt(np.maximum(dr, 0.0))) @ Vr.T
+    C = np.vstack([Qh, Rh @ K])
+    eye = np.eye(A.shape[0])
+
+    def response(omega):
+        z = np.exp(1j * np.asarray(omega))[..., None, None] * eye - Acl
+        return C @ np.linalg.solve(z, np.broadcast_to(eye, z.shape))
+
+    return response
+
+
 def closed_loop_scan(A, B, K, penalties):
     """Frequency response norm of the closed loop u = -Kx.
 
@@ -284,48 +313,31 @@ def closed_loop_scan(A, B, K, penalties):
 
         [Q^(1/2); R^(1/2) K] (e^(j w) I - A + B K)^-1
 
-    on GRID_SIZE uniform frequencies over [0, pi], then runs one
-    golden-section refinement around the grid peak.  The refined sample
-    is inserted into the returned grid only when it strictly improves
-    on the grid maximum, so flat responses keep the first-occurrence
-    peak (e.g. an all-pass reports peak_omega = 0).
-
-    Raises ValueError if A - BK is not Schur stable (spectral radius
-    must stay below 1 - 1e-9), since the norm is unbounded otherwise.
+    for A (n, n), B (n, m) and K (m, n) on GRID_SIZE uniform frequencies
+    over [0, pi], then runs one golden-section refinement around the grid
+    peak.  The refined sample is inserted into the returned grid only when
+    it strictly improves on the grid maximum, so flat responses keep the
+    first-occurrence peak (e.g. an all-pass reports peak_omega = 0).
+    Raises ValueError on a shape mismatch or, via `_frequency_response`,
+    when A - BK is not Schur stable.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
-    if B.ndim == 1:
-        B = B.reshape(-1, 1)
     K = np.asarray(K, dtype=float)
-    if K.ndim == 0:
-        K = K.reshape(1, 1)
-    elif K.ndim == 1:
-        K = K.reshape(1, -1)
-    n, _ = _check_shapes(A, B, penalties.Q, penalties.R)
-
-    Acl = A - B @ K
-    radius = float(np.max(np.abs(np.linalg.eigvals(Acl))))
-    if radius >= 1.0 - 1e-9:
-        raise ValueError(
-            f"A - BK must be Schur stable (spectral radius {radius:.6g})"
-        )
-    C = _weighted_output(penalties, K)
-    eye = np.eye(n)
+    n, m = _check_shapes(A, B, penalties.Q, penalties.R)
+    if K.shape != (m, n):
+        raise ValueError(f"K must be {m} x {n}, got {K.shape}")
+    response = _frequency_response(A, B, K, penalties)
 
     omegas = np.linspace(0.0, np.pi, GRID_SIZE)
-    z = np.exp(1j * omegas)[:, None, None] * eye - Acl
-    resolvent = np.linalg.solve(z, np.broadcast_to(eye, z.shape))
-    tf = C @ resolvent
-    norms = np.linalg.svd(tf, compute_uv=False)[:, 0]
+    norms = np.linalg.svd(response(omegas), compute_uv=False)[:, 0]
 
     ipk = int(np.argmax(norms))
     peak_omega = float(omegas[ipk])
     peak_norm = float(norms[ipk])
 
     def sigma_at(w):
-        res = np.linalg.solve(np.exp(1j * w) * eye - Acl, eye)
-        return float(np.linalg.svd(C @ res, compute_uv=False)[0])
+        return float(np.linalg.svd(response(w), compute_uv=False)[0])
 
     lo = float(omegas[max(ipk - 1, 0)])
     hi = float(omegas[min(ipk + 1, GRID_SIZE - 1)])

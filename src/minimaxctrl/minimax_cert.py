@@ -30,17 +30,18 @@ an F = 1 set reproduces the known-model design.  The heuristic can fail
 at levels where a certificate exists (the verifier has the final word;
 there are no false positives), so the level found by
 `minimal_feasible_gamma` is an upper bound on the best achievable one.
+Its feasible set need not be an interval either, so the doubling-then-
+bisect search (`hinf._level_search`, no fallback sweep) may miss the least.
 """
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hinf import GAMMA_MAX, BracketError, Infeasible, solve_riccati, optimal_attenuation
+from .hinf import Infeasible, _level_search, optimal_attenuation, solve_riccati
 from .model_set import ConfigError
-
-import json
 
 SWEEP_BUDGET = 20_000
 SWEEP_STOP_TOL = 1e-11
@@ -243,43 +244,16 @@ def minimal_feasible_gamma(ms, penalties):
     """Smallest certifiable level found by bisection; returns (gamma_bar, cert).
 
     The lower bracket is max_i gamma*_i (no certificate can beat the best
-    known-model level of any member); the upper bracket is found by
-    doubling, with a finer geometric sweep as fallback since the synthesis
-    heuristic's feasible set need not be an interval.  Raises BracketError
-    when nothing up to GAMMA_MAX is certifiable.  Relative tolerance on the
+    known-model level of any member); the upper one starts at twice that
+    and doubles up to hinf.GAMMA_MAX, where BracketError carries the last
+    probe's reason (see `hinf._level_search`).  Relative tolerance on the
     returned level: GAMMA_BAR_REL_TOL.
     """
     lo = max(
         optimal_attenuation(*ms.pair(i), penalties) for i in range(1, ms.size + 1)
     )
-    hi = 2.0 * lo
-    best = synthesize_certificate(ms, penalties, hi)
-    while not best:
-        hi *= 2.0
-        if hi > GAMMA_MAX:
-            break
-        best = synthesize_certificate(ms, penalties, hi)
-    if not best:
-        hi = 1.25 * lo
-        while hi <= GAMMA_MAX:
-            best = synthesize_certificate(ms, penalties, hi)
-            if best:
-                break
-            hi *= 1.25
-        if not best:
-            raise BracketError(
-                f"no certifiable level up to {GAMMA_MAX:.3g} "
-                f"(last reason: {best.reason})"
-            )
-
-    while hi - lo > GAMMA_BAR_REL_TOL * hi:
-        mid = 0.5 * (lo + hi)
-        res = synthesize_certificate(ms, penalties, mid)
-        if res:
-            hi, best = mid, res
-        else:
-            lo = mid
-    return hi, best
+    return _level_search(lambda g: synthesize_certificate(ms, penalties, g),
+                         lo, 2.0 * lo, GAMMA_BAR_REL_TOL)
 
 
 def value_bound(cert, x0):

@@ -71,26 +71,17 @@ class ModelSet:
 
     @classmethod
     def from_pairs(cls, pairs):
-        """Build from an ordered list of (A_i, B_i) pairs."""
+        """Build from an ordered list of (A_i, B_i) pairs, A_i (n, n), B_i (n, m)."""
         if not pairs:
             raise ConfigError("model set must contain at least one model")
-        As, Bs = [], []
-        for k, (A, B) in enumerate(pairs, start=1):
-            A = np.asarray(A, dtype=float)
-            B = np.asarray(B, dtype=float)
-            if B.ndim == 1:
-                B = B.reshape(-1, 1)
+        As = [np.asarray(A, dtype=float) for A, _ in pairs]
+        Bs = [np.asarray(B, dtype=float) for _, B in pairs]
+        for k, (A, B) in enumerate(zip(As, Bs), start=1):
             if A.ndim != 2 or A.shape[0] != A.shape[1]:
                 raise ConfigError(f"model {k}: A must be square, got {A.shape}")
-            if B.shape[0] != A.shape[0]:
-                raise ConfigError(
-                    f"model {k}: B has {B.shape[0]} rows, expected {A.shape[0]}"
-                )
-            As.append(A)
-            Bs.append(B)
-        shapes_a = {a.shape for a in As}
-        shapes_b = {b.shape for b in Bs}
-        if len(shapes_a) > 1 or len(shapes_b) > 1:
+            if B.ndim != 2 or B.shape[0] != A.shape[0]:
+                raise ConfigError(f"model {k}: B is {B.shape}, expected ({A.shape[0]}, m)")
+        if len({a.shape for a in As}) > 1 or len({b.shape for b in Bs}) > 1:
             raise ConfigError("all models must share the same state/input dimensions")
         return cls(np.stack(As), np.stack(Bs))
 
@@ -145,6 +136,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         ms = self.model_set
+        self.true_index = _dist._integer(self.true_index, "true_index")
+        self.horizon = _dist._integer(self.horizon, "horizon")
         if self.penalties.Q.shape[0] != ms.n:
             raise ConfigError(
                 f"Q is {self.penalties.Q.shape[0]}x..., state dimension is {ms.n}"
@@ -154,10 +147,7 @@ class ExperimentConfig:
                 f"R is {self.penalties.R.shape[0]}x..., input dimension is {ms.m}"
             )
         if not 1 <= self.true_index <= ms.size:
-            raise ConfigError(
-                f"true_index {self.true_index} outside 1..{ms.size}"
-            )
-        self.horizon = int(self.horizon)
+            raise ConfigError(f"true_index {self.true_index} outside 1..{ms.size}")
         if self.horizon < 0:
             raise ConfigError("horizon must be >= 0")
         self.gamma = float(self.gamma)
@@ -170,7 +160,7 @@ class ExperimentConfig:
             raise ConfigError(f"x0 has length {self.x0.shape[0]}, expected {ms.n}")
         if not np.all(np.isfinite(self.x0)):
             raise ConfigError("x0 has a non-finite entry")
-        _dist.validate_spec(self.disturbance, ms, self.true_index)
+        self.disturbance = _dist.validate_spec(self.disturbance, ms, self.true_index)
 
 
 def _matrix_from_rows(rows, name):
@@ -248,8 +238,8 @@ def load_config(path):
     cfg = ExperimentConfig(
         model_set=ms,
         penalties=penalties,
-        true_index=int(exp["true_index"]),
-        horizon=int(exp["horizon"]),
+        true_index=exp["true_index"],
+        horizon=exp["horizon"],
         gamma=float(exp["gamma"]),
         disturbance=spec,
         x0=exp.get("x0"),

@@ -75,7 +75,7 @@ def model_based_regret(d):
     return np.cumsum(np.asarray(d, dtype=float))
 
 
-def cost_difference_regret(traj_a, traj_b, penalties):
+def cost_difference_regret(traj_a, traj_b):
     """Running sum of the realized cost difference (no disturbance credit).
 
     May be negative at any point; its final element equals the difference
@@ -97,7 +97,7 @@ def regret_report(traj_a, traj_b, penalties, kind):
         d=d,
         R=R,
         R_over_T=r_over_t,
-        cost_diff=cost_difference_regret(traj_a, traj_b, penalties),
+        cost_diff=cost_difference_regret(traj_a, traj_b),
         model_index=traj_a.true_index,
         kind=kind,
     )

@@ -52,8 +52,8 @@ class Trajectory:
 def rollout(cfg, controller, disturbance=None):
     """Simulate cfg.horizon steps of the true model under `controller`.
 
-    controller: a MinimaxCertificate (adaptive switching) or a gain matrix
-    K for fixed feedback u = -K x.  disturbance: None to generate the
+    controller: a MinimaxCertificate (adaptive switching) or an (m, n) gain
+    matrix K for fixed feedback u = -K x.  disturbance: None to generate the
     sequence from cfg's spec, or a recorded (T, n) array to replay.
     Raises DivergedRollout when the state norm passes DIVERGENCE_LIMIT.
     """
@@ -67,8 +67,6 @@ def rollout(cfg, controller, disturbance=None):
             raise ValueError("certificate does not match the model set")
     else:
         controller = np.asarray(controller, dtype=float)
-        if controller.ndim == 1:
-            controller = controller[None, :]
         if controller.shape != (ms.m, n):
             raise ValueError(
                 f"gain must be ({ms.m}, {n}), got {controller.shape}"
@@ -124,7 +122,7 @@ def rollout(cfg, controller, disturbance=None):
                       true_index=cfg.true_index, l=l, alpha_hist=alpha_hist)
 
 
-def accumulated_cost(traj, penalties, gamma):
+def accumulated_cost(traj, gamma):
     """Soft-constrained cost: sum of step costs minus gamma^2 sum ||w||^2.
 
     gamma = 0 gives the plain quadratic cost of the trajectory.

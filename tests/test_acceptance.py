@@ -130,7 +130,7 @@ def test_criterion_05_cost_bound(scenarios, bench_cfg, certified):
     gamma_bar, cert = certified
     bound = mc.value_bound(cert, bench_cfg.x0)
     costs = {
-        name: mc.accumulated_cost(s["traj_mm"], bench_cfg.penalties, gamma_bar)
+        name: mc.accumulated_cost(s["traj_mm"], gamma_bar)
         for name, s in scenarios.items()
     }
     ok = all(c <= bound + 1e-6 for c in costs.values())

@@ -41,6 +41,14 @@ def test_traced_functions_resolve(tracing):
         assert callable(fn), (module, name)
 
 
+def test_bench_references_resolve():
+    """Every `mc.<name>` the benchmark scripts use exists on the package."""
+    names = {name for path in (ROOT / "bench").glob("*.py")
+             for name in re.findall(r"\bmc\.(\w+)", path.read_text())}
+    assert names
+    assert sorted(n for n in names if not hasattr(mc, n)) == []
+
+
 def test_tracer_sees_policy_steps_and_restores(tracing, bench_cfg, certified,
                                                benchmark_controller):
     """Rollouts reach the policy functions by name, and uninstall undoes install."""

@@ -120,6 +120,19 @@ def test_non_finite_input_is_rejected_at_load(tmp_path, monkeypatch, where, valu
     assert code == 2
 
 
+@pytest.mark.parametrize("where, value", [
+    (("experiment", "true_index"), 2.9),
+    (("experiment", "horizon"), 100.7),
+    (("disturbance", "target"), 3.6),
+], ids=["true_index", "horizon", "target"])
+def test_non_integer_input_is_rejected_at_load(tmp_path, monkeypatch, where, value):
+    monkeypatch.setattr(cli, "minimal_feasible_gamma", synthesis_must_not_run)
+    cfg = edited_config(tmp_path, where, value)
+    code = run(["reproduce", cfg, "--scenario", "fig1",
+                "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+
+
 def test_short_horizon_is_rejected_before_synthesis(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "minimal_feasible_gamma", synthesis_must_not_run)
     cfg = edited_config(tmp_path, ("experiment", "horizon"), 0)

@@ -180,3 +180,18 @@ def test_non_finite_field_rejected(models, kind, field, value):
     setattr(spec, field, value)
     with pytest.raises(ValueError, match="non-finite"):
         validate_spec(spec, models, 2)
+
+
+def test_shared_spec_is_not_rebound(bench_cfg, certified):
+    """Binding one spec to a second experiment leaves the first one intact."""
+    gamma_bar, cert = certified
+    spec = mc.DisturbanceSpec(kind="confusing", target=3)
+    cfg2 = mc.ExperimentConfig(
+        model_set=bench_cfg.model_set, penalties=bench_cfg.penalties,
+        true_index=2, horizon=20, gamma=gamma_bar, disturbance=spec)
+    mc.ExperimentConfig(
+        model_set=bench_cfg.model_set, penalties=bench_cfg.penalties,
+        true_index=1, horizon=20, gamma=gamma_bar, disturbance=spec)
+    traj = mc.rollout(cfg2, cert)
+    assert np.max(traj.alpha_hist[:, 2]) <= 1e-10  # the target explains every step
+    assert spec.model_set is None and spec.true_index is None

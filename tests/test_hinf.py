@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minimaxctrl as mc
+from minimaxctrl import hinf
 
 # Attenuation levels for the four benchmark models, frozen from two
 # independent oracles that agree to 4 digits: the Riccati-existence
@@ -204,3 +205,48 @@ def test_scalar_bisection_brackets_the_level(a, b):
     sol = mc.solve_riccati(A, B, p, 1.05 * g)
     scan = mc.closed_loop_scan(A, B, sol.K, p)
     assert scan.peak_norm <= 1.05 * g + 1e-3
+
+
+class Probe:
+    """Fake probe accepting every level at or above `threshold`; logs calls."""
+
+    def __init__(self, threshold):
+        self.threshold = threshold
+        self.levels = []
+
+    def __call__(self, level):
+        self.levels.append(level)
+        if level >= self.threshold:
+            return ("accepted", level)
+        return mc.Infeasible(f"rejected {level:g}")
+
+
+def test_level_search_doubles_then_bisects():
+    probe = Probe(threshold=10.0)
+    level, result = hinf._level_search(probe, 1.0, 2.0, 1e-4)
+    assert probe.levels[:4] == [2.0, 4.0, 8.0, 16.0]
+    assert all(g < 16.0 for g in probe.levels[4:])
+    assert result == ("accepted", level)
+    assert 10.0 <= level and level - 10.0 <= 1e-4 * level
+
+
+def test_level_search_last_probe_is_gamma_max():
+    probe = Probe(threshold=hinf.GAMMA_MAX)
+    level, _ = hinf._level_search(probe, 1.0, 3.0, 1e-4)
+    doubling = [3.0 * 2.0 ** k for k in range(19)]
+    assert probe.levels[:20] == doubling + [hinf.GAMMA_MAX]
+    assert level == hinf.GAMMA_MAX
+
+
+def test_level_search_raises_with_last_reason():
+    probe = Probe(threshold=np.inf)
+    with pytest.raises(mc.BracketError, match=r"rejected 1e\+06"):
+        hinf._level_search(probe, 1.0, 3.0, 1e-4)
+    assert probe.levels[-1] == hinf.GAMMA_MAX
+    assert len(probe.levels) == 20
+
+
+def test_one_dimensional_b_is_a_shape_error(models, penalties):
+    A, B = models.pair(1)
+    with pytest.raises(ValueError, match="B must be"):
+        mc.solve_riccati(A, B[:, 0], penalties, 10.0)

@@ -104,6 +104,19 @@ def test_duplicated_model_matches_single(models, penalties):
     np.testing.assert_allclose(cert2.P[0, 1], cert2.P[0, 0], atol=1e-6)
 
 
+# The benchmark set's levels, bit for bit.  A change that moves them on
+# purpose (for example a different certificate synthesis) updates these
+# pins and records the old and new values.
+GAMMA_STAR_PIN = [2.000476837158203, 9.437843322753906,
+                  2.9125823974609375, 2.83526611328125]
+GAMMA_BAR_PIN = 143.15982506982982
+
+
+def test_benchmark_levels_are_pinned(gamma_stars, certified):
+    assert gamma_stars == GAMMA_STAR_PIN
+    assert certified[0] == GAMMA_BAR_PIN
+
+
 def test_minimal_feasible_gamma_is_deterministic(models, penalties, certified):
     gamma_bar, cert = mc.minimal_feasible_gamma(models, penalties)
     assert gamma_bar == certified[0]

@@ -65,16 +65,15 @@ def test_regret_series_monotone(bench_cfg, certified, benchmark_controller):
 def test_cost_difference_matches_accumulated(bench_cfg, certified,
                                              benchmark_controller):
     _, cert = certified
-    p = bench_cfg.penalties
     cfg = dataclasses.replace(
         bench_cfg, gamma=certified[0],
         disturbance=mc.DisturbanceSpec(kind="confusing", target=3),
     )
     traj_mm = mc.rollout(cfg, cert)
     traj_h = mc.rollout(cfg, benchmark_controller.K, disturbance=traj_mm.w)
-    series = mc.cost_difference_regret(traj_mm, traj_h, p)
+    series = mc.cost_difference_regret(traj_mm, traj_h)
     assert series.shape == (101,)
-    expected = mc.accumulated_cost(traj_mm, p, 0.0) - mc.accumulated_cost(traj_h, p, 0.0)
+    expected = mc.accumulated_cost(traj_mm, 0.0) - mc.accumulated_cost(traj_h, 0.0)
     assert series[-1] == pytest.approx(expected, rel=1e-9)
 
 

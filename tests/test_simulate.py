@@ -110,14 +110,13 @@ def test_divergence_detected(penalties, certified):
 
 def test_accumulated_cost_identities(bench_cfg, certified):
     _, cert = certified
-    p = bench_cfg.penalties
     cfg = scenario_cfg(bench_cfg, certified,
                        mc.DisturbanceSpec(kind="confusing", target=3))
     traj = mc.rollout(cfg, cert)
-    plain = mc.accumulated_cost(traj, p, 0.0)
+    plain = mc.accumulated_cost(traj, 0.0)
     assert plain == pytest.approx(float(np.sum(traj.step_cost)), rel=1e-12)
     g = 5.0
-    penalized = mc.accumulated_cost(traj, p, g)
+    penalized = mc.accumulated_cost(traj, g)
     w_energy = float(np.sum(traj.w ** 2))
     assert penalized == pytest.approx(plain - g ** 2 * w_energy, rel=1e-12)
 
