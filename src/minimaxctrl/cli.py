@@ -299,16 +299,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
     except BracketError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE
     except DivergedRollout as exc:
         print(f"diverged: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError and every other bad value
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

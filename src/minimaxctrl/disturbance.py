@@ -19,13 +19,13 @@ replayed verbatim on the other controller so both see the same inputs.
 """
 from __future__ import annotations
 
-import numbers
 import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import fileio, hinf
+from .fileio import ConfigError, integer, number, numeric
 
 # kind -> (generating loop, config keys besides "kind")
 KINDS = {
@@ -58,8 +58,8 @@ class DisturbanceSpec:
     true_index: int = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown disturbance kind {self.kind!r}")
+        if not isinstance(self.kind, str) or self.kind not in KINDS:
+            raise ConfigError(f"unknown disturbance kind {self.kind!r}")
 
     @property
     def generating_loop(self):
@@ -138,21 +138,6 @@ def emit(spec, k, x_k, u_k):
     return spec.sequence[k]
 
 
-def _finite(value, name):
-    """Float array of `value`, rejecting NaN and infinite entries."""
-    value = np.asarray(value, dtype=float)
-    if not np.all(np.isfinite(value)):
-        raise ValueError(f"{name} has a non-finite entry")
-    return value
-
-
-def _integer(value, name):
-    """int(value), rejecting a number that is not whole instead of truncating it."""
-    if not isinstance(value, numbers.Real) or not float(value).is_integer():
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
-
-
 def validate_spec(spec, ms, true_index):
     """Check a spec against an experiment; return a bound, normalized copy.
 
@@ -160,55 +145,51 @@ def validate_spec(spec, ms, true_index):
     direction, valid confusing target, sequence width) and carries the
     model set and true index that `emit` needs for the confusing kind;
     `spec` itself is not modified, so one spec can serve several
-    experiments.  Raises ValueError with a config-style message.
+    experiments.  Raises ConfigError.
     """
     spec = replace(spec)
     n = ms.n
     if spec.kind == "sinusoid":
-        spec.amplitude = float(_finite(spec.amplitude, "sinusoid amplitude"))
-        spec.omega = float(_finite(spec.omega, "sinusoid omega"))
-        spec.phase = float(_finite(spec.phase, "sinusoid phase"))
+        spec.amplitude = number(spec.amplitude, "sinusoid amplitude")
+        spec.omega = number(spec.omega, "sinusoid omega")
+        spec.phase = number(spec.phase, "sinusoid phase")
         if spec.direction is None:
             if n != 1:
-                raise ValueError("sinusoid needs an explicit direction when n > 1")
+                raise ConfigError("sinusoid needs an explicit direction when n > 1")
             spec.direction = np.ones(1)
-        spec.direction = _finite(spec.direction, "sinusoid direction").reshape(-1)
+        spec.direction = numeric(spec.direction, "sinusoid direction").reshape(-1)
         if spec.direction.shape[0] != n:
-            raise ValueError(
+            raise ConfigError(
                 f"sinusoid direction has length {spec.direction.shape[0]}, "
                 f"state dimension is {n}"
             )
         norm = float(np.linalg.norm(spec.direction))
         if norm <= 0:
-            raise ValueError("sinusoid direction must be nonzero")
+            raise ConfigError("sinusoid direction must be nonzero")
         if abs(norm - 1.0) > 1e-12:
             spec.direction = spec.direction / norm
     elif spec.kind == "confusing":
-        if spec.target is None:
-            raise ValueError("confusing disturbance needs a target model index")
-        spec.target = _integer(spec.target, "confusing target")
+        spec.target = integer(spec.target, "confusing target")
         if not 1 <= spec.target <= ms.size:
-            raise ValueError(f"confusing target {spec.target} outside 1..{ms.size}")
+            raise ConfigError(f"confusing target {spec.target} outside 1..{ms.size}")
         if spec.target == true_index:
-            raise ValueError("confusing target must differ from the true model index")
+            raise ConfigError("confusing target must differ from the true model index")
         spec.model_set = ms
         spec.true_index = true_index
     elif spec.kind == "external":
-        if spec.sequence is None:
-            raise ValueError("external disturbance needs a sequence")
-        spec.sequence = _finite(spec.sequence, "external sequence")
+        spec.sequence = numeric(spec.sequence, "external sequence")
         if spec.sequence.ndim == 1:
             spec.sequence = spec.sequence.reshape(-1, 1)
         if spec.sequence.ndim != 2 or spec.sequence.shape[1] != n:
-            raise ValueError(
+            raise ConfigError(
                 f"external sequence must be (steps, {n}), got "
                 f"{spec.sequence.shape}"
             )
     elif spec.kind == "hinf_worst_case":
         if spec.L is not None:
-            spec.L = _finite(spec.L, "L gain")
+            spec.L = numeric(spec.L, "L gain")
             if spec.L.shape != (n, n):
-                raise ValueError(f"L gain must be {n}x{n}, got {spec.L.shape}")
+                raise ConfigError(f"L gain must be {n}x{n}, got {spec.L.shape}")
     return spec
 
 
@@ -220,13 +201,11 @@ def spec_from_dict(doc, base_dir=""):
     base_dir.
     """
     if not isinstance(doc, dict) or "kind" not in doc:
-        raise ValueError("disturbance section must be an object with 'kind'")
-    kind = doc["kind"]
-    if kind not in KINDS:
-        raise ValueError(f"unknown disturbance kind {kind!r}")
+        raise ConfigError("disturbance section must be an object with 'kind'")
+    kind = DisturbanceSpec(kind=doc["kind"]).kind
     unknown = set(doc) - set(KINDS[kind][1]) - {"kind"}
     if unknown:
-        raise ValueError(
+        raise ConfigError(
             f"disturbance kind {kind!r} does not accept keys: "
             f"{', '.join(sorted(unknown))}"
         )
@@ -240,6 +219,5 @@ def load_sequence(path):
     """Read a disturbance sequence CSV with columns k, w_1..w_n."""
     header, rows = fileio.read_csv_columns(path)
     if not header or header[0] != "k":
-        raise ValueError(f"{path}: expected first column 'k'")
-    W = np.array([[c for c in row[1:]] for row in rows], dtype=float)
-    return W
+        raise ConfigError(f"{path}: expected first column 'k'")
+    return np.array([row[1:] for row in rows], dtype=float)

@@ -1,17 +1,81 @@
-"""Deterministic file output: CSV, checksums, atomic writes, tiny SVG charts.
+"""The file boundary: checked input, byte-stable output.
 
-Every writer here is byte-stable: floats are printed with 12 significant
-digits ('%.12g', '.' decimal separator), line ends are '\\n', and files are
-written to a temp name in the target directory and renamed into place so
-readers never observe a partial file.
+Config and certificate files are read by `read_json_object`, and each
+value in them passes `numeric`, `number` or `integer`: finite JSON numbers
+only, never a string, boolean, null or truncated fraction, else a
+`ConfigError` naming the field.  Writers print floats with 12 significant
+digits ('%.12g', '.' decimal separator) and '\\n' line ends, and write to a
+temp name renamed into place so readers never observe a partial file.
 """
 from __future__ import annotations
 
 import hashlib
+import json
+import numbers
 import os
 import tempfile
 
 import numpy as np
+
+
+class ConfigError(ValueError):
+    """Raised for malformed configs: bad dimensions, bad values, bad files."""
+
+
+def read_json_object(path, what, keys):
+    """The JSON object in `path`, which must have every key in `keys`."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {what} {path}: {exc}") from None
+    except ValueError as exc:  # bad JSON or bad UTF-8
+        raise ConfigError(f"{what} {path} is not valid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{what} root must be an object")
+    for key in keys:
+        if key not in doc:
+            raise ConfigError(f"{what} is missing '{key}'")
+    return doc
+
+
+def _numbers_only(value):
+    if isinstance(value, (list, tuple)):
+        return all(map(_numbers_only, value))
+    if isinstance(value, np.ndarray):
+        return value.dtype.kind in "iuf"
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def numeric(value, name):
+    """Float array of `value`: ints and floats only (nested lists of equal
+    length or an array), every entry finite."""
+    if not _numbers_only(value):
+        raise ConfigError(f"{name} must hold only numbers, got {value!r:.60}")
+    try:
+        array = np.asarray(value, dtype=float)
+    except (ValueError, OverflowError) as exc:
+        raise ConfigError(f"{name} is not a numeric array ({exc})") from None
+    if not np.all(np.isfinite(array)):
+        raise ConfigError(f"{name} has a non-finite entry")
+    return array
+
+
+def number(value, name):
+    """One finite number as a float, checked as by `numeric`."""
+    array = numeric(value, name)
+    if array.ndim:
+        raise ConfigError(f"{name} must be a number, got shape {array.shape}")
+    return float(array)
+
+
+def integer(value, name):
+    """int(value), rejecting booleans and numbers that are not whole."""
+    whole = isinstance(value, numbers.Integral) or (
+        isinstance(value, numbers.Real) and float(value).is_integer())
+    if isinstance(value, bool) or not whole:
+        raise ConfigError(f"{name} must be an integer, got {value!r:.60}")
+    return int(value)
 
 
 def fmt(value):

@@ -40,8 +40,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import ConfigError, integer, number, numeric, read_json_object
 from .hinf import Infeasible, _level_search, optimal_attenuation, solve_riccati
-from .model_set import ConfigError
 
 SWEEP_BUDGET = 20_000
 SWEEP_STOP_TOL = 1e-11
@@ -89,7 +89,26 @@ class CertificateCheck:
     worst_triple: tuple
 
 
-def _check_cert_invariants(cert, ms, penalties):
+def _box_violation(P, gamma):
+    """None if 0 < P_ij < gamma^2 I with margin EIG_MARGIN for every pair,
+    else the offending eigenvalue range as text."""
+    eigs = np.linalg.eigvalsh(P)
+    lo = float(np.min(eigs))
+    hi = float(np.max(eigs))
+    bound = gamma ** 2
+    if lo <= EIG_MARGIN or hi >= bound - EIG_MARGIN:
+        return f"eigs in [{lo:.3e}, {hi:.6g}], bound {bound:.6g}"
+    return None
+
+
+def _closed_loops(ms, penalties, K):
+    """Abar[i, l] = A_i - B_i K_l and the stage weights C_l = Q + K_l' R K_l."""
+    Abar = ms.A[:, None] - np.matmul(ms.B[:, None], K[None, :])
+    C = penalties.Q + np.einsum("lai,ab,lbj->lij", K, penalties.R, K)
+    return Abar, C
+
+
+def _check_cert_invariants(cert, ms):
     F, n, m = ms.size, ms.n, ms.m
     if cert.gains.shape != (F, m, n):
         raise ValueError(
@@ -103,15 +122,9 @@ def _check_cert_invariants(cert, ms, penalties):
             f"P family violates symmetry (pair gap {pair_gap:.3e}, "
             f"matrix gap {sym_gap:.3e}, limit {PAIR_SYM_TOL:.1e})"
         )
-    eigs = np.linalg.eigvalsh(cert.P)
-    lo = float(np.min(eigs))
-    hi = float(np.max(eigs))
-    bound = cert.gamma_bar ** 2
-    if lo <= EIG_MARGIN or hi >= bound - EIG_MARGIN:
-        raise ValueError(
-            f"P family violates 0 < P < gamma_bar^2 I "
-            f"(eigs in [{lo:.3e}, {hi:.6g}], bound {bound:.6g})"
-        )
+    violation = _box_violation(cert.P, cert.gamma_bar)
+    if violation:
+        raise ValueError(f"P family violates 0 < P < gamma_bar^2 I ({violation})")
 
 
 def verify_certificate(ms, penalties, cert, tol=VERIFY_TOL):
@@ -127,16 +140,13 @@ def verify_certificate(ms, penalties, cert, tol=VERIFY_TOL):
     P_ij^-1 - gamma_bar^-2 I marks the affected triples as infeasible
     rather than raising.
     """
-    _check_cert_invariants(cert, ms, penalties)
+    _check_cert_invariants(cert, ms)
     F, n = ms.size, ms.n
     g2 = cert.gamma_bar ** 2
-    K = cert.gains
 
-    # Abar[i, l] = A_i - B_i K_l
-    Abar = ms.A[:, None] - np.matmul(ms.B[:, None], K[None, :])
+    Abar, C = _closed_loops(ms, penalties, cert.gains)
     Sm = 0.5 * (Abar[:, None, :] - Abar[None, :, :])  # indexed [i, j, l]
     Sp = 0.5 * (Abar[:, None, :] + Abar[None, :, :])
-    C = penalties.Q + np.einsum("lai,ab,lbj->lij", K, penalties.R, K)
 
     X = np.linalg.inv(cert.P) - np.eye(n) / g2
     X = 0.5 * (X + X.transpose(0, 1, 3, 2))
@@ -189,16 +199,14 @@ def synthesize_certificate(ms, penalties, gamma):
 
     g2 = gamma ** 2
     eye = np.eye(n)
-    Abar = ms.A[:, None] - np.matmul(ms.B[:, None], K[None, :])  # [i, l]
+    Abar, C = _closed_loops(ms, penalties, K)
     AbarT = Abar.transpose(0, 1, 3, 2)
-    C = penalties.Q + np.einsum("lai,ab,lbj->lij", K, penalties.R, K)
     diag = np.arange(F)
 
     P = np.broadcast_to(penalties.Q, (F, F, n, n)).copy()
     delta_rel = np.inf
     for _ in range(SWEEP_BUDGET):
-        eigs = np.linalg.eigvalsh(P)
-        if float(np.min(eigs)) <= EIG_MARGIN or float(np.max(eigs)) >= g2 - EIG_MARGIN:
+        if _box_violation(P, gamma):
             return Infeasible(
                 f"P iteration escaped 0 < P < gamma^2 I at gamma={gamma:.6g}"
             )
@@ -220,8 +228,7 @@ def synthesize_certificate(ms, penalties, gamma):
             f"(last relative change {delta_rel:.3e})"
         )
 
-    eigs = np.linalg.eigvalsh(P)
-    if float(np.min(eigs)) <= EIG_MARGIN or float(np.max(eigs)) >= g2 - EIG_MARGIN:
+    if _box_violation(P, gamma):
         return Infeasible(
             f"converged P violates 0 < P < gamma^2 I at gamma={gamma:.6g}"
         )
@@ -285,29 +292,14 @@ def save_certificate(cert, path):
 def load_certificate(path):
     """Read a certificate written by save_certificate.
 
-    Raises ConfigError on malformed files (missing keys, bad shapes,
-    missing or duplicate upper-triangle entries).
+    Raises ConfigError on malformed files (missing keys, bad values or
+    shapes, missing or duplicate upper-triangle entries).
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read certificate {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"certificate {path} is not valid JSON: {exc}") from None
-    if not isinstance(doc, dict):
-        raise ConfigError("certificate root must be an object")
-    for keyname in ("gamma_bar", "gains", "P"):
-        if keyname not in doc:
-            raise ConfigError(f"certificate is missing '{keyname}'")
-    try:
-        gains = np.asarray(doc["gains"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"certificate gains are malformed: {exc}") from None
-    if gains.ndim == 2:
-        gains = gains[:, None, :]
+    doc = read_json_object(path, "certificate", ("gamma_bar", "gains", "P"))
+    gamma_bar = number(doc["gamma_bar"], "certificate gamma_bar")
+    gains = numeric(doc["gains"], "certificate gains")
     if gains.ndim != 3:
-        raise ConfigError(f"gains must be a list of matrices, got shape {gains.shape}")
+        raise ConfigError(f"certificate gains must be (F, m, n), got shape {gains.shape}")
     F, _, n = gains.shape
     P = np.zeros((F, F, n, n))
     seen = set()
@@ -316,16 +308,13 @@ def load_certificate(path):
     for entry in doc["P"]:
         if not isinstance(entry, dict) or not {"i", "j", "rows"} <= set(entry):
             raise ConfigError("each P entry needs keys i, j, rows")
-        i, j = int(entry["i"]), int(entry["j"])
+        i, j = integer(entry["i"], "P entry i"), integer(entry["j"], "P entry j")
         if not (1 <= i <= j <= F):
             raise ConfigError(f"P entry ({i}, {j}) outside the upper triangle of 1..{F}")
         if (i, j) in seen:
             raise ConfigError(f"duplicate P entry ({i}, {j})")
         seen.add((i, j))
-        try:
-            M = np.asarray(entry["rows"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"P entry ({i}, {j}) is malformed: {exc}") from None
+        M = numeric(entry["rows"], f"P entry ({i}, {j})")
         if M.shape != (n, n):
             raise ConfigError(
                 f"P entry ({i}, {j}) has shape {M.shape}, expected ({n}, {n})"
@@ -336,8 +325,4 @@ def load_certificate(path):
                if (i + 1, j + 1) not in seen]
     if missing:
         raise ConfigError(f"certificate is missing P entries: {missing}")
-    try:
-        return MinimaxCertificate(gamma_bar=float(doc["gamma_bar"]),
-                                  gains=gains, P=P)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"certificate is inconsistent: {exc}") from None
+    return MinimaxCertificate(gamma_bar=gamma_bar, gains=gains, P=P)

@@ -8,20 +8,16 @@ file formats and the CLI.
 """
 from __future__ import annotations
 
-import json
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import disturbance as _dist
+from .fileio import ConfigError, integer, number, numeric, read_json_object
 
 SYMMETRY_TOL = 1e-9
 PD_MIN_EIG = 1e-12
-
-
-class ConfigError(ValueError):
-    """Raised for malformed configs: bad dimensions, bad values, bad files."""
 
 
 def enforce_symmetry(M, name="matrix"):
@@ -31,11 +27,9 @@ def enforce_symmetry(M, name="matrix"):
     numerical noise and averaged away; anything larger is an input error,
     not noise, and so is a non-finite entry.
     """
-    M = np.asarray(M, dtype=float)
+    M = numeric(M, name)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise ConfigError(f"{name} must be square, got shape {M.shape}")
-    if not np.all(np.isfinite(M)):
-        raise ConfigError(f"{name} has a non-finite entry")
     gap = float(np.max(np.abs(M - M.T))) if M.size else 0.0
     if gap > SYMMETRY_TOL:
         raise ConfigError(
@@ -136,8 +130,8 @@ class ExperimentConfig:
 
     def __post_init__(self):
         ms = self.model_set
-        self.true_index = _dist._integer(self.true_index, "true_index")
-        self.horizon = _dist._integer(self.horizon, "horizon")
+        self.true_index = integer(self.true_index, "true_index")
+        self.horizon = integer(self.horizon, "horizon")
         if self.penalties.Q.shape[0] != ms.n:
             raise ConfigError(
                 f"Q is {self.penalties.Q.shape[0]}x..., state dimension is {ms.n}"
@@ -150,29 +144,24 @@ class ExperimentConfig:
             raise ConfigError(f"true_index {self.true_index} outside 1..{ms.size}")
         if self.horizon < 0:
             raise ConfigError("horizon must be >= 0")
-        self.gamma = float(self.gamma)
-        if not 0 < self.gamma < np.inf:
-            raise ConfigError("gamma must be positive and finite")
+        self.gamma = number(self.gamma, "gamma")
+        if self.gamma <= 0:
+            raise ConfigError("gamma must be positive")
         if self.x0 is None:
             self.x0 = np.ones(ms.n)
-        self.x0 = np.asarray(self.x0, dtype=float).reshape(-1)
+        self.x0 = numeric(self.x0, "x0").reshape(-1)
         if self.x0.shape[0] != ms.n:
             raise ConfigError(f"x0 has length {self.x0.shape[0]}, expected {ms.n}")
-        if not np.all(np.isfinite(self.x0)):
-            raise ConfigError("x0 has a non-finite entry")
-        self.disturbance = _dist.validate_spec(self.disturbance, ms, self.true_index)
+        spec = self.disturbance = _dist.validate_spec(self.disturbance, ms,
+                                                      self.true_index)
+        if spec.kind == "external" and spec.sequence.shape[0] < self.horizon:
+            raise ConfigError(f"external sequence has {spec.sequence.shape[0]} "
+                              f"steps, horizon is {self.horizon}")
 
 
 def _matrix_from_rows(rows, name):
-    try:
-        M = np.asarray(rows, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{name}: expected numeric rows ({exc})") from None
-    if M.ndim == 0:
-        M = M.reshape(1, 1)
-    elif M.ndim == 1:
-        M = M.reshape(1, -1)
-    return M
+    M = numeric(rows, name)
+    return M.reshape(1, -1) if M.ndim < 2 else M
 
 
 def load_config(path):
@@ -193,18 +182,8 @@ def load_config(path):
     An external disturbance may point at a CSV via "path", resolved
     relative to the config file.
     """
-    try:
-        with open(path, encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from None
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config {path} is not valid JSON: {exc}") from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be an object")
-    for section in ("models", "penalties", "experiment", "disturbance"):
-        if section not in raw:
-            raise ConfigError(f"config is missing the '{section}' section")
+    raw = read_json_object(
+        path, "config", ("models", "penalties", "experiment", "disturbance"))
 
     models = raw["models"]
     if not isinstance(models, list) or not models:
@@ -230,18 +209,14 @@ def load_config(path):
     exp = raw["experiment"]
     if not isinstance(exp, dict):
         raise ConfigError("'experiment' must be an object")
-    for key in ("true_index", "horizon", "gamma"):
-        if key not in exp:
-            raise ConfigError(f"'experiment' is missing '{key}'")
-
     spec = _dist.spec_from_dict(raw["disturbance"], os.path.dirname(path))
-    cfg = ExperimentConfig(
+    # a missing key arrives as None, which the checks reject by name
+    return ExperimentConfig(
         model_set=ms,
         penalties=penalties,
-        true_index=exp["true_index"],
-        horizon=exp["horizon"],
-        gamma=float(exp["gamma"]),
+        true_index=exp.get("true_index"),
+        horizon=exp.get("horizon"),
+        gamma=exp.get("gamma"),
         disturbance=spec,
         x0=exp.get("x0"),
     )
-    return cfg

@@ -1,4 +1,5 @@
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -105,32 +106,79 @@ def synthesis_must_not_run(*args, **kwargs):
     pytest.fail("input error detected only after synthesis started")
 
 
+def assert_rejected_at_load(tmp_path, monkeypatch, where, value):
+    # synth-hinf, not reproduce: reproduce also refuses horizons below 4,
+    # which would hide a boolean horizon read as 1
+    monkeypatch.setattr(cli, "optimal_attenuation", synthesis_must_not_run)
+    cfg = edited_config(tmp_path, where, value)
+    assert run(["synth-hinf", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+
+
+SINE = {"kind": "sinusoid", "omega": 0.3, "direction": [1.0, 0.0, 0.0]}
+
+
 @pytest.mark.parametrize("where, value", [
     (("models", 3, "A", 1, 2), float("nan")),
     (("penalties", "Q", 0, 0), float("inf")),
     (("experiment", "x0", 0), float("nan")),
-    (("disturbance",), {"kind": "sinusoid", "amplitude": float("nan"),
-                        "omega": 0.3, "direction": [1.0, 0.0, 0.0]}),
-], ids=["model", "penalties", "x0", "disturbance"])
+    (("disturbance",), {**SINE, "amplitude": float("nan")}),
+    (("experiment", "gamma"), None),
+    (("experiment", "gamma"), "31"),
+    (("experiment", "x0"), {}),
+    (("disturbance",), {**SINE, "amplitude": {}}),
+    (("disturbance", "kind"), ["zero"]),
+], ids=["model", "penalties", "x0", "disturbance", "gamma-null", "gamma-string",
+        "x0-object", "amplitude-object", "kind-list"])
 def test_non_finite_input_is_rejected_at_load(tmp_path, monkeypatch, where, value):
-    monkeypatch.setattr(cli, "minimal_feasible_gamma", synthesis_must_not_run)
-    cfg = edited_config(tmp_path, where, value)
-    code = run(["reproduce", cfg, "--scenario", "fig1",
-                "--out-dir", str(tmp_path / "out")])
-    assert code == 2
+    assert_rejected_at_load(tmp_path, monkeypatch, where, value)
 
 
 @pytest.mark.parametrize("where, value", [
     (("experiment", "true_index"), 2.9),
     (("experiment", "horizon"), 100.7),
     (("disturbance", "target"), 3.6),
-], ids=["true_index", "horizon", "target"])
+    (("experiment", "true_index"), True),
+    (("experiment", "horizon"), True),
+    (("disturbance", "target"), True),
+], ids=["true_index", "horizon", "target", "true_index-bool", "horizon-bool",
+        "target-bool"])
 def test_non_integer_input_is_rejected_at_load(tmp_path, monkeypatch, where, value):
-    monkeypatch.setattr(cli, "minimal_feasible_gamma", synthesis_must_not_run)
-    cfg = edited_config(tmp_path, where, value)
-    code = run(["reproduce", cfg, "--scenario", "fig1",
-                "--out-dir", str(tmp_path / "out")])
-    assert code == 2
+    assert_rejected_at_load(tmp_path, monkeypatch, where, value)
+
+
+def test_short_external_sequence_is_rejected_at_load(tmp_path, monkeypatch):
+    assert_rejected_at_load(tmp_path, monkeypatch, ("disturbance",),
+                            {"kind": "external", "sequence": [[0.0, 0.0, 0.0]] * 5})
+
+
+@pytest.mark.parametrize("where, value", [
+    (("P", 4, "i"), None),
+    (("P", 4, "i"), 2.7),
+    (("P", 4, "i"), "2"),
+    (("P", 4, "j"), 2.7),
+    (("P", 4, "j"), "2"),
+    (("gamma_bar",), float("nan")),
+    (("gamma_bar",), True),
+    (("P", 4, "rows", 1, 0), float("nan")),
+    (("gains", 2, 0, 1), float("nan")),
+    (("gains",), "2-D"),
+], ids=["i-null", "i-fraction", "i-string", "j-fraction", "j-string",
+        "gamma_bar-nan", "gamma_bar-bool", "P-nan", "gains-nan", "gains-2d"])
+def test_malformed_certificate_is_rejected_at_load(tmp_path, certificate_file,
+                                                    where, value):
+    doc = json.loads(pathlib.Path(certificate_file).read_text())
+    assert doc["P"][4]["i"] == doc["P"][4]["j"] == 2  # truncation would pass
+    if value == "2-D":
+        value = [gain[0] for gain in doc["gains"]]  # (F, n) for m = 1
+    node = doc
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    path = tmp_path / "cert.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(mc.ConfigError):
+        mc.load_certificate(path)
+    assert run(["verify", str(path), CFG]) == 2
 
 
 def test_short_horizon_is_rejected_before_synthesis(tmp_path, monkeypatch):

@@ -90,6 +90,16 @@ def test_config_rejects_negative_horizon(bench_cfg):
         dataclasses.replace(bench_cfg, horizon=-1)
 
 
+def test_external_sequence_must_cover_horizon(bench_cfg):
+    def external(steps):
+        return mc.DisturbanceSpec(kind="external", sequence=np.zeros((steps, 3)))
+
+    with pytest.raises(mc.ConfigError, match="5 steps"):
+        dataclasses.replace(bench_cfg, horizon=100, disturbance=external(5))
+    longer = dataclasses.replace(bench_cfg, horizon=100, disturbance=external(101))
+    assert longer.disturbance.sequence.shape == (101, 3)
+
+
 def test_enforce_symmetry():
     M = np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]])
     S = enforce_symmetry(M)
