@@ -118,11 +118,6 @@ def emit(spec, k, x_k, u_k):
     if spec.kind == "zero":
         return np.zeros(np.asarray(x_k).shape[0])
     if spec.kind == "hinf_worst_case":
-        if spec.L is None:
-            raise ValueError(
-                "hinf_worst_case spec has no L gain attached; solve the "
-                "H-infinity problem for the generating model first"
-            )
         return hinf_worst_case(spec.L, x_k)
     if spec.kind == "sinusoid":
         return (spec.amplitude * np.sin(spec.omega * k + spec.phase)
@@ -142,10 +137,10 @@ def validate_spec(spec, ms, true_index):
     """Check a spec against an experiment; return a bound, normalized copy.
 
     The copy passes the kind-specific checks (finite entries, unit
-    direction, valid confusing target, sequence width) and carries the
-    model set and true index that `emit` needs for the confusing kind;
-    `spec` itself is not modified, so one spec can serve several
-    experiments.  Raises ConfigError.
+    direction, valid confusing target, sequence width, an n x n worst-case
+    gain L) and carries the model set and true index that `emit` needs for
+    the confusing kind; `spec` itself is not modified, so one spec can
+    serve several experiments.  Raises ConfigError.
     """
     spec = replace(spec)
     n = ms.n
@@ -186,10 +181,12 @@ def validate_spec(spec, ms, true_index):
                 f"{spec.sequence.shape}"
             )
     elif spec.kind == "hinf_worst_case":
-        if spec.L is not None:
-            spec.L = numeric(spec.L, "L gain")
-            if spec.L.shape != (n, n):
-                raise ConfigError(f"L gain must be {n}x{n}, got {spec.L.shape}")
+        if spec.L is None:
+            raise ConfigError("hinf_worst_case needs the L gain of an "
+                              "H-infinity design, which a config cannot supply")
+        spec.L = numeric(spec.L, "L gain")
+        if spec.L.shape != (n, n):
+            raise ConfigError(f"L gain must be {n}x{n}, got {spec.L.shape}")
     return spec
 
 

@@ -13,22 +13,23 @@ soft-constrained cost below max_ij x0' P_ij x0 no matter which model in the
 set generates the data and no matter the disturbance.
 
 `verify_certificate` checks the full F^3 triple family by eigenvalue
-bounds.  `synthesize_certificate` builds a candidate without an SDP
-solver: gains come from the per-model H-infinity designs at the requested
-level, and the P family is iterated to a fixed point of the inequality
-taken with equality at j = i, the one instance whose S- term vanishes:
+bounds.  `synthesize_certificate` builds a candidate in closed form,
+without an SDP solver.  The gains K_l and the matrices M_l come from the
+per-model H-infinity designs at the requested level, and each block is the
+inequality taken with equality at j = i, the one instance whose S- term
+vanishes:
 
-    rhs_il = Q + K_l' R K_l + Abar_il' (P_ii^-1 - gamma^-2 I)^-1 Abar_il.
+    rhs_il = Q + K_l' R K_l + Abar_il' (M_i^-1 - gamma^-2 I)^-1 Abar_il.
 
-The triples (i, i, l) and (l, l, i) force any valid family to dominate
-both one-sided evaluations rhs_il and rhs_li, so each sweep symmetrizes
-with the tight upper bound (rhs_il + rhs_li) / 2 + |rhs_il - rhs_li| / 2
-rather than the plain average (which sits strictly below one side
-whenever they differ and can never verify).  For one model the sweep is
-exactly the completed-square form of the H-infinity Riccati map, so
-an F = 1 set reproduces the known-model design.  The heuristic can fail
-at levels where a certificate exists (the verifier has the final word;
-there are no false positives), so the level found by
+At l = i this is the game Riccati equation in closed-loop form, so
+rhs_ii = M_i, model i's own value matrix.  The triples (i, i, l) and
+(l, l, i) force any valid family to dominate both one-sided evaluations
+rhs_il and rhs_li, so P_il is the tight upper bound
+(rhs_il + rhs_li) / 2 + |rhs_il - rhs_li| / 2 rather than the plain average
+(which sits strictly below one side whenever they differ and can never
+verify).  An F = 1 set therefore reproduces the known-model design.  The
+heuristic can fail at levels where a certificate exists (the verifier has
+the final word; there are no false positives), so the level found by
 `minimal_feasible_gamma` is an upper bound on the best achievable one.
 Its feasible set need not be an interval either, so the doubling-then-
 bisect search (`hinf._level_search`, no fallback sweep) may miss the least.
@@ -40,12 +41,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import ConfigError, integer, number, numeric, read_json_object
+from .fileio import (ConfigError, atomic_write_text, integer, number, numeric,
+                     read_json_object)
 from .hinf import Infeasible, _level_search, optimal_attenuation, solve_riccati
 
-SWEEP_BUDGET = 20_000
-SWEEP_STOP_TOL = 1e-11
-SWEEP_ACCEPT_TOL = 1e-9
 VERIFY_TOL = 1e-8
 GAMMA_BAR_REL_TOL = 1e-4
 EIG_MARGIN = 1e-10
@@ -66,6 +65,8 @@ class MinimaxCertificate:
 
     def __post_init__(self):
         self.gamma_bar = float(self.gamma_bar)
+        if not self.gamma_bar > 0:
+            raise ConfigError(f"gamma_bar must be positive, got {self.gamma_bar!r}")
         self.gains = np.asarray(self.gains, dtype=float)
         self.P = np.asarray(self.P, dtype=float)
         if self.gains.ndim != 3:
@@ -179,13 +180,13 @@ def synthesize_certificate(ms, penalties, gamma):
     """Attempt a certificate at level gamma (see module docstring).
 
     Returns the certificate, or Infeasible with the failing stage: a model
-    without an H-infinity design at gamma, a P iterate escaping
-    0 < P < gamma^2 I, a non-convergent inner fixed point, or a converged
-    family that the full triple verification rejects.
+    without an H-infinity design at gamma, a family outside
+    0 < P < gamma^2 I, or a family that the full triple verification
+    rejects.
     """
     gamma = float(gamma)
     F, n = ms.size, ms.n
-    gains = []
+    designs = []
     for l in range(1, F + 1):
         A, B = ms.pair(l)
         sol = solve_riccati(A, B, penalties, gamma)
@@ -194,44 +195,22 @@ def synthesize_certificate(ms, penalties, gamma):
                 f"model {l} has no H-infinity design at gamma={gamma:.6g}: "
                 f"{sol.reason}"
             )
-        gains.append(sol.K)
-    K = np.stack(gains)
+        designs.append(sol)
+    K = np.stack([sol.K for sol in designs])
+    M = np.stack([sol.M for sol in designs])
 
-    g2 = gamma ** 2
-    eye = np.eye(n)
     Abar, C = _closed_loops(ms, penalties, K)
-    AbarT = Abar.transpose(0, 1, 3, 2)
-    diag = np.arange(F)
-
-    P = np.broadcast_to(penalties.Q, (F, F, n, n)).copy()
-    delta_rel = np.inf
-    for _ in range(SWEEP_BUDGET):
-        if _box_violation(P, gamma):
-            return Infeasible(
-                f"P iteration escaped 0 < P < gamma^2 I at gamma={gamma:.6g}"
-            )
-        Zd = np.linalg.inv(np.linalg.inv(P[diag, diag]) - eye / g2)  # per model i
-        rhs = C[None, :] + np.matmul(AbarT, np.matmul(Zd[:, None], Abar))
-        gap = rhs - rhs.transpose(1, 0, 2, 3)
-        gap = 0.5 * (gap + gap.transpose(0, 1, 3, 2))
-        lam, V = np.linalg.eigh(gap)
-        abs_gap = np.matmul(V * np.abs(lam)[..., None, :], V.transpose(0, 1, 3, 2))
-        Pn = 0.5 * (rhs + rhs.transpose(1, 0, 2, 3)) + 0.5 * abs_gap
-        Pn = 0.5 * (Pn + Pn.transpose(0, 1, 3, 2))
-        delta_rel = float(np.max(np.abs(Pn - P))) / max(1.0, float(np.max(np.abs(Pn))))
-        P = Pn
-        if delta_rel <= SWEEP_STOP_TOL:
-            break
-    if delta_rel > SWEEP_ACCEPT_TOL:
-        return Infeasible(
-            f"P iteration did not converge at gamma={gamma:.6g} "
-            f"(last relative change {delta_rel:.3e})"
-        )
+    Z = np.linalg.inv(np.linalg.inv(M) - np.eye(n) / gamma ** 2)  # per model i
+    rhs = C[None, :] + np.matmul(Abar.transpose(0, 1, 3, 2), np.matmul(Z[:, None], Abar))
+    gap = rhs - rhs.transpose(1, 0, 2, 3)
+    gap = 0.5 * (gap + gap.transpose(0, 1, 3, 2))
+    lam, V = np.linalg.eigh(gap)
+    abs_gap = np.matmul(V * np.abs(lam)[..., None, :], V.transpose(0, 1, 3, 2))
+    P = 0.5 * (rhs + rhs.transpose(1, 0, 2, 3)) + 0.5 * abs_gap
+    P = 0.5 * (P + P.transpose(0, 1, 3, 2))
 
     if _box_violation(P, gamma):
-        return Infeasible(
-            f"converged P violates 0 < P < gamma^2 I at gamma={gamma:.6g}"
-        )
+        return Infeasible(f"P violates 0 < P < gamma^2 I at gamma={gamma:.6g}")
     # canonicalize the residual pair asymmetry (sub-1e-12 arithmetic noise)
     # so serialization round-trips are byte-stable
     iu, ju = np.triu_indices(F)
@@ -240,7 +219,7 @@ def synthesize_certificate(ms, penalties, gamma):
     check = verify_certificate(ms, penalties, cert)
     if not check.feasible:
         return Infeasible(
-            f"converged family fails verification at gamma={gamma:.6g} "
+            f"family fails verification at gamma={gamma:.6g} "
             f"(worst violation {check.worst_violation:.3e} at triple "
             f"{check.worst_triple})"
         )
@@ -284,9 +263,7 @@ def save_certificate(cert, path):
             for j in range(i, cert.size)
         ],
     }
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(doc, fh, indent=2)
-        fh.write("\n")
+    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_certificate(path):

@@ -127,8 +127,9 @@ SINE = {"kind": "sinusoid", "omega": 0.3, "direction": [1.0, 0.0, 0.0]}
     (("experiment", "x0"), {}),
     (("disturbance",), {**SINE, "amplitude": {}}),
     (("disturbance", "kind"), ["zero"]),
+    (("disturbance",), {"kind": "hinf_worst_case"}),
 ], ids=["model", "penalties", "x0", "disturbance", "gamma-null", "gamma-string",
-        "x0-object", "amplitude-object", "kind-list"])
+        "x0-object", "amplitude-object", "kind-list", "worst-case-without-L"])
 def test_non_finite_input_is_rejected_at_load(tmp_path, monkeypatch, where, value):
     assert_rejected_at_load(tmp_path, monkeypatch, where, value)
 
@@ -159,11 +160,14 @@ def test_short_external_sequence_is_rejected_at_load(tmp_path, monkeypatch):
     (("P", 4, "j"), "2"),
     (("gamma_bar",), float("nan")),
     (("gamma_bar",), True),
+    (("gamma_bar",), -143.16),
+    (("gamma_bar",), 0),
     (("P", 4, "rows", 1, 0), float("nan")),
     (("gains", 2, 0, 1), float("nan")),
     (("gains",), "2-D"),
 ], ids=["i-null", "i-fraction", "i-string", "j-fraction", "j-string",
-        "gamma_bar-nan", "gamma_bar-bool", "P-nan", "gains-nan", "gains-2d"])
+        "gamma_bar-nan", "gamma_bar-bool", "gamma_bar-negative", "gamma_bar-zero",
+        "P-nan", "gains-nan", "gains-2d"])
 def test_malformed_certificate_is_rejected_at_load(tmp_path, certificate_file,
                                                     where, value):
     doc = json.loads(pathlib.Path(certificate_file).read_text())

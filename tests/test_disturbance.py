@@ -87,9 +87,8 @@ def test_peak_sinusoid_degenerates_at_nyquist(models, penalties,
 
 
 def test_worst_case_needs_gain(models):
-    spec = validate_spec(mc.DisturbanceSpec(kind="hinf_worst_case"), models, 2)
-    with pytest.raises(ValueError):
-        emit(spec, 0, np.ones(3), np.zeros(1))
+    with pytest.raises(mc.ConfigError):
+        validate_spec(mc.DisturbanceSpec(kind="hinf_worst_case"), models, 2)
 
 
 def test_worst_case_is_state_feedback(models, benchmark_controller):

@@ -27,12 +27,14 @@ def test_gamma_bar_dominates_every_member_level(certified, gamma_stars):
 
 
 def test_certificate_gains_are_member_designs(models, penalties, certified):
-    """Each row of gains must be that model's H-infinity gain at gamma_bar."""
+    """Each row of gains must be that model's H-infinity gain at gamma_bar,
+    and each diagonal block P_ii that model's Riccati solution."""
     gamma_bar, cert = certified
     for l in range(1, 5):
         A, B = models.pair(l)
         sol = mc.solve_riccati(A, B, penalties, gamma_bar)
         np.testing.assert_allclose(cert.gains[l - 1], sol.K, atol=1e-9)
+        np.testing.assert_allclose(cert.P[l - 1, l - 1], sol.M, rtol=1e-9)
 
 
 def test_verify_monotone_in_tol(models, penalties, certified):
@@ -82,7 +84,7 @@ def test_single_model_infeasible_below_its_level(models, penalties):
 
 
 def test_full_set_infeasible_at_gamma_40(models, penalties):
-    """The sweep heuristic does not certify the benchmark set at 40.
+    """The closed-form heuristic does not certify the benchmark set at 40.
 
     Necessity analysis leaves headroom at this level, so this freezes the
     heuristic's actual behavior rather than a physical impossibility; the
@@ -183,3 +185,22 @@ def test_scalar_set_certifies(penalties):
     assert mc.verify_certificate(ms, p, cert).feasible
     g_stars = [mc.optimal_attenuation(*ms.pair(i), p) for i in (1, 2)]
     assert gb >= max(g_stars)
+
+
+def test_perturbed_eight_model_set_certifies():
+    """The (1001, n=2, m=1, F=8) draw of the benchmark's random-sets recipe.
+
+    Its P entries reach 1.2e4 while VERIFY_TOL is an absolute 1e-8, so the
+    family passes only if P carries almost no rounding residue (worst slack
+    about -1.7e-10 at gamma_bar = 157807.25).
+    """
+    rng = np.random.default_rng(1001)
+    X = rng.uniform(0.0, 1.0, (2, 2))
+    A0, B0 = X + X.T, rng.uniform(0.0, 2.0, (2, 1))
+    pairs = [(A0 + 0.1 * rng.standard_normal((2, 2)),
+              B0 + 0.1 * rng.standard_normal((2, 1))) for _ in range(8)]
+    ms = mc.ModelSet.from_pairs(pairs)
+    p = mc.Penalties(Q=np.eye(2), R=np.eye(1))
+    gamma_bar, cert = mc.minimal_feasible_gamma(ms, p)
+    assert cert.gamma_bar == gamma_bar
+    assert mc.verify_certificate(ms, p, cert).feasible
