@@ -9,7 +9,7 @@ Implemented kinds:
 * ``confusing``       -- mixes model responses so that a wrong model's
   one-step residual is exactly zero and the switching law never settles on
   the truth: w_k = (A_i - A_j) x_k + (B_i - B_j) u_k for target i, true j.
-* ``external``        -- a supplied sequence, e.g. loaded from CSV.
+* ``external``        -- a supplied (steps, n) sequence, replayed in order.
 
 Each kind fixes its *generating loop* (which controller's closed loop
 produces the recorded sequence): the worst-case policy is generated along
@@ -19,21 +19,20 @@ replayed verbatim on the other controller so both see the same inputs.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from . import fileio, hinf
+from . import hinf
 from .fileio import ConfigError, integer, number, numeric
 
-# kind -> (generating loop, config keys besides "kind")
+# kind -> generating loop
 KINDS = {
-    "zero": ("open", ()),
-    "hinf_worst_case": ("hinf", ()),
-    "sinusoid": ("open", ("amplitude", "omega", "phase", "direction")),
-    "confusing": ("minimax", ("target",)),
-    "external": ("open", ("sequence", "path")),
+    "zero": "open",
+    "hinf_worst_case": "hinf",
+    "sinusoid": "open",
+    "confusing": "minimax",
+    "external": "open",
 }
 
 
@@ -64,7 +63,7 @@ class DisturbanceSpec:
     @property
     def generating_loop(self):
         """'open', 'hinf' or 'minimax', fixed by the kind."""
-        return KINDS[self.kind][0]
+        return KINDS[self.kind]
 
 
 def hinf_worst_case(L_star, x_k):
@@ -137,10 +136,10 @@ def validate_spec(spec, ms, true_index):
     """Check a spec against an experiment; return a bound, normalized copy.
 
     The copy passes the kind-specific checks (finite entries, unit
-    direction, valid confusing target, sequence width, an n x n worst-case
-    gain L) and carries the model set and true index that `emit` needs for
-    the confusing kind; `spec` itself is not modified, so one spec can
-    serve several experiments.  Raises ConfigError.
+    direction, valid confusing target, a (steps, n) sequence, an n x n
+    worst-case gain L) and carries the model set and true index that
+    `emit` needs for the confusing kind; `spec` itself is not modified, so
+    one spec can serve several experiments.  Raises ConfigError.
     """
     spec = replace(spec)
     n = ms.n
@@ -173,8 +172,6 @@ def validate_spec(spec, ms, true_index):
         spec.true_index = true_index
     elif spec.kind == "external":
         spec.sequence = numeric(spec.sequence, "external sequence")
-        if spec.sequence.ndim == 1:
-            spec.sequence = spec.sequence.reshape(-1, 1)
         if spec.sequence.ndim != 2 or spec.sequence.shape[1] != n:
             raise ConfigError(
                 f"external sequence must be (steps, {n}), got "
@@ -183,38 +180,9 @@ def validate_spec(spec, ms, true_index):
     elif spec.kind == "hinf_worst_case":
         if spec.L is None:
             raise ConfigError("hinf_worst_case needs the L gain of an "
-                              "H-infinity design, which a config cannot supply")
+                              "H-infinity design")
         spec.L = numeric(spec.L, "L gain")
         if spec.L.shape != (n, n):
             raise ConfigError(f"L gain must be {n}x{n}, got {spec.L.shape}")
     return spec
 
-
-def spec_from_dict(doc, base_dir=""):
-    """Build a spec from a config 'disturbance' section.
-
-    Its keys are the DisturbanceSpec fields the kind accepts (KINDS), so
-    the dataclass defaults apply; "path" names a sequence CSV relative to
-    base_dir.
-    """
-    if not isinstance(doc, dict) or "kind" not in doc:
-        raise ConfigError("disturbance section must be an object with 'kind'")
-    kind = DisturbanceSpec(kind=doc["kind"]).kind
-    unknown = set(doc) - set(KINDS[kind][1]) - {"kind"}
-    if unknown:
-        raise ConfigError(
-            f"disturbance kind {kind!r} does not accept keys: "
-            f"{', '.join(sorted(unknown))}"
-        )
-    fields = dict(doc)
-    if "path" in fields:
-        fields["sequence"] = load_sequence(os.path.join(base_dir, fields.pop("path")))
-    return DisturbanceSpec(**fields)
-
-
-def load_sequence(path):
-    """Read a disturbance sequence CSV with columns k, w_1..w_n."""
-    header, rows = fileio.read_csv_columns(path)
-    if not header or header[0] != "k":
-        raise ConfigError(f"{path}: expected first column 'k'")
-    return np.array([row[1:] for row in rows], dtype=float)

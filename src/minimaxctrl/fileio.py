@@ -1,7 +1,7 @@
 """The file boundary: checked input, byte-stable output.
 
-Config and certificate files are read by `read_json_object`, and each
-value in them passes `numeric`, `number` or `integer`: finite JSON numbers
+The package reads only JSON: config and certificate files are read by
+`read_json_object`, and each value in them passes `numeric`, `number` or `integer`: finite JSON numbers
 only, never a string, boolean, null or truncated fraction, else a
 `ConfigError` naming the field.  Writers print floats with 12 significant
 digits ('%.12g', '.' decimal separator) and '\\n' line ends, and write to a
@@ -111,39 +111,6 @@ def write_csv(path, header, rows):
     for row in rows:
         lines.append(",".join(fmt(cell) for cell in row))
     atomic_write_text(path, "\n".join(lines) + "\n")
-
-
-def read_csv_columns(path):
-    """Read a CSV written by write_csv back into (header, list of rows).
-
-    Cells come back as floats, with empty cells as None.  Raises ValueError
-    on ragged rows or non-numeric data cells.
-    """
-    with open(path, encoding="utf-8") as fh:
-        raw = [line.rstrip("\n") for line in fh if line.strip() != ""]
-    if not raw:
-        raise ValueError(f"{path} is empty")
-    header = raw[0].split(",")
-    rows = []
-    for lineno, line in enumerate(raw[1:], start=2):
-        cells = line.split(",")
-        if len(cells) != len(header):
-            raise ValueError(
-                f"{path}:{lineno}: expected {len(header)} cells, got {len(cells)}"
-            )
-        parsed = []
-        for cell in cells:
-            if cell == "":
-                parsed.append(None)
-            else:
-                try:
-                    parsed.append(float(cell))
-                except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: non-numeric cell {cell!r}"
-                    ) from None
-        rows.append(parsed)
-    return header, rows
 
 
 def sha256_of(path):

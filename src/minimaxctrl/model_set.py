@@ -8,7 +8,6 @@ file formats and the CLI.
 """
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,17 +172,15 @@ def load_config(path):
           "models": [{"A": [[...], ...], "B": [[...], ...]}, ...],
           "penalties": {"Q": [[...], ...], "R": [[...], ...]},
           "experiment": {"true_index": 2, "x0": [...], "horizon": 100,
-                         "gamma": 31.0},
-          "disturbance": {"kind": "sinusoid", ...}
+                         "gamma": 31.0}
         }
 
     Matrices are row-major lists of rows; a B given as a flat list is read
     as a single input column.  `x0` may be omitted (defaults to all ones).
-    An external disturbance may point at a CSV via "path", resolved
-    relative to the config file.
+    Other top-level keys are ignored.  The disturbance is the zero spec:
+    each command builds the disturbance it needs from the designs.
     """
-    raw = read_json_object(
-        path, "config", ("models", "penalties", "experiment", "disturbance"))
+    raw = read_json_object(path, "config", ("models", "penalties", "experiment"))
 
     models = raw["models"]
     if not isinstance(models, list) or not models:
@@ -209,7 +206,6 @@ def load_config(path):
     exp = raw["experiment"]
     if not isinstance(exp, dict):
         raise ConfigError("'experiment' must be an object")
-    spec = _dist.spec_from_dict(raw["disturbance"], os.path.dirname(path))
     # a missing key arrives as None, which the checks reject by name
     return ExperimentConfig(
         model_set=ms,
@@ -217,6 +213,6 @@ def load_config(path):
         true_index=exp.get("true_index"),
         horizon=exp.get("horizon"),
         gamma=exp.get("gamma"),
-        disturbance=spec,
+        disturbance=_dist.DisturbanceSpec(kind="zero"),
         x0=exp.get("x0"),
     )

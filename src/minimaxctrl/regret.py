@@ -26,7 +26,6 @@ class RegretReport:
     R: np.ndarray
     R_over_T: np.ndarray
     cost_diff: np.ndarray
-    model_index: int
     kind: str
 
 
@@ -37,12 +36,10 @@ class GapReport:
     per_model: list
     minimal: float
     maximal: float
-    gamma_bar: float
 
 
 @dataclass(eq=False)
 class SublinearityDiagnostic:
-    ratio: np.ndarray
     tail_slope: float
     verdict: str
 
@@ -98,13 +95,17 @@ def regret_report(traj_a, traj_b, penalties, kind):
         R=R,
         R_over_T=r_over_t,
         cost_diff=cost_difference_regret(traj_a, traj_b),
-        model_index=traj_a.true_index,
         kind=kind,
     )
 
 
 def total_regret(reports):
-    """Pointwise maximum of cumulative regret across scenarios."""
+    """Pointwise maximum of cumulative regret over the true models.
+
+    Given one report per model j of the set, each the regret when j is the
+    true model under the same disturbance law, this is the paper's total
+    regret: the worst case over which model the plant really is.
+    """
     if not reports:
         raise ValueError("no reports to aggregate")
     stacked = np.stack([r.R for r in reports])
@@ -126,7 +127,6 @@ def suboptimality_gaps(gamma_bar, gamma_stars):
         per_model=per_model,
         minimal=min(per_model),
         maximal=max(per_model),
-        gamma_bar=gamma_bar,
     )
 
 
@@ -160,4 +160,4 @@ def sublinearity_diagnostic(R):
     verdict = (
         "consistent-with-sublinear" if nonincreasing and decayed else "inconclusive"
     )
-    return SublinearityDiagnostic(ratio=ratio, tail_slope=tail_slope, verdict=verdict)
+    return SublinearityDiagnostic(tail_slope=tail_slope, verdict=verdict)

@@ -7,6 +7,7 @@ bench/ and README.md and edits neither.
 """
 import dataclasses
 import importlib
+import json
 import pathlib
 import re
 import sys
@@ -47,6 +48,17 @@ def test_bench_references_resolve():
              for name in re.findall(r"\bmc\.(\w+)", path.read_text())}
     assert names
     assert sorted(n for n in names if not hasattr(mc, n)) == []
+
+
+def test_random_sets_configs_load_with_zero_disturbance(monkeypatch, tmp_path):
+    """The random-sets set-up writes configs with a disturbance section."""
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    sets = importlib.import_module("workloads").RandomSets(0, str(tmp_path))
+    for path in sets.sets:
+        doc = json.loads(pathlib.Path(path).read_text())
+        assert doc["disturbance"] == {"kind": "zero"}
+        assert "gamma" in doc["experiment"]
+        assert mc.load_config(path).disturbance.kind == "zero"
 
 
 def test_tracer_sees_policy_steps_and_restores(tracing, bench_cfg, certified,

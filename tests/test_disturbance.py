@@ -2,14 +2,7 @@ import numpy as np
 import pytest
 
 import minimaxctrl as mc
-from minimaxctrl.fileio import write_csv
-from minimaxctrl.disturbance import (
-    confusing_disturbance,
-    emit,
-    load_sequence,
-    spec_from_dict,
-    validate_spec,
-)
+from minimaxctrl.disturbance import confusing_disturbance, emit, validate_spec
 
 
 def test_zero_emits_zero(models):
@@ -118,18 +111,12 @@ def test_stable_loop_disturbance_has_finite_energy(models, penalties,
     assert tail <= 1e-6 * total
 
 
-def test_external_sequence_round_trip(models, tmp_path):
-    rng = np.random.default_rng(3)
-    W = rng.standard_normal((7, 3))
-    path = tmp_path / "w.csv"
-    write_csv(path, ["k", "w_1", "w_2", "w_3"], [[k, *W[k]] for k in range(7)])
-    again = load_sequence(path)
-    np.testing.assert_allclose(again, W, atol=1e-11)
-
+def test_external_sequence_round_trip(models):
+    W = np.random.default_rng(3).standard_normal((7, 3))
     spec = validate_spec(
-        mc.DisturbanceSpec(kind="external", sequence=again), models, 2
+        mc.DisturbanceSpec(kind="external", sequence=W), models, 2
     )
-    np.testing.assert_array_equal(emit(spec, 3, np.zeros(3), np.zeros(1)), again[3])
+    np.testing.assert_array_equal(emit(spec, 3, np.zeros(3), np.zeros(1)), W[3])
     with pytest.raises(ValueError):
         emit(spec, 7, np.zeros(3), np.zeros(1))
 
@@ -142,12 +129,15 @@ def test_external_width_checked(models):
         )
 
 
-def test_spec_from_dict_rejects_unknown_keys():
-    with pytest.raises(ValueError):
-        spec_from_dict({"kind": "zero", "amplitude": 2.0})
-    with pytest.raises(ValueError):
-        spec_from_dict({"kind": "confusing", "target": 3,
-                        "theta": [0.0, -1.0, 1.0, 0.0]})
+def test_one_dimensional_sequence_is_a_shape_error():
+    """With n = 1 a flat sequence is still not a (steps, 1) column."""
+    scalar = mc.ModelSet.from_pairs([(np.array([[0.5]]), np.array([[1.0]]))])
+    with pytest.raises(mc.ConfigError, match=r"\(steps, 1\)"):
+        validate_spec(mc.DisturbanceSpec(kind="external", sequence=np.zeros(5)),
+                      scalar, 1)
+    column = validate_spec(
+        mc.DisturbanceSpec(kind="external", sequence=np.zeros((5, 1))), scalar, 1)
+    assert column.sequence.shape == (5, 1)
 
 
 def test_loop_defaults():
@@ -158,26 +148,33 @@ def test_loop_defaults():
 
 
 def test_open_kind_cannot_claim_a_loop():
-    """The generating loop is fixed by the kind, in code and in configs."""
+    """The generating loop is fixed by the kind."""
     with pytest.raises(TypeError):
         mc.DisturbanceSpec(kind="zero", generating_loop="minimax")
-    with pytest.raises(ValueError):
-        spec_from_dict({"kind": "zero", "generating_loop": "minimax"})
 
 
-@pytest.mark.parametrize("kind, field, value", [
-    ("sinusoid", "amplitude", np.nan),
-    ("sinusoid", "omega", np.inf),
-    ("sinusoid", "phase", -np.inf),
-    ("sinusoid", "direction", np.array([1.0, np.nan, 0.0])),
-    ("external", "sequence", np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]])),
-    ("hinf_worst_case", "L", np.diag([0.1, np.nan, 0.1])),
-])
-def test_non_finite_field_rejected(models, kind, field, value):
+@pytest.mark.parametrize("kind, field, value, reason", [
+    ("sinusoid", "amplitude", np.nan, "non-finite"),
+    ("sinusoid", "omega", np.inf, "non-finite"),
+    ("sinusoid", "phase", -np.inf, "non-finite"),
+    ("sinusoid", "direction", np.array([1.0, np.nan, 0.0]), "non-finite"),
+    ("external", "sequence", np.array([[0.0, 0.0, 0.0], [0.0, np.inf, 0.0]]),
+     "non-finite"),
+    ("hinf_worst_case", "L", np.diag([0.1, np.nan, 0.1]), "non-finite"),
+    ("sinusoid", "amplitude", {}, "only numbers"),
+    ("zero", "kind", ["zero"], "unknown disturbance kind"),
+    ("confusing", "target", 3.6, "must be an integer"),
+    ("confusing", "target", True, "must be an integer"),
+], ids=["sinusoid-amplitude-nan", "sinusoid-omega-inf", "sinusoid-phase--inf",
+        "sinusoid-direction-value3", "external-sequence-value4",
+        "hinf_worst_case-L-value5", "sinusoid-amplitude-object", "zero-kind-list",
+        "confusing-target-fraction", "confusing-target-bool"])
+def test_non_finite_field_rejected(models, kind, field, value, reason):
+    """A field that is not a finite number of the right kind is rejected."""
     spec = mc.DisturbanceSpec(kind=kind, direction=np.ones(3),
-                              sequence=np.zeros((2, 3)))
+                              sequence=np.zeros((2, 3)), target=3)
     setattr(spec, field, value)
-    with pytest.raises(ValueError, match="non-finite"):
+    with pytest.raises(mc.ConfigError, match=reason):
         validate_spec(spec, models, 2)
 
 

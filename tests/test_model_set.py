@@ -57,7 +57,6 @@ def test_round_trip_preserves_exact_floats(vals, tmp_path_factory):
         "penalties": {"Q": np.eye(2).tolist(), "R": [[1.0]]},
         "experiment": {"true_index": 1, "x0": [0.0, 0.0], "horizon": 3,
                        "gamma": 100.0},
-        "disturbance": {"kind": "zero"},
     }
     again = mc.load_config(write_json(tmp_path_factory.mktemp("rt"), doc))
     np.testing.assert_array_equal(again.model_set.A, a[None])
