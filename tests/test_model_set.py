@@ -99,6 +99,18 @@ def test_external_sequence_must_cover_horizon(bench_cfg):
     assert longer.disturbance.sequence.shape == (101, 3)
 
 
+@pytest.mark.parametrize("spec, reason", [
+    (mc.DisturbanceSpec(kind="sinusoid", amplitude=float("nan"),
+                        direction=np.ones(3)), "non-finite"),
+    (mc.DisturbanceSpec(kind="hinf_worst_case"), "needs the L gain"),
+    (mc.DisturbanceSpec(kind="external", sequence=[[0.0, 0.0, 0.0]] * 5), "5 steps"),
+], ids=["amplitude-nan", "worst-case-without-L", "short-external-list"])
+def test_config_rejects_bad_disturbance(bench_cfg, spec, reason):
+    """Building an experiment checks its disturbance, JSON-style lists included."""
+    with pytest.raises(mc.ConfigError, match=reason):
+        dataclasses.replace(bench_cfg, horizon=100, disturbance=spec)
+
+
 def test_enforce_symmetry():
     M = np.array([[1.0, 2.0], [2.0 + 1e-12, 3.0]])
     S = enforce_symmetry(M)
