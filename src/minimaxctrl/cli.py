@@ -13,6 +13,7 @@ Exit codes: 0 success, 1 infeasible or failed verdict, 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -23,7 +24,7 @@ import numpy as np
 from . import __version__
 from .disturbance import DisturbanceSpec, peak_sinusoid_spec
 from .fileio import atomic_write_text, sha256_of, svg_line_chart, write_csv
-from .hinf import BracketError, optimal_attenuation, solve_riccati
+from .hinf import BracketError, checked_level, optimal_attenuation, solve_riccati
 from .minimax_cert import (
     load_certificate,
     minimal_feasible_gamma,
@@ -32,7 +33,7 @@ from .minimax_cert import (
     value_bound,
     verify_certificate,
 )
-from .model_set import ConfigError, ExperimentConfig, load_config
+from .model_set import ConfigError, load_config
 from .regret import (MIN_DIAGNOSTIC_STEPS, regret_report, suboptimality_gaps,
                      sublinearity_diagnostic)
 from .simulate import DivergedRollout, accumulated_cost, rollout, write_trajectory_csv
@@ -67,7 +68,7 @@ def cmd_synth_hinf(args):
     for i in indices:
         A, B = ms.pair(i)
         if args.gamma is not None:
-            sol = solve_riccati(A, B, p, args.gamma)
+            sol = solve_riccati(A, B, p, checked_level(args.gamma, "--gamma"))
             if not sol:
                 print(f"model {i} infeasible at gamma={args.gamma:g}: {sol.reason}",
                       file=sys.stderr)
@@ -90,7 +91,7 @@ def cmd_synth_minimax(args):
     cfg = load_config(args.config)
     ms, p = cfg.model_set, cfg.penalties
     if args.gamma is not None:
-        cert = synthesize_certificate(ms, p, args.gamma)
+        cert = synthesize_certificate(ms, p, checked_level(args.gamma, "--gamma"))
         if not cert:
             print(f"infeasible at gamma={args.gamma:g}: {cert.reason}", file=sys.stderr)
             return EXIT_INFEASIBLE
@@ -167,10 +168,7 @@ def cmd_reproduce(args):
               file=sys.stderr)
         return EXIT_INFEASIBLE
     spec = _scenario_spec(args.scenario, cfg, bench)
-    rcfg = ExperimentConfig(
-        model_set=ms, penalties=p, true_index=cfg.true_index,
-        horizon=cfg.horizon, gamma=gbar, disturbance=spec, x0=cfg.x0,
-    )
+    rcfg = dataclasses.replace(cfg, gamma=gbar, disturbance=spec)
     stages["design"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

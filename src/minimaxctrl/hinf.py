@@ -29,6 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import ConfigError, number
+
 RICCATI_BUDGET = 64  # doublings, i.e. 2^64 - 1 fixed-point iterations
 RICCATI_TOL = 1e-11
 FEAS_MARGIN = 1e-10
@@ -76,6 +78,14 @@ class HinfSolution:
     L: np.ndarray
     gamma: float
     iterations: int
+
+
+def checked_level(gamma, name):
+    """Float of a number in (0, GAMMA_MAX], the range searched; else ConfigError."""
+    gamma = number(gamma, name)
+    if not 0.0 < gamma <= GAMMA_MAX:
+        raise ConfigError(f"{name} must be in (0, {GAMMA_MAX:.3g}], got {gamma!r}")
+    return gamma
 
 
 def _check_shapes(A, B, Q, R):
@@ -200,24 +210,25 @@ def solve_riccati(A, B, penalties, gamma):
     return HinfSolution(M=M, Lambda=Lam, K=K, L=L, gamma=gamma, iterations=it)
 
 
-def _level_search(probe, lo, hi, rel_tol):
+def _level_search(probe, Q, rel_tol):
     """Smallest level the probe accepts, by doubling then bisection.
 
-    probe(level) returns a truthy result or a falsy one with a `reason`;
-    lo is a lower bound and is never probed.  hi doubles until accepted,
+    probe(level) returns a truthy result or a falsy one with a `reason`.
+    lo = sqrt(max eig Q) is never probed: below it no M >= Q has
+    M < level^2 I.  hi starts at max(2 lo, 1) and doubles until accepted,
     the last probe being exactly GAMMA_MAX, then [lo, hi] is bisected to
     hi - lo <= rel_tol * hi.  Returns (level, result) at the accepted end;
     raises BracketError with the last reason if GAMMA_MAX is rejected.
     """
-    result = probe(hi)
-    while not result:
+    lo = float(np.sqrt(np.max(np.linalg.eigvalsh(Q))))
+    hi = max(2.0 * lo, 1.0)
+    while not (result := probe(hi)):
         if hi >= GAMMA_MAX:
             raise BracketError(
                 f"no feasible level up to {GAMMA_MAX:.3g} "
                 f"(last reason: {result.reason})"
             )
         hi = min(2.0 * hi, GAMMA_MAX)
-        result = probe(hi)
     while hi - lo > rel_tol * hi:
         mid = 0.5 * (lo + hi)
         res = probe(mid)
@@ -231,15 +242,11 @@ def _level_search(probe, lo, hi, rel_tol):
 def optimal_attenuation(A, B, penalties):
     """Smallest feasible attenuation level gamma* for (A, B), by bisection.
 
-    The lower end of the initial bracket is sqrt(max eig Q), below which
-    M >= Q already contradicts M < gamma^2 I; the upper end starts at
-    max(2 lo, 1) (see `_level_search`).  Raises BracketError if even
-    GAMMA_MAX is infeasible (e.g. an unstabilizable pair).  Relative
-    tolerance on the returned level: BISECT_REL_TOL.
+    Bracket as in `_level_search`; BracketError if even GAMMA_MAX is
+    infeasible (e.g. an unstabilizable pair).  Relative tolerance: BISECT_REL_TOL.
     """
-    lo = float(np.sqrt(np.max(np.linalg.eigvalsh(penalties.Q))))
     return _level_search(lambda g: solve_riccati(A, B, penalties, g),
-                         lo, max(2.0 * lo, 1.0), BISECT_REL_TOL)[0]
+                         penalties.Q, BISECT_REL_TOL)[0]
 
 
 @dataclass(eq=False)

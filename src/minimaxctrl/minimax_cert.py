@@ -33,6 +33,8 @@ the final word; there are no false positives), so the level found by
 `minimal_feasible_gamma` is an upper bound on the best achievable one.
 Its feasible set need not be an interval either, so the doubling-then-
 bisect search (`hinf._level_search`, no fallback sweep) may miss the least.
+Its bracket is gamma*'s, from sqrt(max eig Q): the (i, i, i) slack forces
+P_ii >= Q while P < gamma^2 I.
 """
 from __future__ import annotations
 
@@ -41,9 +43,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fileio import (ConfigError, atomic_write_text, integer, number, numeric,
+from .fileio import (ConfigError, atomic_write_text, integer, numeric,
                      read_json_object)
-from .hinf import Infeasible, _level_search, optimal_attenuation, solve_riccati
+from .hinf import Infeasible, _level_search, checked_level, solve_riccati
 
 VERIFY_TOL = 1e-8
 GAMMA_BAR_REL_TOL = 1e-4
@@ -64,9 +66,7 @@ class MinimaxCertificate:
     P: np.ndarray
 
     def __post_init__(self):
-        self.gamma_bar = float(self.gamma_bar)
-        if not self.gamma_bar > 0:
-            raise ConfigError(f"gamma_bar must be positive, got {self.gamma_bar!r}")
+        self.gamma_bar = checked_level(self.gamma_bar, "gamma_bar")
         self.gains = np.asarray(self.gains, dtype=float)
         self.P = np.asarray(self.P, dtype=float)
         if self.gains.ndim != 3:
@@ -128,13 +128,13 @@ def _check_cert_invariants(cert, ms):
         raise ValueError(f"P family violates 0 < P < gamma_bar^2 I ({violation})")
 
 
-def verify_certificate(ms, penalties, cert, tol=VERIFY_TOL):
+def verify_certificate(ms, penalties, cert):
     """Eigenvalue check of the certificate inequality over all F^3 triples.
 
     Returns a CertificateCheck whose `worst_violation` is the smallest
     minimum eigenvalue of the F^3 slack matrices (negative means the
     inequality fails by that amount at `worst_triple`, reported 1-based
-    as (i, j, l)).  Feasible iff every slack eigenvalue is >= -tol.
+    as (i, j, l)).  Feasible iff every slack eigenvalue is >= -VERIFY_TOL.
 
     Structural violations of the certificate's own invariants (asymmetry,
     P outside (0, gamma_bar^2 I)) raise ValueError; a near-singular
@@ -170,7 +170,7 @@ def verify_certificate(ms, penalties, cert, tol=VERIFY_TOL):
     i, j, l = np.unravel_index(worst_flat, (F, F, F))
     worst = float(min_eig[i, j, l])
     return CertificateCheck(
-        feasible=bool(worst >= -tol),
+        feasible=bool(worst >= -VERIFY_TOL),
         worst_violation=worst,
         worst_triple=(int(i) + 1, int(j) + 1, int(l) + 1),
     )
@@ -229,17 +229,13 @@ def synthesize_certificate(ms, penalties, gamma):
 def minimal_feasible_gamma(ms, penalties):
     """Smallest certifiable level found by bisection; returns (gamma_bar, cert).
 
-    The lower bracket is max_i gamma*_i (no certificate can beat the best
-    known-model level of any member); the upper one starts at twice that
-    and doubles up to hinf.GAMMA_MAX, where BracketError carries the last
-    probe's reason (see `hinf._level_search`).  Relative tolerance on the
-    returned level: GAMMA_BAR_REL_TOL.
+    Same bracket as gamma* (`hinf._level_search`), and no gamma* is
+    computed: a probe below a member's true threshold fails at its Riccati
+    solve, so a gap gamma_bar - gamma*_i is negative only within gamma*'s
+    tolerance.  Relative tolerance on the returned level: GAMMA_BAR_REL_TOL.
     """
-    lo = max(
-        optimal_attenuation(*ms.pair(i), penalties) for i in range(1, ms.size + 1)
-    )
     return _level_search(lambda g: synthesize_certificate(ms, penalties, g),
-                         lo, 2.0 * lo, GAMMA_BAR_REL_TOL)
+                         penalties.Q, GAMMA_BAR_REL_TOL)
 
 
 def value_bound(cert, x0):
@@ -273,7 +269,6 @@ def load_certificate(path):
     shapes, missing or duplicate upper-triangle entries).
     """
     doc = read_json_object(path, "certificate", ("gamma_bar", "gains", "P"))
-    gamma_bar = number(doc["gamma_bar"], "certificate gamma_bar")
     gains = numeric(doc["gains"], "certificate gains")
     if gains.ndim != 3:
         raise ConfigError(f"certificate gains must be (F, m, n), got shape {gains.shape}")
@@ -302,4 +297,4 @@ def load_certificate(path):
                if (i + 1, j + 1) not in seen]
     if missing:
         raise ConfigError(f"certificate is missing P entries: {missing}")
-    return MinimaxCertificate(gamma_bar=gamma_bar, gains=gains, P=P)
+    return MinimaxCertificate(gamma_bar=doc["gamma_bar"], gains=gains, P=P)

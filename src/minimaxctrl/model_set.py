@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disturbance as _dist
-from .fileio import ConfigError, integer, number, numeric, read_json_object
+from .fileio import ConfigError, integer, numeric, read_json_object
+from .hinf import checked_level
 
 SYMMETRY_TOL = 1e-9
 PD_MIN_EIG = 1e-12
@@ -143,9 +144,7 @@ class ExperimentConfig:
             raise ConfigError(f"true_index {self.true_index} outside 1..{ms.size}")
         if self.horizon < 0:
             raise ConfigError("horizon must be >= 0")
-        self.gamma = number(self.gamma, "gamma")
-        if self.gamma <= 0:
-            raise ConfigError("gamma must be positive")
+        self.gamma = checked_level(self.gamma, "gamma")
         if self.x0 is None:
             self.x0 = np.ones(ms.n)
         self.x0 = numeric(self.x0, "x0").reshape(-1)

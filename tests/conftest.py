@@ -6,10 +6,12 @@ calls a bisection again recomputes it; the doubling Riccati solver keeps
 that cheap.
 """
 import pathlib
+import sys
 
 import pytest
 
 import minimaxctrl as mc
+from minimaxctrl import hinf
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
 
@@ -46,6 +48,28 @@ def gamma_stars(models, penalties):
         A, B = models.pair(i)
         out.append(mc.optimal_attenuation(A, B, penalties))
     return out
+
+
+@pytest.fixture
+def gamma_star_calls(monkeypatch):
+    """List that grows by one entry per `optimal_attenuation` call.
+
+    The function is replaced at every name the package binds it to, as
+    bench/tracing.py does, so a call is counted whichever module makes it.
+    """
+    calls = []
+    original = hinf.optimal_attenuation
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    for name, module in list(sys.modules.items()):
+        if name == "minimaxctrl" or name.startswith("minimaxctrl."):
+            for attr, value in list(vars(module).items()):
+                if value is original:
+                    monkeypatch.setattr(module, attr, counted)
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -103,8 +103,8 @@ def test_criterion_02_gap_table():
 
 def test_criterion_03_certificate_verifies(models, penalties, certified):
     gamma_bar, cert = certified
-    check = mc.verify_certificate(models, penalties, cert, tol=1e-8)
-    ok = check.feasible and gamma_bar >= 4.544
+    check = mc.verify_certificate(models, penalties, cert)
+    ok = check.feasible and check.worst_violation >= -1e-8 and gamma_bar >= 4.544
     report(
         3, ok,
         f"gamma_bar={gamma_bar:.4f} (>=4.544) verified={check.feasible} "

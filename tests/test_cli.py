@@ -120,8 +120,10 @@ def assert_rejected_at_load(tmp_path, monkeypatch, where, value):
     (("experiment", "x0", 0), float("nan")),
     (("experiment", "gamma"), None),
     (("experiment", "gamma"), "31"),
+    (("experiment", "gamma"), 1e7),
     (("experiment", "x0"), {}),
-], ids=["model", "penalties", "x0", "gamma-null", "gamma-string", "x0-object"])
+], ids=["model", "penalties", "x0", "gamma-null", "gamma-string", "gamma-huge",
+        "x0-object"])
 def test_non_finite_input_is_rejected_at_load(tmp_path, monkeypatch, where, value):
     assert_rejected_at_load(tmp_path, monkeypatch, where, value)
 
@@ -146,11 +148,13 @@ def test_non_integer_input_is_rejected_at_load(tmp_path, monkeypatch, where, val
     (("gamma_bar",), True),
     (("gamma_bar",), -143.16),
     (("gamma_bar",), 0),
+    (("gamma_bar",), 1e200),
     (("P", 4, "rows", 1, 0), float("nan")),
     (("gains", 2, 0, 1), float("nan")),
     (("gains",), "2-D"),
 ], ids=["i-null", "i-fraction", "i-string", "j-fraction", "j-string",
         "gamma_bar-nan", "gamma_bar-bool", "gamma_bar-negative", "gamma_bar-zero",
+        "gamma_bar-huge",
         "P-nan", "gains-nan", "gains-2d"])
 def test_malformed_certificate_is_rejected_at_load(tmp_path, certificate_file,
                                                     where, value):
@@ -175,6 +179,25 @@ def test_short_horizon_is_rejected_before_synthesis(tmp_path, monkeypatch):
     code = run(["reproduce", cfg, "--scenario", "fig1",
                 "--out-dir", str(tmp_path / "out")])
     assert code == 2
+
+
+@pytest.mark.parametrize("command", ["synth-hinf", "synth-minimax"])
+@pytest.mark.parametrize("gamma", ["inf", "nan", "1e308", "1000000.1", "0", "-1"])
+def test_gamma_outside_level_range_is_input_error(tmp_path, monkeypatch,
+                                                   command, gamma):
+    monkeypatch.setattr(cli, "solve_riccati", synthesis_must_not_run)
+    monkeypatch.setattr(cli, "synthesize_certificate", synthesis_must_not_run)
+    assert run([command, CFG, f"--gamma={gamma}", "--out-dir", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["reproduce", CFG, "--scenario", "fig1"],
+    ["synth-minimax", CFG],
+], ids=["reproduce", "synth-minimax"])
+def test_gamma_star_table_is_computed_once(tmp_path, gamma_star_calls, argv):
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 0
+    assert len(gamma_star_calls) == 4  # once per model, for gaps only
 
 
 @pytest.mark.parametrize("scenario", ["fig1", "fig2", "fig3"])

@@ -223,7 +223,7 @@ class Probe:
 
 def test_level_search_doubles_then_bisects():
     probe = Probe(threshold=10.0)
-    level, result = hinf._level_search(probe, 1.0, 2.0, 1e-4)
+    level, result = hinf._level_search(probe, np.eye(1), 1e-4)  # lo 1, hi 2
     assert probe.levels[:4] == [2.0, 4.0, 8.0, 16.0]
     assert all(g < 16.0 for g in probe.levels[4:])
     assert result == ("accepted", level)
@@ -232,7 +232,7 @@ def test_level_search_doubles_then_bisects():
 
 def test_level_search_last_probe_is_gamma_max():
     probe = Probe(threshold=hinf.GAMMA_MAX)
-    level, _ = hinf._level_search(probe, 1.0, 3.0, 1e-4)
+    level, _ = hinf._level_search(probe, 2.25 * np.eye(1), 1e-4)  # lo 1.5, hi 3
     doubling = [3.0 * 2.0 ** k for k in range(19)]
     assert probe.levels[:20] == doubling + [hinf.GAMMA_MAX]
     assert level == hinf.GAMMA_MAX
@@ -241,7 +241,7 @@ def test_level_search_last_probe_is_gamma_max():
 def test_level_search_raises_with_last_reason():
     probe = Probe(threshold=np.inf)
     with pytest.raises(mc.BracketError, match=r"rejected 1e\+06"):
-        hinf._level_search(probe, 1.0, 3.0, 1e-4)
+        hinf._level_search(probe, 2.25 * np.eye(1), 1e-4)
     assert probe.levels[-1] == hinf.GAMMA_MAX
     assert len(probe.levels) == 20
 
