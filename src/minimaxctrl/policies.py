@@ -9,12 +9,10 @@ All three functions are pure and take float arrays.
 """
 from __future__ import annotations
 
-import numpy as np
-
 
 def minimax_step(cert, alpha, x):
     """Control for state x: returns (u, l), u = -K_l x with l = 1 + argmin alpha."""
-    l = int(np.argmin(alpha)) + 1
+    l = int(alpha.argmin()) + 1
     return -cert.gains[l - 1] @ x, l
 
 
@@ -26,7 +24,7 @@ def update_residuals(ms, alpha, x, u, x_next):
     the new residual vector; `alpha` is not modified.
     """
     w = x_next - ms.A @ x - ms.B @ u
-    return alpha + np.sum(w * w, axis=1)
+    return alpha + (w * w).sum(axis=1)
 
 
 def hinf_step(K, x):

@@ -6,6 +6,12 @@ to the identical input, roll out the generating loop first and replay the
 recorded sequence, which `rollout` accepts in place of the config's spec.
 This keeps comparisons honest: both controllers see the same w, not the
 same disturbance law.
+
+The time loop computes only what feeds the next step: the input, the
+disturbance, the successor state and the residuals.  Step costs are
+computed after the loop, in one stacked product.  A rollout diverges at
+the first state whose squared norm is above DIVERGENCE_LIMIT**2 or that is
+not finite; a state that overflows is such a state, not a numpy warning.
 """
 from __future__ import annotations
 
@@ -55,7 +61,9 @@ def rollout(cfg, controller, disturbance=None):
     controller: a MinimaxCertificate (adaptive switching) or an (m, n) gain
     matrix K for fixed feedback u = -K x.  disturbance: None to generate the
     sequence from cfg's spec, or a recorded (T, n) array to replay.
-    Raises DivergedRollout when the state norm passes DIVERGENCE_LIMIT.
+    The step costs are computed after the loop.  Raises DivergedRollout at
+    the first state whose squared norm is above DIVERGENCE_LIMIT**2 or that
+    has a non-finite entry (an overflow included).
     """
     ms = cfg.model_set
     T, n = cfg.horizon, ms.n
@@ -73,8 +81,14 @@ def rollout(cfg, controller, disturbance=None):
             )
 
     spec = cfg.disturbance
-    recorded = None
-    if disturbance is None:
+    replay = disturbance is not None
+    if replay:
+        w = np.array(disturbance, dtype=float)  # a copy, never the caller's array
+        if w.shape != (T, n):
+            raise ValueError(
+                f"recorded disturbance must be ({T}, {n}), got {w.shape}"
+            )
+    else:
         loop = "minimax" if adaptive else "hinf"
         if spec.generating_loop not in ("open", loop):
             raise ValueError(
@@ -82,17 +96,10 @@ def rollout(cfg, controller, disturbance=None):
                 f"'{spec.generating_loop}' loop; record it there and replay "
                 f"the sequence against this controller"
             )
-    else:
-        recorded = np.asarray(disturbance, dtype=float)
-        if recorded.shape != (T, n):
-            raise ValueError(
-                f"recorded disturbance must be ({T}, {n}), got {recorded.shape}"
-            )
+        w = np.zeros((T, n))
 
     x = np.zeros((T + 1, n))
     u = np.zeros((T, ms.m))
-    w = np.zeros((T, n))
-    step_cost = np.zeros(T + 1)
     x[0] = cfg.x0
 
     l = None
@@ -100,23 +107,35 @@ def rollout(cfg, controller, disturbance=None):
     if adaptive:
         l = np.zeros(T, dtype=int)
         alpha_hist = np.zeros((T + 1, ms.size))
+        alpha = alpha_hist[0]
 
+    # overflow and NaN are left to the divergence test, which fails on both
+    limit_sq = DIVERGENCE_LIMIT ** 2
+    xk = x[0]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(T):
+            if adaptive:
+                uk, l[k] = minimax_step(controller, alpha, xk)
+            else:
+                uk = hinf_step(controller, xk)
+            if not replay:
+                w[k] = _dist.emit(spec, k, xk, uk)
+            xn = A @ xk + B @ uk + w[k]
+            if not xn @ xn <= limit_sq:
+                raise DivergedRollout(
+                    f"state norm exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}"
+                )
+            if adaptive:
+                alpha = update_residuals(ms, alpha, xk, uk, xn)
+                alpha_hist[k + 1] = alpha
+            u[k] = uk
+            x[k + 1] = xn
+            xk = xn
+
+    # stacked products: bit-identical to the per-step x_k @ Q @ x_k (einsum is not)
     Q, R = cfg.penalties.Q, cfg.penalties.R
-    for k in range(T):
-        if adaptive:
-            u[k], l[k] = minimax_step(controller, alpha_hist[k], x[k])
-        else:
-            u[k] = hinf_step(controller, x[k])
-        w[k] = recorded[k] if recorded is not None else _dist.emit(spec, k, x[k], u[k])
-        x[k + 1] = A @ x[k] + B @ u[k] + w[k]
-        if not np.all(np.isfinite(x[k + 1])) or np.linalg.norm(x[k + 1]) > DIVERGENCE_LIMIT:
-            raise DivergedRollout(
-                f"state norm exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}"
-            )
-        if adaptive:
-            alpha_hist[k + 1] = update_residuals(ms, alpha_hist[k], x[k], u[k], x[k + 1])
-        step_cost[k] = x[k] @ Q @ x[k] + u[k] @ R @ u[k]
-    step_cost[T] = x[T] @ Q @ x[T]
+    step_cost = (x[:, None] @ Q @ x[:, :, None])[:, 0, 0]
+    step_cost[:T] += (u[:, None] @ R @ u[:, :, None])[:, 0, 0]
 
     return Trajectory(x=x, u=u, w=w, step_cost=step_cost,
                       true_index=cfg.true_index, l=l, alpha_hist=alpha_hist)

@@ -176,3 +176,149 @@ def test_csv_newlines_are_unix(bench_cfg, certified, tmp_path):
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
+
+
+def reference_rollout(cfg, controller, disturbance=None):
+    """The per-step rollout loop, written out in full: costs inside the loop,
+    `np.isfinite` plus `np.linalg.norm` as the divergence test, and the
+    switching law and residual update inlined."""
+    ms = cfg.model_set
+    T, n = cfg.horizon, ms.n
+    A, B = ms.pair(cfg.true_index)
+    adaptive = isinstance(controller, mc.MinimaxCertificate)
+    x = np.zeros((T + 1, n))
+    u = np.zeros((T, ms.m))
+    w = np.zeros((T, n))
+    step_cost = np.zeros(T + 1)
+    x[0] = cfg.x0
+    l = np.zeros(T, dtype=int) if adaptive else None
+    alpha_hist = np.zeros((T + 1, ms.size)) if adaptive else None
+    Q, R = cfg.penalties.Q, cfg.penalties.R
+    for k in range(T):
+        if adaptive:
+            l[k] = int(np.argmin(alpha_hist[k])) + 1
+            u[k] = -controller.gains[l[k] - 1] @ x[k]
+        else:
+            u[k] = -controller @ x[k]
+        if disturbance is None:
+            w[k] = mc.emit(cfg.disturbance, k, x[k], u[k])
+        else:
+            w[k] = disturbance[k]
+        x[k + 1] = A @ x[k] + B @ u[k] + w[k]
+        if not np.all(np.isfinite(x[k + 1])) or np.linalg.norm(x[k + 1]) > 1e12:
+            raise mc.DivergedRollout(f"step {k + 1}")
+        if adaptive:
+            r = x[k + 1] - ms.A @ x[k] - ms.B @ u[k]
+            alpha_hist[k + 1] = alpha_hist[k] + np.sum(r * r, axis=1)
+        step_cost[k] = x[k] @ Q @ x[k] + u[k] @ R @ u[k]
+    step_cost[T] = x[T] @ Q @ x[T]
+    return mc.Trajectory(x=x, u=u, w=w, step_cost=step_cost,
+                         true_index=cfg.true_index, l=l, alpha_hist=alpha_hist)
+
+
+def assert_matches_reference(cfg, controller, disturbance=None):
+    """Roll out and require bit equality with the reference loop."""
+    traj = mc.rollout(cfg, controller, disturbance=disturbance)
+    ref = reference_rollout(cfg, controller, disturbance)
+    for name in ("x", "u", "w", "l", "alpha_hist", "step_cost"):
+        got, want = getattr(traj, name), getattr(ref, name)
+        if want is None:
+            assert got is None, name
+        else:
+            assert np.array_equal(got, want), name
+    return traj
+
+
+def assert_loops_match_reference(cfg, cert, K):
+    """Every loop that may generate cfg's disturbance, then the replay onto
+    the other controller, each against the reference loop."""
+    controllers = {"minimax": cert, "hinf": K}
+    loop = cfg.disturbance.generating_loop
+    for gen in (("minimax", "hinf") if loop == "open" else (loop,)):
+        traj = assert_matches_reference(cfg, controllers[gen])
+        other = controllers["hinf" if gen == "minimax" else "minimax"]
+        assert_matches_reference(cfg, other, disturbance=traj.w)
+
+
+@pytest.mark.parametrize(
+    "kind", ["zero", "sinusoid", "external", "confusing", "hinf_worst_case"]
+)
+def test_rollout_matches_reference_loop(bench_cfg, certified,
+                                        benchmark_controller, kind):
+    _, cert = certified
+    spec = {
+        "zero": mc.DisturbanceSpec(kind="zero"),
+        "sinusoid": mc.DisturbanceSpec(
+            kind="sinusoid", amplitude=1.0, omega=1.1, phase=0.4,
+            direction=np.array([1.0, 1.0, 1.0]) / np.sqrt(3.0),
+        ),
+        "external": mc.DisturbanceSpec(
+            kind="external",
+            sequence=np.random.default_rng(5).standard_normal((100, 3)),
+        ),
+        "confusing": mc.DisturbanceSpec(kind="confusing", target=3),
+        "hinf_worst_case": mc.DisturbanceSpec(kind="hinf_worst_case",
+                                              L=benchmark_controller.L),
+    }[kind]
+    cfg = scenario_cfg(bench_cfg, certified, spec)
+    assert_loops_match_reference(cfg, cert, benchmark_controller.K)
+
+
+@pytest.mark.parametrize("kind", ["confusing", "external"])
+def test_rollout_matches_reference_loop_weighted_multi_input(kind):
+    """n = 4, m = 2, F = 3 with full Q and R: a cost evaluated in another
+    summation order (einsum, row sums) would differ in the last bits."""
+    rng = np.random.default_rng(7)
+    n, m, F = 4, 2, 3
+    base = rng.standard_normal((n, n))
+    pairs = []
+    for _ in range(F):
+        A = base + 0.3 * rng.standard_normal((n, n))
+        A *= 1.1 / np.max(np.abs(np.linalg.eigvals(A)))
+        pairs.append((A, rng.standard_normal((n, m))))
+    ms = mc.ModelSet.from_pairs(pairs)
+    M, N = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+    p = mc.Penalties(Q=M @ M.T + np.eye(n), R=N @ N.T + 0.5 * np.eye(m))
+    gamma_bar, cert = mc.minimal_feasible_gamma(ms, p)
+    K = mc.solve_riccati(*ms.pair(2), p, gamma_bar).K
+    T = 300
+    spec = (mc.DisturbanceSpec(kind="confusing", target=1) if kind == "confusing"
+            else mc.DisturbanceSpec(kind="external",
+                                    sequence=rng.standard_normal((T, n))))
+    cfg = mc.ExperimentConfig(
+        model_set=ms, penalties=p, true_index=2, horizon=T, gamma=gamma_bar,
+        disturbance=spec, x0=rng.standard_normal(n),
+    )
+    assert_loops_match_reference(cfg, cert, K)
+
+
+@pytest.mark.parametrize("adaptive", [False, True])
+@pytest.mark.parametrize("scale, step", [(3.0, 25), (1e200, 1), (1e300, 1)])
+def test_divergence_step(penalties, scale, step, adaptive):
+    """A finite state whose squared norm overflows diverges like any other,
+    with DivergedRollout rather than a numpy overflow warning."""
+    ms = mc.ModelSet.from_pairs([(scale * np.eye(3), np.zeros((3, 1)))])
+    cfg = mc.ExperimentConfig(
+        model_set=ms, penalties=penalties, true_index=1, horizon=200,
+        gamma=100.0, disturbance=mc.DisturbanceSpec(kind="zero"),
+        x0=np.ones(3),
+    )
+    controller = (
+        mc.MinimaxCertificate(gamma_bar=100.0, gains=np.zeros((1, 1, 3)),
+                              P=np.zeros((1, 1, 3, 3)))
+        if adaptive else np.zeros((1, 3))
+    )
+    with pytest.raises(mc.DivergedRollout, match=f"at step {step}$"):
+        mc.rollout(cfg, controller)
+
+
+def test_replay_does_not_alias_the_recorded_sequence(bench_cfg, certified):
+    _, cert = certified
+    cfg = scenario_cfg(bench_cfg, certified, mc.DisturbanceSpec(kind="zero"))
+    seq = np.random.default_rng(3).standard_normal((cfg.horizon, 3))
+    kept = seq.copy()
+    traj = mc.rollout(cfg, cert, disturbance=seq)
+    assert traj.w is not seq
+    assert not np.shares_memory(traj.w, seq)
+    traj.w[:] = 0.0
+    np.testing.assert_array_equal(seq, kept)
