@@ -99,11 +99,12 @@ def cmd_synth_minimax(args):
         gbar, cert = minimal_feasible_gamma(ms, p)
 
     check = verify_certificate(ms, p, cert)
-    gaps = suboptimality_gaps(cert.gamma_bar, _gamma_star_table(ms, p))
+    stars = _gamma_star_table(ms, p)
+    gaps = suboptimality_gaps(cert.gamma_bar, stars)
     print(f"gamma_bar={cert.gamma_bar:.6g}  "
           f"(verified, worst slack eigenvalue {check.worst_violation:.3e})")
-    for i, gap in enumerate(gaps.per_model, start=1):
-        print(f"model {i}: gamma_star={cert.gamma_bar - gap:.6g}  gap={gap:.6g}")
+    for i, (star, gap) in enumerate(zip(stars, gaps.per_model), start=1):
+        print(f"model {i}: gamma_star={star:.6g}  gap={gap:.6g}")
     print(f"minimal gap={gaps.minimal:.6g}  maximal gap={gaps.maximal:.6g}")
 
     out = os.path.join(_out_dir(args), "certificate.json")
@@ -183,7 +184,7 @@ def cmd_reproduce(args):
     t0 = time.perf_counter()
     report = regret_report(traj_mm, traj_h, p, spec.kind)
     diag = sublinearity_diagnostic(report.R)
-    gaps = suboptimality_gaps(gbar, _gamma_star_table(ms, p))
+    stars = _gamma_star_table(ms, p)
     bound = value_bound(cert, rcfg.x0)
     cost_mm = accumulated_cost(traj_mm, gbar)
     cost_h = accumulated_cost(traj_h, gbar)
@@ -211,8 +212,7 @@ def cmd_reproduce(args):
          lambda pth: write_csv(pth, ["T", "d_T", "R_T", "R_over_T", "cost_diff_T"],
                                regret_rows))
 
-    gap_rows = [[i + 1, gbar - gaps.per_model[i], gaps.per_model[i]]
-                for i in range(ms.size)]
+    gap_rows = [[i, star, gbar - star] for i, star in enumerate(stars, start=1)]
     emit("gaps.csv", "gaps",
          lambda pth: write_csv(pth, ["model", "gamma_star", "gap"], gap_rows))
 

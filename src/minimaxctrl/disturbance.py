@@ -66,29 +66,6 @@ class DisturbanceSpec:
         return KINDS[self.kind]
 
 
-def hinf_worst_case(L_star, x_k):
-    """Saddle-point adversary w = L* x."""
-    return np.asarray(L_star, dtype=float) @ np.asarray(x_k, dtype=float)
-
-
-def confusing_disturbance(ms, j, i, x_k, u_k):
-    """Disturbance that makes model j's data look exactly like model i's.
-
-    w_k = (A_i - A_j) x_k + (B_i - B_j) u_k, so under the true dynamics of
-    model j the successor state is A_i x_k + B_i u_k and model i's one-step
-    residual vanishes identically.  Requires i != j (the construction is
-    vacuous otherwise).
-    """
-    if i == j:
-        raise ValueError("confusing disturbance needs a target distinct from "
-                         "the true model")
-    Aj, Bj = ms.pair(j)
-    Ai, Bi = ms.pair(i)
-    x_k = np.asarray(x_k, dtype=float)
-    u_k = np.atleast_1d(np.asarray(u_k, dtype=float))
-    return (Ai - Aj) @ x_k + (Bi - Bj) @ u_k
-
-
 def peak_sinusoid_spec(A, B, K, penalties):
     """Unit sinusoid at the closed loop's worst frequency.
 
@@ -113,11 +90,11 @@ def peak_sinusoid_spec(A, B, K, penalties):
 
 
 def emit(spec, k, x_k, u_k):
-    """Evaluate the strategy at step k given the current state and input."""
+    """Evaluate a bound strategy at step k; x_k (n,) and u_k (m,) are float arrays."""
     if spec.kind == "zero":
         return np.zeros(np.asarray(x_k).shape[0])
     if spec.kind == "hinf_worst_case":
-        return hinf_worst_case(spec.L, x_k)
+        return spec.L @ x_k
     if spec.kind == "sinusoid":
         return (spec.amplitude * np.sin(spec.omega * k + spec.phase)
                 * spec.direction)
@@ -125,8 +102,9 @@ def emit(spec, k, x_k, u_k):
         if spec.model_set is None or spec.true_index is None:
             raise ValueError("confusing spec is not bound to an experiment "
                              "(missing model set / true index)")
-        return confusing_disturbance(spec.model_set, spec.true_index,
-                                     spec.target, x_k, u_k)
+        Aj, Bj = spec.model_set.pair(spec.true_index)
+        Ai, Bi = spec.model_set.pair(spec.target)
+        return (Ai - Aj) @ x_k + (Bi - Bj) @ u_k
     if k >= spec.sequence.shape[0]:  # external
         raise ValueError(f"external sequence exhausted at step {k}")
     return spec.sequence[k]

@@ -61,8 +61,6 @@ class HinfSolution:
     ----------
     M : (n, n) ndarray
         Stabilizing Riccati solution, Q <= M < gamma^2 I.
-    Lambda : (n, n) ndarray
-        I + (B R^-1 B' - gamma^-2 I) M, the operator inverted by the gains.
     K : (m, n) ndarray
         Control gain, u = -K x.
     L : (n, n) ndarray
@@ -73,7 +71,6 @@ class HinfSolution:
     """
 
     M: np.ndarray
-    Lambda: np.ndarray
     K: np.ndarray
     L: np.ndarray
     gamma: float
@@ -198,8 +195,7 @@ def solve_riccati(A, B, penalties, gamma):
         return Infeasible(
             f"converged M is not positive definite (gamma={gamma:.6g})"
         )
-    Lam = eye + G @ M
-    X = np.linalg.solve(Lam, A)
+    X = np.linalg.solve(eye + G @ M, A)
     if float(np.max(np.abs(np.linalg.eigvals(X)))) >= 1.0:
         return Infeasible(
             f"converged M is not stabilizing (gamma={gamma:.6g})"
@@ -207,7 +203,7 @@ def solve_riccati(A, B, penalties, gamma):
     MX = M @ X
     K = np.linalg.solve(R, B.T @ MX)
     L = ginv2 * MX
-    return HinfSolution(M=M, Lambda=Lam, K=K, L=L, gamma=gamma, iterations=it)
+    return HinfSolution(M=M, K=K, L=L, gamma=gamma, iterations=it)
 
 
 def _level_search(probe, Q, rel_tol):
@@ -251,16 +247,12 @@ def optimal_attenuation(A, B, penalties):
 
 @dataclass(eq=False)
 class FrequencyScan:
-    """Largest singular value of the weighted closed loop over [0, pi].
+    """Peak of the weighted closed loop's largest singular value over [0, pi].
 
-    `omega`/`norm` hold the evaluated grid (plus the refined peak sample
-    when the local search improved on the grid); `peak_norm` is the
-    maximum over that grid and `peak_omega` the first frequency
-    attaining it.
+    `peak_norm` is the largest value found and `peak_omega` the first
+    frequency attaining it.
     """
 
-    omega: np.ndarray
-    norm: np.ndarray
     peak_omega: float
     peak_norm: float
 
@@ -314,7 +306,7 @@ def _frequency_response(A, B, K, penalties):
 
 
 def closed_loop_scan(A, B, K, penalties):
-    """Frequency response norm of the closed loop u = -Kx.
+    """Peak frequency response norm of the closed loop u = -Kx.
 
     Evaluates the largest singular value of
 
@@ -322,8 +314,8 @@ def closed_loop_scan(A, B, K, penalties):
 
     for A (n, n), B (n, m) and K (m, n) on GRID_SIZE uniform frequencies
     over [0, pi], then runs one golden-section refinement around the grid
-    peak.  The refined sample is inserted into the returned grid only when
-    it strictly improves on the grid maximum, so flat responses keep the
+    peak and returns the peak only.  The refined sample replaces the grid
+    peak only when it strictly improves on it, so flat responses keep the
     first-occurrence peak (e.g. an all-pass reports peak_omega = 0).
     Raises ValueError on a shape mismatch or, via `_frequency_response`,
     when A - BK is not Schur stable.
@@ -350,10 +342,6 @@ def closed_loop_scan(A, B, K, penalties):
     hi = float(omegas[min(ipk + 1, GRID_SIZE - 1)])
     w_ref, s_ref = _golden_max(sigma_at, lo, hi)
     if s_ref > peak_norm * (1.0 + 1e-12):
-        pos = int(np.searchsorted(omegas, w_ref))
-        omegas = np.insert(omegas, pos, w_ref)
-        norms = np.insert(norms, pos, s_ref)
         peak_omega, peak_norm = float(w_ref), float(s_ref)
 
-    return FrequencyScan(omega=omegas, norm=norms,
-                         peak_omega=peak_omega, peak_norm=peak_norm)
+    return FrequencyScan(peak_omega=peak_omega, peak_norm=peak_norm)

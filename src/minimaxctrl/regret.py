@@ -1,12 +1,14 @@
 """Regret of the adaptive policy against a full-information benchmark.
 
-All comparisons assume both trajectories answered the *same* disturbance
-sequence; stepwise_regret enforces this.  Two notions are provided: the
-model-based one accumulates the weighted distance between the two
-trajectories, and the cost-difference one subtracts realized costs.  The
-diagnostic for the first checks whether the average regret per step is
-flattening out, which is the signature of the adaptive policy locking on
-to the true model.
+`regret_report` is the one entry point for a pair of trajectories, which
+must have answered the *same* disturbance sequence.  It gives two notions
+of regret: the model-based one accumulates the weighted distance between
+the trajectories; the cost-difference one subtracts realized costs, a
+signed number that says nothing about how far apart they are.
+`total_regret` takes the worst case over the true models, and
+`sublinearity_diagnostic` checks whether the average regret per step is
+flattening out, the signature of the adaptive policy locking on to the
+true model.
 """
 from __future__ import annotations
 
@@ -44,12 +46,14 @@ class SublinearityDiagnostic:
     verdict: str
 
 
-def stepwise_regret(traj_a, traj_b, penalties):
-    """Weighted distance between two responses to one disturbance.
+def regret_report(traj_a, traj_b, penalties, kind):
+    """Regret of traj_a against traj_b, which answered the same disturbance.
 
     d_k = ||x^a_k - x^b_k||^2_Q + ||u^a_k - u^b_k||^2_R for k < T and the
-    terminal state distance at k = T.  Raises ValueError if the two
-    trajectories saw different disturbances.
+    terminal state distance at k = T, and R is its running sum.  cost_diff
+    is the running sum of the realized cost difference; it may be negative,
+    and its last entry is the difference of the gamma = 0 accumulated
+    costs.  Raises ValueError if the two disturbance sequences differ.
     """
     if traj_a.w.shape != traj_b.w.shape:
         raise ValueError("trajectories have different horizons or dimensions")
@@ -59,34 +63,12 @@ def stepwise_regret(traj_a, traj_b, penalties):
             f"trajectories answer different disturbances (gap {w_gap:.3e}); "
             f"replay the recorded sequence on both loops first"
         )
-    Q, R = penalties.Q, penalties.R
     dx = traj_a.x - traj_b.x
     du = traj_a.u - traj_b.u
-    d = np.einsum("ki,ij,kj->k", dx, Q, dx)
-    d[:-1] += np.einsum("ki,ij,kj->k", du, R, du)
-    return d
-
-
-def model_based_regret(d):
-    """Cumulative regret R, with R[k] the distance accumulated through k."""
-    return np.cumsum(np.asarray(d, dtype=float))
-
-
-def cost_difference_regret(traj_a, traj_b):
-    """Running sum of the realized cost difference (no disturbance credit).
-
-    May be negative at any point; its final element equals the difference
-    of the plain accumulated costs (gamma = 0).  A signed difference says
-    nothing about how far apart the trajectories are, which is why the
-    weighted-distance regret exists alongside it.
-    """
-    return np.cumsum(traj_a.step_cost - traj_b.step_cost)
-
-
-def regret_report(traj_a, traj_b, penalties, kind):
-    """Assemble the full report for one adaptive-vs-benchmark pair."""
-    d = stepwise_regret(traj_a, traj_b, penalties)
-    R = model_based_regret(d)
+    d = np.einsum("ki,ij,kj->k", dx, penalties.Q, dx)
+    d[:-1] += np.einsum("ki,ij,kj->k", du, penalties.R, du)
+    del dx, du  # freed before the running sums, so they add nothing to peak memory
+    R = np.cumsum(d)
     steps = np.arange(len(R), dtype=float)
     with np.errstate(divide="ignore", invalid="ignore"):
         r_over_t = np.where(steps > 0, R / steps, np.nan)
@@ -94,7 +76,7 @@ def regret_report(traj_a, traj_b, penalties, kind):
         d=d,
         R=R,
         R_over_T=r_over_t,
-        cost_diff=cost_difference_regret(traj_a, traj_b),
+        cost_diff=np.cumsum(traj_a.step_cost - traj_b.step_cost),
         kind=kind,
     )
 

@@ -71,8 +71,11 @@ def rollout(cfg, controller, disturbance=None):
 
     adaptive = isinstance(controller, MinimaxCertificate)
     if adaptive:
-        if controller.size != ms.size or controller.gains.shape[2] != n:
-            raise ValueError("certificate does not match the model set")
+        if controller.gains.shape != (ms.size, ms.m, n):
+            raise ValueError(
+                f"certificate gains must be ({ms.size}, {ms.m}, {n}) for this "
+                f"model set, got {controller.gains.shape}"
+            )
     else:
         controller = np.asarray(controller, dtype=float)
         if controller.shape != (ms.m, n):

@@ -91,3 +91,19 @@ def test_readme_library_example_runs(monkeypatch, capsys):
     monkeypatch.chdir(ROOT)
     exec(compile(block, "README.md", "exec"), {})
     assert capsys.readouterr().out.strip()
+
+
+def test_readme_public_surface_is_all():
+    """The README's by-module export list names exactly `minimaxctrl.__all__`."""
+    readme = (ROOT / "README.md").read_text()
+    bullets = readme.split("The public surface", 1)[1].split("\n\n", 2)[1]
+    listed = []
+    for module, names in re.findall(r"^- `(\w+)`: (.*?)(?=^- |\Z)", bullets,
+                                    re.M | re.S):
+        assert re.fullmatch(r"`\w+`(,\s+`\w+`)*\s*", names), module
+        for name in re.findall(r"`(\w+)`", names):
+            assert hasattr(importlib.import_module(f"minimaxctrl.{module}"),
+                           name), (module, name)
+            listed.append(name)
+    assert sorted(listed) == sorted(mc.__all__)
+    assert all(hasattr(mc, name) for name in mc.__all__)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import minimaxctrl as mc
-from minimaxctrl.disturbance import confusing_disturbance, emit, validate_spec
+from minimaxctrl.disturbance import emit, validate_spec
 
 
 def test_zero_emits_zero(models):
@@ -22,14 +22,13 @@ def test_confusing_identity(models):
     Ai, Bi = models.pair(i)
     x = np.array([1.0, -0.5, 2.0])
     u = np.array([0.7])
-    w = confusing_disturbance(models, j, i, x, u)
+    spec = validate_spec(mc.DisturbanceSpec(kind="confusing", target=i), models, j)
+    w = emit(spec, 0, x, u)
     x_next = Aj @ x + Bj @ u + w
     assert np.linalg.norm(x_next - (Ai @ x + Bi @ u)) <= 1e-12
 
 
 def test_confusing_needs_distinct_target(models):
-    with pytest.raises(ValueError):
-        confusing_disturbance(models, 2, 2, np.ones(3), np.zeros(1))
     with pytest.raises(ValueError):
         validate_spec(
             mc.DisturbanceSpec(kind="confusing", target=2), models, 2

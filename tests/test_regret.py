@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minimaxctrl as mc
-from minimaxctrl.regret import model_based_regret
 from minimaxctrl.simulate import Trajectory
 
 
@@ -24,11 +23,10 @@ def test_stepwise_regret_by_hand():
     p = mc.Penalties(Q=2.0 * np.eye(1), R=3.0 * np.eye(1))
     a = tiny_trajectory([[1.0], [2.0]], [[1.0]], [0.0, 0.0])
     b = tiny_trajectory([[1.0], [0.5]], [[0.0]], [0.0, 0.0])
-    d = mc.stepwise_regret(a, b, p)
+    report = mc.regret_report(a, b, p, "zero")
     # d_0 = 3 (du=1)^2 = 3; d_1 = 2 (dx=1.5)^2 = 4.5 (terminal, state only)
-    np.testing.assert_allclose(d, [3.0, 4.5])
-    R = model_based_regret(d)
-    np.testing.assert_allclose(R, [3.0, 7.5])
+    np.testing.assert_allclose(report.d, [3.0, 4.5])
+    np.testing.assert_allclose(report.R, [3.0, 7.5])
 
 
 def test_identical_trajectories_have_zero_regret(bench_cfg, certified):
@@ -70,7 +68,8 @@ def test_cost_difference_matches_accumulated(bench_cfg, certified,
     )
     traj_mm = mc.rollout(cfg, cert)
     traj_h = mc.rollout(cfg, benchmark_controller.K, disturbance=traj_mm.w)
-    series = mc.cost_difference_regret(traj_mm, traj_h)
+    series = mc.regret_report(traj_mm, traj_h, bench_cfg.penalties,
+                              "confusing").cost_diff
     assert series.shape == (101,)
     expected = mc.accumulated_cost(traj_mm, 0.0) - mc.accumulated_cost(traj_h, 0.0)
     assert series[-1] == pytest.approx(expected, rel=1e-9)
@@ -157,7 +156,7 @@ def test_stepwise_regret_checks_alignment(bench_cfg, certified):
     )
     traj_short = mc.rollout(short, cert)
     with pytest.raises(ValueError):
-        mc.stepwise_regret(traj, traj_short, p)
+        mc.regret_report(traj, traj_short, p, "zero")
 
 
 def test_mismatched_disturbances_rejected(bench_cfg, certified,
@@ -176,4 +175,4 @@ def test_mismatched_disturbances_rejected(bench_cfg, certified,
     traj_a = mc.rollout(cfg_a, cert)
     traj_b = mc.rollout(cfg_b, cert)
     with pytest.raises(ValueError):
-        mc.stepwise_regret(traj_a, traj_b, p)
+        mc.regret_report(traj_a, traj_b, p, "confusing")

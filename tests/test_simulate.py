@@ -1,10 +1,13 @@
 import csv
 import dataclasses
+import re
 
 import numpy as np
 import pytest
 
 import minimaxctrl as mc
+from minimaxctrl.disturbance import emit
+from minimaxctrl.simulate import Trajectory, write_trajectory_csv
 
 
 def scenario_cfg(bench_cfg, certified, spec):
@@ -82,6 +85,20 @@ def test_loop_mismatch_rejected(bench_cfg, certified, benchmark_controller):
         mc.rollout(cfg, benchmark_controller.K)
 
 
+@pytest.mark.parametrize("shape", [(4, 2, 3), (3, 1, 3), (4, 1, 2)],
+                         ids=["m", "F", "n"])
+def test_certificate_shape_checked(bench_cfg, certified, shape):
+    """A certificate for another set is rejected before the loop, naming both shapes."""
+    gamma_bar, _ = certified
+    F, _, n = shape
+    cert = mc.MinimaxCertificate(gamma_bar=gamma_bar, gains=np.zeros(shape),
+                                 P=np.zeros((F, F, n, n)))
+    cfg = scenario_cfg(bench_cfg, certified, mc.DisturbanceSpec(kind="zero"))
+    with pytest.raises(ValueError, match=re.escape(f"(4, 1, 3) for this model "
+                                                   f"set, got {shape}")):
+        mc.rollout(cfg, cert)
+
+
 def test_zero_horizon(bench_cfg, certified):
     _, cert = certified
     cfg = dataclasses.replace(
@@ -154,7 +171,7 @@ def test_trajectory_csv_layout(bench_cfg, certified, tmp_path):
                        mc.DisturbanceSpec(kind="confusing", target=3))
     traj = mc.rollout(cfg, cert)
     path = tmp_path / "traj.csv"
-    mc.write_trajectory_csv(traj, path)
+    write_trajectory_csv(traj, path)
     with open(path, newline="", encoding="utf-8") as fh:
         header, *rows = csv.reader(fh)
     assert header == ["k", "x_1", "x_2", "x_3", "u_1", "w_1", "w_2", "w_3",
@@ -172,7 +189,7 @@ def test_csv_newlines_are_unix(bench_cfg, certified, tmp_path):
     cfg = scenario_cfg(bench_cfg, certified, mc.DisturbanceSpec(kind="zero"))
     traj = mc.rollout(cfg, cert)
     path = tmp_path / "traj.csv"
-    mc.write_trajectory_csv(traj, path)
+    write_trajectory_csv(traj, path)
     raw = path.read_bytes()
     assert b"\r" not in raw
     assert raw.endswith(b"\n")
@@ -201,7 +218,7 @@ def reference_rollout(cfg, controller, disturbance=None):
         else:
             u[k] = -controller @ x[k]
         if disturbance is None:
-            w[k] = mc.emit(cfg.disturbance, k, x[k], u[k])
+            w[k] = emit(cfg.disturbance, k, x[k], u[k])
         else:
             w[k] = disturbance[k]
         x[k + 1] = A @ x[k] + B @ u[k] + w[k]
@@ -212,8 +229,8 @@ def reference_rollout(cfg, controller, disturbance=None):
             alpha_hist[k + 1] = alpha_hist[k] + np.sum(r * r, axis=1)
         step_cost[k] = x[k] @ Q @ x[k] + u[k] @ R @ u[k]
     step_cost[T] = x[T] @ Q @ x[T]
-    return mc.Trajectory(x=x, u=u, w=w, step_cost=step_cost,
-                         true_index=cfg.true_index, l=l, alpha_hist=alpha_hist)
+    return Trajectory(x=x, u=u, w=w, step_cost=step_cost,
+                      true_index=cfg.true_index, l=l, alpha_hist=alpha_hist)
 
 
 def assert_matches_reference(cfg, controller, disturbance=None):
