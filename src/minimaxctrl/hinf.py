@@ -9,7 +9,10 @@ for x+ = A x + B u + w.  Its value matrix solves the game Riccati equation
     M = Q + A' M Lambda^-1 A,    Lambda = I + G M,    G = B R^-1 B' - gamma^-2 I,
 
 which `solve_riccati` computes by structure-preserving doubling; at
-gamma = inf, G = B R^-1 B' and the same solver gives the LQR solution.  At
+gamma = inf, G = B R^-1 B' and the same solver gives the LQR solution.
+The doubling loop runs on a stack of models at one level
+(`_solve_stack`), so a certificate probe solves its F members in one
+stacked doubling; `solve_riccati` is that loop on a stack of one.  At
 a feasible level the solution is stabilizing with 0 < M < gamma^2 I, and
 the saddle-point strategies are u = -K x with K = R^-1 B' M Lambda^-1 A and
 w = L x with L = gamma^-2 M Lambda^-1 A.  The smallest feasible level is
@@ -18,7 +21,8 @@ found by `_level_search` (which also finds the certified level of
 actual closed-loop H-infinity norm on a grid.
 
 All functions are pure, memoise nothing and take matrices as 2-D arrays
-(a 1-D B is a shape error); `solve_riccati` and
+(a 1-D B is a shape error; only `_solve_stack` takes stacks of them);
+`solve_riccati` and
 `synthesize`-style entry points signal lack of a solution by returning
 `Infeasible` (falsy, carries the reason) rather than raising, since probing
 infeasible levels is the normal mode of bisection.
@@ -99,14 +103,40 @@ def _check_shapes(A, B, Q, R):
     return n, m
 
 
-def _pd_with_margin(S, margin):
-    """True if S - margin*I is positive definite (Cholesky test)."""
-    n = S.shape[0]
+def _stacked(linalg, *stacks):
+    """(out, failed): a numpy.linalg call on stacks of matrices, per member.
+
+    The stacked call raises LinAlgError if any member fails, so then the
+    members of a larger stack are redone one by one.  `out` stacks the
+    results of the members that passed (None if none did) and `failed`
+    lists the positions of the others.
+    """
     try:
-        np.linalg.cholesky(S - margin * np.eye(n))
-        return True
+        return linalg(*stacks), []
     except np.linalg.LinAlgError:
-        return False
+        if len(stacks[0]) == 1:
+            return None, [0]
+    out, failed = [], []
+    for k in range(len(stacks[0])):
+        try:
+            out.append(linalg(*(S[k] for S in stacks)))
+        except np.linalg.LinAlgError:
+            failed.append(k)
+    return (np.stack(out) if out else None), failed
+
+
+def _settle(results, failed, reason, members, *arrays):
+    """Give the members at the positions `failed` (a sequence of distinct
+    ints) the result Infeasible(reason); returns `members` and each of
+    `arrays` without those positions."""
+    for i in members[failed]:
+        results[i] = Infeasible(reason)
+    if len(failed) == len(members):
+        keep = slice(0)
+    else:
+        keep = np.ones(len(members), dtype=bool)
+        keep[failed] = False
+    return [x[keep] for x in (members, *arrays)]
 
 
 def solve_riccati(A, B, penalties, gamma):
@@ -142,68 +172,123 @@ def solve_riccati(A, B, penalties, gamma):
     ones suffices; but doubling can pass over escaping iterates and land
     on a non-stabilizing or indefinite solution, so the limit must also be
     positive definite with Lambda^-1 A (= A - B K + L) Schur stable.
+    The doubling itself is `_solve_stack`'s, run on a stack of one.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
+    return _solve_stack(A[None], B[None], penalties, gamma)[0]
+
+
+def _solve_stack(A, B, penalties, gamma):
+    """`solve_riccati` for k models at one level: A (k, n, n), B (k, n, m).
+
+    Returns a list of k results, entry i being exactly (bit for bit) what
+    solve_riccati(A[i], B[i], penalties, gamma) is: each numpy call of the
+    doubling runs once on the stack of members still iterating, and a
+    member leaves the stack at the doubling where it converges or fails,
+    so it sees the same iterates as when solved alone.  The checks of the
+    converged limits and the gains are stacked calls too.  Shapes are
+    checked on the first member (ValueError, as are gamma <= 0).
+    """
     Q, R = penalties.Q, penalties.R
-    n, _ = _check_shapes(A, B, Q, R)
+    n, _ = _check_shapes(A[0], B[0], Q, R)
     gamma = float(gamma)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
 
+    results = [None] * len(A)
     eye = np.eye(n)
+    margin = FEAS_MARGIN * eye
     ginv2 = gamma ** -2
-    G = B @ np.linalg.solve(R, B.T) - ginv2 * eye
+    G = B @ np.linalg.solve(R, B.swapaxes(1, 2)) - ginv2 * eye
 
-    Ak, Gk, M = A, G, Q
-    for it in range(1, RICCATI_BUDGET + 1):
-        if not _pd_with_margin(eye - ginv2 * M, FEAS_MARGIN):
-            return Infeasible(
-                f"I - gamma^-2 M lost positive definiteness at doubling {it - 1} "
-                f"(gamma={gamma:.6g})"
-            )
-        try:
-            X = np.linalg.solve(eye + Gk @ M, np.hstack([Ak, Gk]))
-        except np.linalg.LinAlgError:
-            return Infeasible(f"singular doubling step {it} (gamma={gamma:.6g})")
-        # an unstabilizable pair at gamma = inf overflows within ~10 doublings
-        with np.errstate(over="ignore", invalid="ignore"):
-            step = Ak.T @ M @ X[:, :n]
-            step = 0.5 * (step + step.T)
+    # live: the members still iterating; iters[i]: the doubling at which
+    # member i converged (0 if it has not), Mlim[i] its limit
+    live = np.arange(len(A))
+    iters = np.zeros(len(A), dtype=int)
+    Mlim = np.empty(A.shape)
+    Ak, Gk, M = A, G, Q[None].repeat(len(A), axis=0)
+    # an unstabilizable pair at gamma = inf overflows within ~10 doublings;
+    # overflow and NaN are left to the divergence test
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, RICCATI_BUDGET + 1):
+            _, failed = _stacked(np.linalg.cholesky, eye - ginv2 * M - margin)
+            if failed:
+                live, Ak, Gk, M = _settle(
+                    results, failed, "I - gamma^-2 M lost positive definiteness at "
+                    f"doubling {it - 1} (gamma={gamma:.6g})", live, Ak, Gk, M)
+                if not live.size:
+                    break
+            X, failed = _stacked(np.linalg.solve, eye + Gk @ M,
+                                 np.concatenate([Ak, Gk], axis=2))
+            if failed:
+                live, Ak, Gk, M = _settle(
+                    results, failed, f"singular doubling step {it} (gamma={gamma:.6g})",
+                    live, Ak, Gk, M)
+                if not live.size:
+                    break
+            X1 = X[..., :n]
+            AkT = Ak.swapaxes(1, 2)
+            step = AkT @ M @ X1
+            step = 0.5 * (step + step.swapaxes(1, 2))
             M = M + step
-            Gk = Gk + Ak @ X[:, n:] @ Ak.T
-            Gk = 0.5 * (Gk + Gk.T)
-            Ak = Ak @ X[:, :n]
-            delta = float(np.max(np.abs(step)))
-        if not np.isfinite(delta):
-            return Infeasible(
-                f"Riccati iterates diverged at doubling {it} (gamma={gamma:.6g})"
-            )
-        if delta <= RICCATI_TOL * max(1.0, float(np.max(np.abs(M)))):
-            break
-    else:
-        return Infeasible(
-            f"Riccati doubling did not converge in {RICCATI_BUDGET} steps "
-            f"(gamma={gamma:.6g})"
-        )
+            Gk = Gk + Ak @ X[..., n:] @ AkT
+            Gk = 0.5 * (Gk + Gk.swapaxes(1, 2))
+            Ak = Ak @ X1
+            # M was finite, so a NaN in M comes with a NaN delta and an
+            # infinite entry makes tol infinite: delta > tol holds exactly
+            # for the members that neither diverged nor converged
+            delta = np.abs(step).max(axis=(1, 2))
+            tol = RICCATI_TOL * np.abs(M).max(axis=(1, 2), initial=1.0)
+            if (delta > tol).all():
+                continue
+            finite = np.isfinite(delta)
+            if not finite.all():
+                live, Ak, Gk, M, delta, tol = _settle(
+                    results, np.flatnonzero(~finite), "Riccati iterates diverged at doubling "
+                    f"{it} (gamma={gamma:.6g})", live, Ak, Gk, M, delta, tol)
+                if not live.size:
+                    break
+            converged = delta <= tol
+            if converged.all():
+                Mlim[live], iters[live] = M, it
+                break
+            if converged.any():
+                Mlim[live[converged]], iters[live[converged]] = M[converged], it
+                keep = ~converged
+                live, Ak, Gk, M = live[keep], Ak[keep], Gk[keep], M[keep]
+        else:
+            for i in live:
+                results[i] = Infeasible(f"Riccati doubling did not converge in "
+                                        f"{RICCATI_BUDGET} steps (gamma={gamma:.6g})")
 
-    if not _pd_with_margin(eye - ginv2 * M, FEAS_MARGIN):
-        return Infeasible(
-            f"converged M violates M < gamma^2 I (gamma={gamma:.6g})"
-        )
-    if not _pd_with_margin(M, 0.0):
-        return Infeasible(
-            f"converged M is not positive definite (gamma={gamma:.6g})"
-        )
-    X = np.linalg.solve(eye + G @ M, A)
-    if float(np.max(np.abs(np.linalg.eigvals(X)))) >= 1.0:
-        return Infeasible(
-            f"converged M is not stabilizing (gamma={gamma:.6g})"
-        )
-    MX = M @ X
-    K = np.linalg.solve(R, B.T @ MX)
-    L = ginv2 * MX
-    return HinfSolution(M=M, K=K, L=L, gamma=gamma, iterations=it)
+        # the converged limits, checked and turned into gains
+        idx = np.flatnonzero(iters)
+        if not idx.size:
+            return results
+        M = Mlim
+        if idx.size < len(A):
+            A, B, G, M = A[idx], B[idx], G[idx], M[idx]
+        _, failed = _stacked(np.linalg.cholesky, eye - ginv2 * M - margin)
+        if failed:
+            idx, A, B, G, M = _settle(results, failed, "converged M violates "
+                                      f"M < gamma^2 I (gamma={gamma:.6g})", idx, A, B, G, M)
+        _, failed = _stacked(np.linalg.cholesky, M)
+        if failed:
+            idx, A, B, G, M = _settle(results, failed, "converged M is not positive "
+                                      f"definite (gamma={gamma:.6g})", idx, A, B, G, M)
+        X = np.linalg.solve(eye + G @ M, A)
+        failed = np.flatnonzero(np.abs(np.linalg.eigvals(X)).max(axis=1) >= 1.0)
+        if failed.size:
+            idx, B, M, X = _settle(results, failed, "converged M is not stabilizing "
+                                   f"(gamma={gamma:.6g})", idx, B, M, X)
+        MX = M @ X
+        K = np.linalg.solve(R, B.swapaxes(1, 2) @ MX)
+        L = ginv2 * MX
+    for j, i in enumerate(idx):
+        results[i] = HinfSolution(M=M[j], K=K[j], L=L[j], gamma=gamma,
+                                  iterations=int(iters[i]))
+    return results
 
 
 def _level_search(probe, Q, rel_tol):
@@ -211,13 +296,19 @@ def _level_search(probe, Q, rel_tol):
 
     probe(level) returns a truthy result or a falsy one with a `reason`.
     lo = sqrt(max eig Q) is never probed: below it no M >= Q has
-    M < level^2 I.  hi starts at max(2 lo, 1) and doubles until accepted,
-    the last probe being exactly GAMMA_MAX, then [lo, hi] is bisected to
-    hi - lo <= rel_tol * hi.  Returns (level, result) at the accepted end;
-    raises BracketError with the last reason if GAMMA_MAX is rejected.
+    M < level^2 I.  hi starts at max(2 lo, 1), clamped to GAMMA_MAX, and
+    doubles until accepted, the last probe being exactly GAMMA_MAX, then
+    [lo, hi] is bisected to hi - lo <= rel_tol * hi.  Returns (level,
+    result) at the accepted end; raises BracketError with the last reason
+    if GAMMA_MAX is rejected, and without probing if lo >= GAMMA_MAX.
     """
     lo = float(np.sqrt(np.max(np.linalg.eigvalsh(Q))))
-    hi = max(2.0 * lo, 1.0)
+    if lo >= GAMMA_MAX:
+        raise BracketError(
+            f"no feasible level up to {GAMMA_MAX:.3g}: sqrt(max eig Q) = "
+            f"{lo:.6g} is not below it"
+        )
+    hi = min(max(2.0 * lo, 1.0), GAMMA_MAX)
     while not (result := probe(hi)):
         if hi >= GAMMA_MAX:
             raise BracketError(

@@ -15,7 +15,8 @@ set generates the data and no matter the disturbance.
 `verify_certificate` checks the full F^3 triple family by eigenvalue
 bounds.  `synthesize_certificate` builds a candidate in closed form,
 without an SDP solver.  The gains K_l and the matrices M_l come from the
-per-model H-infinity designs at the requested level, and each block is the
+per-model H-infinity designs at the requested level, solved for all F
+members as one stacked doubling (`hinf._solve_stack`), and each block is the
 inequality taken with equality at j = i, the one instance whose S- term
 vanishes:
 
@@ -45,7 +46,7 @@ import numpy as np
 
 from .fileio import (ConfigError, atomic_write_text, integer, numeric,
                      read_json_object)
-from .hinf import Infeasible, _level_search, checked_level, solve_riccati
+from .hinf import Infeasible, _level_search, _solve_stack, checked_level
 
 VERIFY_TOL = 1e-8
 GAMMA_BAR_REL_TOL = 1e-4
@@ -109,13 +110,18 @@ def _closed_loops(ms, penalties, K):
     return Abar, C
 
 
-def _check_cert_invariants(cert, ms):
-    F, n, m = ms.size, ms.n, ms.m
-    if cert.gains.shape != (F, m, n):
+def check_gains_shape(cert, ms):
+    """ValueError unless the certificate's gains are (F, m, n) for model set ms."""
+    shape = (ms.size, ms.m, ms.n)
+    if cert.gains.shape != shape:
         raise ValueError(
-            f"certificate gains are {cert.gains.shape}, model set needs "
-            f"({F}, {m}, {n})"
+            f"certificate gains must be {shape} for this model set, "
+            f"got {cert.gains.shape}"
         )
+
+
+def _check_cert_invariants(cert, ms):
+    check_gains_shape(cert, ms)
     pair_gap = float(np.max(np.abs(cert.P - cert.P.transpose(1, 0, 2, 3))))
     sym_gap = float(np.max(np.abs(cert.P - cert.P.transpose(0, 1, 3, 2))))
     if max(pair_gap, sym_gap) > PAIR_SYM_TOL:
@@ -180,22 +186,19 @@ def synthesize_certificate(ms, penalties, gamma):
     """Attempt a certificate at level gamma (see module docstring).
 
     Returns the certificate, or Infeasible with the failing stage: a model
-    without an H-infinity design at gamma, a family outside
-    0 < P < gamma^2 I, or a family that the full triple verification
-    rejects.
+    without an H-infinity design at gamma (the lowest-index one), a family
+    outside 0 < P < gamma^2 I, or a family that the full triple
+    verification rejects.
     """
     gamma = float(gamma)
     F, n = ms.size, ms.n
-    designs = []
-    for l in range(1, F + 1):
-        A, B = ms.pair(l)
-        sol = solve_riccati(A, B, penalties, gamma)
+    designs = _solve_stack(ms.A, ms.B, penalties, gamma)
+    for l, sol in enumerate(designs, start=1):
         if not sol:
             return Infeasible(
                 f"model {l} has no H-infinity design at gamma={gamma:.6g}: "
                 f"{sol.reason}"
             )
-        designs.append(sol)
     K = np.stack([sol.K for sol in designs])
     M = np.stack([sol.M for sol in designs])
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import disturbance as _dist
 from .fileio import write_csv
-from .minimax_cert import MinimaxCertificate
+from .minimax_cert import MinimaxCertificate, check_gains_shape
 from .policies import hinf_step, minimax_step, update_residuals
 
 DIVERGENCE_LIMIT = 1e12
@@ -46,7 +46,6 @@ class Trajectory:
     u: np.ndarray
     w: np.ndarray
     step_cost: np.ndarray
-    true_index: int
     l: np.ndarray | None = None
     alpha_hist: np.ndarray | None = None
 
@@ -71,11 +70,7 @@ def rollout(cfg, controller, disturbance=None):
 
     adaptive = isinstance(controller, MinimaxCertificate)
     if adaptive:
-        if controller.gains.shape != (ms.size, ms.m, n):
-            raise ValueError(
-                f"certificate gains must be ({ms.size}, {ms.m}, {n}) for this "
-                f"model set, got {controller.gains.shape}"
-            )
+        check_gains_shape(controller, ms)
     else:
         controller = np.asarray(controller, dtype=float)
         if controller.shape != (ms.m, n):
@@ -140,8 +135,8 @@ def rollout(cfg, controller, disturbance=None):
     step_cost = (x[:, None] @ Q @ x[:, :, None])[:, 0, 0]
     step_cost[:T] += (u[:, None] @ R @ u[:, :, None])[:, 0, 0]
 
-    return Trajectory(x=x, u=u, w=w, step_cost=step_cost,
-                      true_index=cfg.true_index, l=l, alpha_hist=alpha_hist)
+    return Trajectory(x=x, u=u, w=w, step_cost=step_cost, l=l,
+                      alpha_hist=alpha_hist)
 
 
 def accumulated_cost(traj, gamma):

@@ -207,14 +207,14 @@ def test_criterion_08_oracle_equivalences(models, penalties):
     )
 
 
-def test_criterion_09_residual_identity(scenarios):
+def test_criterion_09_residual_identity(bench_cfg, scenarios):
     worst = 0.0
     for s in scenarios.values():
         traj = s["traj_mm"]
         w_energy = np.concatenate(
             [[0.0], np.cumsum(np.sum(traj.w ** 2, axis=1))]
         )
-        alpha_true = traj.alpha_hist[:, traj.true_index - 1]
+        alpha_true = traj.alpha_hist[:, bench_cfg.true_index - 1]
         worst = max(worst, float(np.max(np.abs(alpha_true - w_energy))))
     ok = worst <= 1e-10
     report(9, ok, f"max |alpha_j(k) - sum w energy| = {worst:.2e} (<=1e-10)")

@@ -191,6 +191,21 @@ def test_gamma_outside_level_range_is_input_error(tmp_path, monkeypatch,
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("command", ["synth-hinf", "synth-minimax"])
+def test_no_level_below_gamma_max_is_infeasible(tmp_path, capsys, command):
+    """Q = 1e12 puts sqrt(max eig Q) at GAMMA_MAX: no level is left to search,
+    so neither search may report one above it."""
+    doc = {"models": [{"A": [[0.5]], "B": [[1.0]]}, {"A": [[-0.4]], "B": [[0.8]]}],
+           "penalties": {"Q": [[1e12]], "R": [[1.0]]},
+           "experiment": {"true_index": 1, "horizon": 10, "gamma": 1.0}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert run([command, str(path), "--out-dir", str(out)]) == 1
+    assert "no feasible level up to 1e+06" in capsys.readouterr().err
+    assert not out.exists() or list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("argv", [
     ["reproduce", CFG, "--scenario", "fig1"],
     ["synth-minimax", CFG],

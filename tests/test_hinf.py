@@ -250,3 +250,159 @@ def test_one_dimensional_b_is_a_shape_error(models, penalties):
     A, B = models.pair(1)
     with pytest.raises(ValueError, match="B must be"):
         mc.solve_riccati(A, B[:, 0], penalties, 10.0)
+
+
+def test_level_search_first_probe_is_clamped_to_gamma_max():
+    probe = Probe(threshold=0.8 * hinf.GAMMA_MAX)
+    lo = 0.7 * hinf.GAMMA_MAX
+    level, _ = hinf._level_search(probe, np.array([[lo ** 2]]), 1e-4)
+    assert probe.levels[0] == hinf.GAMMA_MAX  # not 2 lo
+    assert all(lo < g <= hinf.GAMMA_MAX for g in probe.levels)
+    assert 0.8 * hinf.GAMMA_MAX <= level <= hinf.GAMMA_MAX
+
+
+def test_level_search_with_lo_at_gamma_max_probes_nothing():
+    probe = Probe(threshold=0.0)
+    with pytest.raises(mc.BracketError, match="is not below it"):
+        hinf._level_search(probe, np.array([[hinf.GAMMA_MAX ** 2]]), 1e-4)
+    assert probe.levels == []
+
+
+def stack_of(pairs):
+    return (np.stack([A for A, _ in pairs]), np.stack([B for _, B in pairs]))
+
+
+def doubling_reference(A, B, penalties, gamma):
+    """The doubling for one model in 2-D arrays, as `solve_riccati` ran
+    before it took stacks: the reference for bit-for-bit equality.
+
+    Returns (M, K, L, iterations) as bytes and int, or the failure reason
+    without its level.
+    """
+    Q, R = penalties.Q, penalties.R
+    n = A.shape[0]
+    eye = np.eye(n)
+    ginv2 = gamma ** -2
+
+    def pd(S, margin):
+        try:
+            np.linalg.cholesky(S - margin * eye)
+            return True
+        except np.linalg.LinAlgError:
+            return False
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        G = B @ np.linalg.solve(R, B.T) - ginv2 * eye
+        Ak, Gk, M = A, G, Q
+        for it in range(1, hinf.RICCATI_BUDGET + 1):
+            if not pd(eye - ginv2 * M, hinf.FEAS_MARGIN):
+                return f"I - gamma^-2 M lost positive definiteness at doubling {it - 1}"
+            X = np.linalg.solve(eye + Gk @ M, np.hstack([Ak, Gk]))
+            step = Ak.T @ M @ X[:, :n]
+            step = 0.5 * (step + step.T)
+            M = M + step
+            Gk = Gk + Ak @ X[:, n:] @ Ak.T
+            Gk = 0.5 * (Gk + Gk.T)
+            Ak = Ak @ X[:, :n]
+            delta = float(np.max(np.abs(step)))
+            if not np.isfinite(delta):
+                return f"Riccati iterates diverged at doubling {it}"
+            if delta <= hinf.RICCATI_TOL * max(1.0, float(np.max(np.abs(M)))):
+                break
+        else:
+            return f"Riccati doubling did not converge in {hinf.RICCATI_BUDGET} steps"
+        if not pd(eye - ginv2 * M, hinf.FEAS_MARGIN):
+            return "converged M violates M < gamma^2 I"
+        if not pd(M, 0.0):
+            return "converged M is not positive definite"
+        X = np.linalg.solve(eye + G @ M, A)
+        if float(np.max(np.abs(np.linalg.eigvals(X)))) >= 1.0:
+            return "converged M is not stabilizing"
+        MX = M @ X
+        K = np.linalg.solve(R, B.T @ MX)
+        return M.tobytes(), K.tobytes(), (ginv2 * MX).tobytes(), it
+
+
+def as_reference(result):
+    """A solve's result in `doubling_reference`'s terms."""
+    if not result:
+        return result.reason.split(" (gamma")[0]
+    return (result.M.tobytes(), result.K.tobytes(), result.L.tobytes(),
+            result.iterations)
+
+
+def assert_stack_matches_members(A, B, penalties, gamma):
+    """Each entry of the stacked solve is, bit for bit, the member's own
+    solve and the 2-D reference's result."""
+    stack = hinf._solve_stack(A, B, penalties, gamma)
+    assert len(stack) == len(A)
+    for i, got in enumerate(stack):
+        ref = mc.solve_riccati(A[i], B[i], penalties, gamma)
+        assert type(got) is type(ref), (gamma, i)
+        if not ref:
+            assert got.reason == ref.reason
+        assert as_reference(got) == as_reference(ref) \
+            == doubling_reference(A[i], B[i], penalties, gamma), (gamma, i)
+    return stack
+
+
+def verdict(result):
+    """'ok after k doublings' or the failure reason without the level."""
+    if result:
+        return f"ok after {result.iterations} doublings"
+    return result.reason.split(" (gamma")[0]
+
+
+@pytest.mark.parametrize("draw", [None, (1001, 2, 1, 8), (1009, 4, 2, 8)],
+                         ids=["shipped", "draw1001", "draw1009"])
+def test_stacked_solve_matches_member_solves(models, penalties, draw):
+    if draw is None:
+        A, B, p = models.A, models.B, penalties
+    else:
+        seed, n, m, F = draw
+        A, B = stack_of(seeded_model_set(seed, n, m, F))
+        p = mc.Penalties(Q=np.eye(n), R=np.eye(m))
+    split = 0
+    for g in np.geomspace(1.0001, hinf.GAMMA_MAX, 40):
+        results = assert_stack_matches_members(A, B, p, g)
+        split += len({verdict(r) for r in results}) > 1
+    assert split >= 2  # members leave the stack at different doublings
+
+
+def test_stacked_solve_with_members_leaving_at_different_doublings():
+    """Members converge after 7, 8 and 9 doublings while others lose
+    I - gamma^-2 M > 0 at doublings 3, 5 and 44, exhaust the budget or
+    converge to an indefinite M; at gamma = inf one diverges."""
+    pairs = seeded_model_set(1006, 4, 1, 5)
+    A, B = stack_of(pairs)
+    p = mc.Penalties(Q=np.eye(4), R=np.eye(1))
+    seen = set()
+    for g in (8.0, 16.0, 20.0):
+        seen |= {verdict(r) for r in assert_stack_matches_members(A, B, p, g)}
+    lost = "I - gamma^-2 M lost positive definiteness at doubling"
+    assert seen == {
+        "ok after 7 doublings", "ok after 8 doublings", "ok after 9 doublings",
+        f"{lost} 3", f"{lost} 5", f"{lost} 44",
+        "Riccati doubling did not converge in 64 steps",
+        "converged M is not positive definite",
+    }
+
+    A, B = stack_of(pairs[:2] + [(2.0 * np.eye(4), np.zeros((4, 1)))] + pairs[2:])
+    results = assert_stack_matches_members(A, B, p, np.inf)
+    assert [bool(r) for r in results] == [True, True, False, True, True, True]
+    assert results[2].reason.startswith("Riccati iterates diverged")
+
+
+def test_stacked_linalg_retests_members_one_by_one():
+    """A failing member makes the stacked numpy call raise; the fallback
+    finds exactly the failing positions and solves the others alike."""
+    S = np.stack([np.eye(2), -np.eye(2), np.diag([1.0, 0.0]), 2.0 * np.eye(2)])
+    assert hinf._stacked(np.linalg.cholesky, S)[1] == [1, 2]
+    assert hinf._stacked(np.linalg.cholesky, S[:1])[1] == []
+    assert hinf._stacked(np.linalg.cholesky, S[1:2]) == (None, [0])
+    rhs = np.arange(16.0).reshape(4, 2, 2)
+    X, failed = hinf._stacked(np.linalg.solve, S, rhs)
+    assert failed == [2]
+    for row, k in zip(X, (0, 1, 3)):
+        assert row.tobytes() == np.linalg.solve(S[k], rhs[k]).tobytes()
+    assert hinf._stacked(np.linalg.solve, S[2:3], rhs[2:3]) == (None, [0])

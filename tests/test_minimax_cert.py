@@ -114,6 +114,7 @@ def test_duplicated_model_matches_single(models, penalties):
 GAMMA_STAR_PIN = [2.000476837158203, 9.437843322753906,
                   2.9125823974609375, 2.83526611328125]
 GAMMA_BAR_PIN = 143.15347290039062
+DRAW_1001_GAMMA_BAR_PIN = 157808.3980102539
 
 
 def test_benchmark_levels_are_pinned(gamma_stars, certified):
@@ -196,7 +197,8 @@ def test_perturbed_eight_model_set_certifies():
 
     Its P entries reach 1.2e4 while VERIFY_TOL is an absolute 1e-8, so the
     family passes only if P carries almost no rounding residue (worst slack
-    about -3.3e-11 at gamma_bar = 157808.40).
+    about -3.3e-11).  Its level is pinned bit for bit like the shipped
+    set's: F = 8 members whose probes split into mixed verdicts.
     """
     rng = np.random.default_rng(1001)
     X = rng.uniform(0.0, 1.0, (2, 2))
@@ -206,5 +208,6 @@ def test_perturbed_eight_model_set_certifies():
     ms = mc.ModelSet.from_pairs(pairs)
     p = mc.Penalties(Q=np.eye(2), R=np.eye(1))
     gamma_bar, cert = mc.minimal_feasible_gamma(ms, p)
+    assert gamma_bar == DRAW_1001_GAMMA_BAR_PIN
     assert cert.gamma_bar == gamma_bar
     assert mc.verify_certificate(ms, p, cert).feasible

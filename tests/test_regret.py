@@ -14,7 +14,7 @@ def tiny_trajectory(x_rows, u_rows, step_costs):
     T = u.shape[0]
     return Trajectory(
         x=x, u=u, w=np.zeros((T, x.shape[1])),
-        step_cost=np.asarray(step_costs, dtype=float), true_index=1,
+        step_cost=np.asarray(step_costs, dtype=float),
     )
 
 

@@ -29,7 +29,6 @@ def test_adaptive_rollout_shapes(bench_cfg, certified):
     assert traj.step_cost.shape == (T + 1,)
     assert traj.l.shape == (T,)
     assert traj.alpha_hist.shape == (T + 1, 4)
-    assert traj.true_index == 2
     assert traj.horizon == T
 
 
@@ -229,8 +228,8 @@ def reference_rollout(cfg, controller, disturbance=None):
             alpha_hist[k + 1] = alpha_hist[k] + np.sum(r * r, axis=1)
         step_cost[k] = x[k] @ Q @ x[k] + u[k] @ R @ u[k]
     step_cost[T] = x[T] @ Q @ x[T]
-    return Trajectory(x=x, u=u, w=w, step_cost=step_cost,
-                      true_index=cfg.true_index, l=l, alpha_hist=alpha_hist)
+    return Trajectory(x=x, u=u, w=w, step_cost=step_cost, l=l,
+                      alpha_hist=alpha_hist)
 
 
 def assert_matches_reference(cfg, controller, disturbance=None):
