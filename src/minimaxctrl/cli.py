@@ -68,13 +68,14 @@ def cmd_synth_hinf(args):
     for i in indices:
         A, B = ms.pair(i)
         if args.gamma is not None:
-            sol = solve_riccati(A, B, p, checked_level(args.gamma, "--gamma"))
+            gamma = checked_level(args.gamma, "--gamma")
+            sol = solve_riccati(A, B, p, gamma)
             if not sol:
                 print(f"model {i} infeasible at gamma={args.gamma:g}: {sol.reason}",
                       file=sys.stderr)
                 return EXIT_INFEASIBLE
-            print(f"model {i}: gamma={sol.gamma:.6g}  K={sol.K.tolist()}")
-            entries.append({"model": i, "gamma": sol.gamma, "M": sol.M.tolist(),
+            print(f"model {i}: gamma={gamma:.6g}  K={sol.K.tolist()}")
+            entries.append({"model": i, "gamma": gamma, "M": sol.M.tolist(),
                             "K": sol.K.tolist(), "L": sol.L.tolist()})
         else:
             gs = optimal_attenuation(A, B, p)

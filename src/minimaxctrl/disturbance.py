@@ -1,4 +1,4 @@
-"""Disturbance strategies the experiments throw at the controllers.
+"""Disturbance laws the experiments throw at the controllers.
 
 Implemented kinds:
 
@@ -11,6 +11,7 @@ Implemented kinds:
   the truth: w_k = (A_i - A_j) x_k + (B_i - B_j) u_k for target i, true j.
 * ``external``        -- a supplied (steps, n) sequence, replayed in order.
 
+A `DisturbanceSpec` is plain data; `emit` resolves it for one rollout.
 Each kind fixes its *generating loop* (which controller's closed loop
 produces the recorded sequence): the worst-case policy is generated along
 the H-infinity loop, the confusing one along the adaptive loop;
@@ -19,7 +20,7 @@ replayed verbatim on the other controller so both see the same inputs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -38,12 +39,7 @@ KINDS = {
 
 @dataclass(eq=False)
 class DisturbanceSpec:
-    """One disturbance strategy plus the context it needs at emit time.
-
-    Only the fields relevant to `kind` are used.  `model_set` and
-    `true_index` are runtime context, set on the copy that `validate_spec`
-    binds to an experiment.
-    """
+    """One disturbance law as plain data; only the fields of `kind` are used."""
 
     kind: str
     amplitude: float = 1.0
@@ -53,8 +49,6 @@ class DisturbanceSpec:
     target: int = None
     sequence: np.ndarray = None
     L: np.ndarray = None
-    model_set: object = field(default=None, repr=False)
-    true_index: int = field(default=None, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.kind, str) or self.kind not in KINDS:
@@ -67,12 +61,14 @@ class DisturbanceSpec:
 
 
 def peak_sinusoid_spec(A, B, K, penalties):
-    """Unit sinusoid at the closed loop's worst frequency.
+    """Unit cosine at the closed loop's worst frequency.
 
     Scans the weighted closed-loop frequency response for u = -Kx (A, B
     and K as 2-D arrays, see `hinf.closed_loop_scan`), places a
-    unit-amplitude, zero-phase sinusoid at the peak frequency, and points it
-    along the right singular vector of the response there.  The singular
+    unit-amplitude sinusoid of phase pi/2 (a cosine) at the peak frequency,
+    and points it along the right singular vector of the response there.
+    The phase keeps every sample at unit norm when the peak is at omega = 0
+    or pi, where a zero-phase sine vanishes on the integers.  The singular
     vector is complex in general; it is made real by rotating its largest
     entry to the positive real axis, taking the real part, and
     renormalizing.
@@ -86,38 +82,41 @@ def peak_sinusoid_spec(A, B, K, penalties):
     d = np.real(v)
     d = d / np.linalg.norm(d)
     return DisturbanceSpec(kind="sinusoid", amplitude=1.0,
-                           omega=scan.peak_omega, phase=0.0, direction=d)
+                           omega=scan.peak_omega, phase=np.pi / 2, direction=d)
 
 
-def emit(spec, k, x_k, u_k):
-    """Evaluate a bound strategy at step k; x_k (n,) and u_k (m,) are float arrays."""
-    if spec.kind == "zero":
-        return np.zeros(np.asarray(x_k).shape[0])
-    if spec.kind == "hinf_worst_case":
-        return spec.L @ x_k
+def emit(cfg):
+    """Resolve a validated ExperimentConfig's disturbance for one rollout.
+
+    Returns (w, law): w is a new (T, n) array of the open-loop samples
+    (zeros for a feedback kind), and law is None or, for a feedback kind,
+    the function (x_k, u_k) -> w_k that the rollout evaluates at each step.
+    """
+    spec, ms, T = cfg.disturbance, cfg.model_set, cfg.horizon
     if spec.kind == "sinusoid":
-        return (spec.amplitude * np.sin(spec.omega * k + spec.phase)
-                * spec.direction)
+        wave = spec.amplitude * np.sin(spec.omega * np.arange(T) + spec.phase)
+        return np.outer(wave, spec.direction), None
+    if spec.kind == "external":
+        return spec.sequence[:T].copy(), None
+    w = np.zeros((T, ms.n))
+    if spec.kind == "hinf_worst_case":
+        L = spec.L
+        return w, lambda x_k, u_k: L @ x_k
     if spec.kind == "confusing":
-        if spec.model_set is None or spec.true_index is None:
-            raise ValueError("confusing spec is not bound to an experiment "
-                             "(missing model set / true index)")
-        Aj, Bj = spec.model_set.pair(spec.true_index)
-        Ai, Bi = spec.model_set.pair(spec.target)
-        return (Ai - Aj) @ x_k + (Bi - Bj) @ u_k
-    if k >= spec.sequence.shape[0]:  # external
-        raise ValueError(f"external sequence exhausted at step {k}")
-    return spec.sequence[k]
+        (Aj, Bj), (Ai, Bi) = ms.pair(cfg.true_index), ms.pair(spec.target)
+        dA, dB = Ai - Aj, Bi - Bj
+        return w, lambda x_k, u_k: dA @ x_k + dB @ u_k
+    return w, None
 
 
 def validate_spec(spec, ms, true_index):
-    """Check a spec against an experiment; return a bound, normalized copy.
+    """Check a spec against an experiment; return a normalized copy.
 
     The copy passes the kind-specific checks (finite entries, unit
     direction, valid confusing target, a (steps, n) sequence, an n x n
-    worst-case gain L) and carries the model set and true index that
-    `emit` needs for the confusing kind; `spec` itself is not modified, so
-    one spec can serve several experiments.  Raises ConfigError.
+    worst-case gain L).  Nothing about the experiment is stored in it, and
+    `spec` itself is not modified, so one spec can serve several
+    experiments.  Raises ConfigError.
     """
     spec = replace(spec)
     n = ms.n
@@ -146,8 +145,6 @@ def validate_spec(spec, ms, true_index):
             raise ConfigError(f"confusing target {spec.target} outside 1..{ms.size}")
         if spec.target == true_index:
             raise ConfigError("confusing target must differ from the true model index")
-        spec.model_set = ms
-        spec.true_index = true_index
     elif spec.kind == "external":
         spec.sequence = numeric(spec.sequence, "external sequence")
         if spec.sequence.ndim != 2 or spec.sequence.shape[1] != n:
@@ -163,4 +160,3 @@ def validate_spec(spec, ms, true_index):
         if spec.L.shape != (n, n):
             raise ConfigError(f"L gain must be {n}x{n}, got {spec.L.shape}")
     return spec
-

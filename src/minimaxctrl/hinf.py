@@ -69,7 +69,6 @@ class HinfSolution:
         Control gain, u = -K x.
     L : (n, n) ndarray
         Worst-case disturbance gain, w = L x (zero at gamma = inf).
-    gamma : float
     iterations : int
         Doubling steps used.
     """
@@ -77,7 +76,6 @@ class HinfSolution:
     M: np.ndarray
     K: np.ndarray
     L: np.ndarray
-    gamma: float
     iterations: int
 
 
@@ -286,8 +284,7 @@ def _solve_stack(A, B, penalties, gamma):
         K = np.linalg.solve(R, B.swapaxes(1, 2) @ MX)
         L = ginv2 * MX
     for j, i in enumerate(idx):
-        results[i] = HinfSolution(M=M[j], K=K[j], L=L[j], gamma=gamma,
-                                  iterations=int(iters[i]))
+        results[i] = HinfSolution(M=M[j], K=K[j], L=L[j], iterations=int(iters[i]))
     return results
 
 

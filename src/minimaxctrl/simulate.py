@@ -7,7 +7,8 @@ recorded sequence, which `rollout` accepts in place of the config's spec.
 This keeps comparisons honest: both controllers see the same w, not the
 same disturbance law.
 
-The time loop computes only what feeds the next step: the input, the
+A replayed sequence and an open-loop law fill w before the time loop,
+which computes only what feeds the next step: the input, a feedback
 disturbance, the successor state and the residuals.  Step costs are
 computed after the loop, in one stacked product.  A rollout diverges at
 the first state whose squared norm is above DIVERGENCE_LIMIT**2 or that is
@@ -59,10 +60,11 @@ def rollout(cfg, controller, disturbance=None):
 
     controller: a MinimaxCertificate (adaptive switching) or an (m, n) gain
     matrix K for fixed feedback u = -K x.  disturbance: None to generate the
-    sequence from cfg's spec, or a recorded (T, n) array to replay.
-    The step costs are computed after the loop.  Raises DivergedRollout at
-    the first state whose squared norm is above DIVERGENCE_LIMIT**2 or that
-    has a non-finite entry (an overflow included).
+    sequence from cfg's spec (resolved once, by `disturbance.emit`), or a
+    recorded (T, n) array to replay.  The step costs are computed after
+    the loop.  Raises DivergedRollout at the first state whose squared norm
+    is above DIVERGENCE_LIMIT**2 or that has a non-finite entry (an
+    overflow included).
     """
     ms = cfg.model_set
     T, n = cfg.horizon, ms.n
@@ -78,23 +80,22 @@ def rollout(cfg, controller, disturbance=None):
                 f"gain must be ({ms.m}, {n}), got {controller.shape}"
             )
 
-    spec = cfg.disturbance
-    replay = disturbance is not None
-    if replay:
-        w = np.array(disturbance, dtype=float)  # a copy, never the caller's array
-        if w.shape != (T, n):
-            raise ValueError(
-                f"recorded disturbance must be ({T}, {n}), got {w.shape}"
-            )
-    else:
-        loop = "minimax" if adaptive else "hinf"
+    if disturbance is None:
+        spec, loop = cfg.disturbance, "minimax" if adaptive else "hinf"
         if spec.generating_loop not in ("open", loop):
             raise ValueError(
                 f"disturbance '{spec.kind}' is generated along the "
                 f"'{spec.generating_loop}' loop; record it there and replay "
                 f"the sequence against this controller"
             )
-        w = np.zeros((T, n))
+        w, law = _dist.emit(cfg)
+    else:
+        # a copy, never the caller's array
+        w, law = np.array(disturbance, dtype=float), None
+        if w.shape != (T, n):
+            raise ValueError(
+                f"recorded disturbance must be ({T}, {n}), got {w.shape}"
+            )
 
     x = np.zeros((T + 1, n))
     u = np.zeros((T, ms.m))
@@ -116,8 +117,8 @@ def rollout(cfg, controller, disturbance=None):
                 uk, l[k] = minimax_step(controller, alpha, xk)
             else:
                 uk = hinf_step(controller, xk)
-            if not replay:
-                w[k] = _dist.emit(spec, k, xk, uk)
+            if law is not None:
+                w[k] = law(xk, uk)
             xn = A @ xk + B @ uk + w[k]
             if not xn @ xn <= limit_sq:
                 raise DivergedRollout(

@@ -138,37 +138,48 @@ def test_non_integer_input_is_rejected_at_load(tmp_path, monkeypatch, where, val
     assert_rejected_at_load(tmp_path, monkeypatch, where, value)
 
 
-@pytest.mark.parametrize("where, value", [
-    (("P", 4, "i"), None),
-    (("P", 4, "i"), 2.7),
-    (("P", 4, "i"), "2"),
-    (("P", 4, "j"), 2.7),
-    (("P", 4, "j"), "2"),
-    (("gamma_bar",), float("nan")),
-    (("gamma_bar",), True),
-    (("gamma_bar",), -143.16),
-    (("gamma_bar",), 0),
-    (("gamma_bar",), 1e200),
-    (("P", 4, "rows", 1, 0), float("nan")),
-    (("gains", 2, 0, 1), float("nan")),
-    (("gains",), "2-D"),
+@pytest.mark.parametrize("where, value, reason", [
+    (("P", 4, "i"), None, "P entry i must be an integer"),
+    (("P", 4, "i"), 2.7, "P entry i must be an integer"),
+    (("P", 4, "i"), "2", "P entry i must be an integer"),
+    (("P", 4, "j"), 2.7, "P entry j must be an integer"),
+    (("P", 4, "j"), "2", "P entry j must be an integer"),
+    (("gamma_bar",), float("nan"), "gamma_bar has a non-finite entry"),
+    (("gamma_bar",), True, "gamma_bar must hold only numbers"),
+    (("gamma_bar",), -143.16, r"gamma_bar must be in \(0, 1e\+06\]"),
+    (("gamma_bar",), 0, r"gamma_bar must be in \(0, 1e\+06\]"),
+    (("gamma_bar",), 1e200, r"gamma_bar must be in \(0, 1e\+06\]"),
+    (("P", 4, "rows", 1, 0), float("nan"), r"P entry \(2, 2\) has a non-finite entry"),
+    (("gains", 2, 0, 1), float("nan"), "certificate gains has a non-finite entry"),
+    (("gains",), "2-D", r"gains must be \(F, m, n\), got shape \(4, 3\)"),
+    (("P",), {}, "'P' must be a list"),
+    (("P", 4), {"i": 2, "j": 2}, "each P entry needs keys i, j, rows"),
+    (("P", 4, "i"), 3, r"P entry \(3, 2\) outside the upper triangle of 1..4"),
+    (("P", 4, "j"), 3, r"duplicate P entry \(2, 3\)"),
+    (("P", 4, "rows"), [[1.0, 0.0], [0.0, 1.0]],
+     r"P entry \(2, 2\) has shape \(2, 2\), expected \(3, 3\)"),
+    (("P",), "without (2, 2)", r"missing P entries: \[\(2, 2\)\]"),
 ], ids=["i-null", "i-fraction", "i-string", "j-fraction", "j-string",
         "gamma_bar-nan", "gamma_bar-bool", "gamma_bar-negative", "gamma_bar-zero",
         "gamma_bar-huge",
-        "P-nan", "gains-nan", "gains-2d"])
+        "P-nan", "gains-nan", "gains-2d",
+        "P-object", "P-entry-no-rows", "P-below-diagonal", "P-duplicate",
+        "P-block-shape", "P-missing"])
 def test_malformed_certificate_is_rejected_at_load(tmp_path, certificate_file,
-                                                    where, value):
+                                                    where, value, reason):
     doc = json.loads(pathlib.Path(certificate_file).read_text())
     assert doc["P"][4]["i"] == doc["P"][4]["j"] == 2  # truncation would pass
     if value == "2-D":
         value = [gain[0] for gain in doc["gains"]]  # (F, n) for m = 1
+    elif value == "without (2, 2)":
+        value = doc["P"][:4] + doc["P"][5:]
     node = doc
     for key in where[:-1]:
         node = node[key]
     node[where[-1]] = value
     path = tmp_path / "cert.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(mc.ConfigError):
+    with pytest.raises(mc.ConfigError, match=reason):
         mc.load_certificate(path)
     assert run(["verify", str(path), CFG]) == 2
 

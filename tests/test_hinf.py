@@ -181,6 +181,19 @@ def test_scan_grid_properties(models, penalties, gamma_stars):
     assert scan.peak_norm >= max(coarse) * (1.0 - 1e-12)
 
 
+def test_scan_refines_a_peak_between_grid_points():
+    """A = 0.97 rot(0.7), K = 0: the response (zI - A)^-1 of a normal A peaks
+    at 1/(1 - 0.97) exactly at omega = 0.7.  The nearest grid point is
+    6.0e-5 low (relative), so only the golden-section refinement passes."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    A = 0.97 * np.array([[c, -s], [s, c]])
+    B = np.array([[0.0], [1.0]])
+    p = mc.Penalties(Q=np.eye(2), R=np.eye(1))
+    scan = mc.closed_loop_scan(A, B, np.zeros((1, 2)), p)
+    assert scan.peak_norm == pytest.approx(1.0 / (1.0 - 0.97), rel=1e-12)
+    assert scan.peak_omega == pytest.approx(0.7, abs=1e-6)
+
+
 def test_attenuation_is_deterministic(models, penalties):
     A, B = models.pair(4)
     first = mc.optimal_attenuation(A, B, penalties)

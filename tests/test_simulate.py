@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import minimaxctrl as mc
-from minimaxctrl.disturbance import emit
 from minimaxctrl.simulate import Trajectory, write_trajectory_csv
 
 
@@ -96,6 +95,22 @@ def test_certificate_shape_checked(bench_cfg, certified, shape):
     with pytest.raises(ValueError, match=re.escape(f"(4, 1, 3) for this model "
                                                    f"set, got {shape}")):
         mc.rollout(cfg, cert)
+
+
+@pytest.mark.parametrize("controller, disturbance, message", [
+    (np.zeros((3, 1)), None, r"gain must be \(1, 3\), got \(3, 1\)"),
+    (None, np.zeros((99, 3)),
+     r"recorded disturbance must be \(100, 3\), got \(99, 3\)"),
+], ids=["gain", "replay"])
+def test_gain_and_replay_shapes_checked(bench_cfg, certified, controller,
+                                        disturbance, message):
+    """A fixed gain or a recorded sequence of the wrong shape is rejected
+    before the loop, naming both shapes."""
+    _, cert = certified
+    cfg = scenario_cfg(bench_cfg, certified, mc.DisturbanceSpec(kind="zero"))
+    with pytest.raises(ValueError, match=message):
+        mc.rollout(cfg, cert if controller is None else controller,
+                   disturbance=disturbance)
 
 
 def test_zero_horizon(bench_cfg, certified):
@@ -197,7 +212,8 @@ def test_csv_newlines_are_unix(bench_cfg, certified, tmp_path):
 def reference_rollout(cfg, controller, disturbance=None):
     """The per-step rollout loop, written out in full: costs inside the loop,
     `np.isfinite` plus `np.linalg.norm` as the divergence test, and the
-    switching law and residual update inlined."""
+    switching law, residual update and disturbance laws inlined, each law
+    evaluated at its step."""
     ms = cfg.model_set
     T, n = cfg.horizon, ms.n
     A, B = ms.pair(cfg.true_index)
@@ -210,16 +226,26 @@ def reference_rollout(cfg, controller, disturbance=None):
     l = np.zeros(T, dtype=int) if adaptive else None
     alpha_hist = np.zeros((T + 1, ms.size)) if adaptive else None
     Q, R = cfg.penalties.Q, cfg.penalties.R
+    spec = cfg.disturbance
     for k in range(T):
         if adaptive:
             l[k] = int(np.argmin(alpha_hist[k])) + 1
             u[k] = -controller.gains[l[k] - 1] @ x[k]
         else:
             u[k] = -controller @ x[k]
-        if disturbance is None:
-            w[k] = emit(cfg.disturbance, k, x[k], u[k])
-        else:
+        if disturbance is not None:
             w[k] = disturbance[k]
+        elif spec.kind == "sinusoid":
+            w[k] = spec.amplitude * np.sin(spec.omega * k + spec.phase) * spec.direction
+        elif spec.kind == "external":
+            w[k] = spec.sequence[k]
+        elif spec.kind == "hinf_worst_case":
+            w[k] = spec.L @ x[k]
+        elif spec.kind == "confusing":
+            Ai, Bi = ms.pair(spec.target)
+            w[k] = (Ai - A) @ x[k] + (Bi - B) @ u[k]
+        else:
+            assert spec.kind == "zero"
         x[k + 1] = A @ x[k] + B @ u[k] + w[k]
         if not np.all(np.isfinite(x[k + 1])) or np.linalg.norm(x[k + 1]) > 1e12:
             raise mc.DivergedRollout(f"step {k + 1}")
