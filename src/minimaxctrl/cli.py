@@ -24,7 +24,7 @@ import numpy as np
 from . import __version__
 from .disturbance import DisturbanceSpec, peak_sinusoid_spec
 from .fileio import atomic_write_text, sha256_of, svg_line_chart, write_csv
-from .hinf import BracketError, checked_level, optimal_attenuation, solve_riccati
+from .hinf import BracketError, _solve_stack, checked_level, gamma_stars, solve_riccati
 from .minimax_cert import (
     load_certificate,
     minimal_feasible_gamma,
@@ -53,23 +53,17 @@ def _out_dir(args):
     return path
 
 
-def _gamma_star_table(ms, penalties):
-    return [optimal_attenuation(*ms.pair(i), penalties) for i in range(1, ms.size + 1)]
-
-
 def cmd_synth_hinf(args):
     cfg = load_config(args.config)
     ms, p = cfg.model_set, cfg.penalties
     if args.model is not None and not 1 <= args.model <= ms.size:
         raise ConfigError(f"--model {args.model} outside 1..{ms.size}")
-    indices = [args.model] if args.model is not None else list(range(1, ms.size + 1))
-
+    sel = slice(None) if args.model is None else slice(args.model - 1, args.model)
+    A, B, indices = ms.A[sel], ms.B[sel], range(1, ms.size + 1)[sel]
     entries = []
-    for i in indices:
-        A, B = ms.pair(i)
-        if args.gamma is not None:
-            gamma = checked_level(args.gamma, "--gamma")
-            sol = solve_riccati(A, B, p, gamma)
+    if args.gamma is not None:
+        gamma = checked_level(args.gamma, "--gamma")
+        for i, sol in zip(indices, _solve_stack(A, B, p, [gamma] * len(A))):
             if not sol:
                 print(f"model {i} infeasible at gamma={args.gamma:g}: {sol.reason}",
                       file=sys.stderr)
@@ -77,8 +71,8 @@ def cmd_synth_hinf(args):
             print(f"model {i}: gamma={gamma:.6g}  K={sol.K.tolist()}")
             entries.append({"model": i, "gamma": gamma, "M": sol.M.tolist(),
                             "K": sol.K.tolist(), "L": sol.L.tolist()})
-        else:
-            gs = optimal_attenuation(A, B, p)
+    else:
+        for i, gs in zip(indices, gamma_stars(A, B, p)):
             print(f"model {i}: gamma_star={gs:.6g}")
             entries.append({"model": i, "gamma_star": gs})
 
@@ -100,7 +94,7 @@ def cmd_synth_minimax(args):
         gbar, cert = minimal_feasible_gamma(ms, p)
 
     check = verify_certificate(ms, p, cert)
-    stars = _gamma_star_table(ms, p)
+    stars = gamma_stars(ms.A, ms.B, p)
     gaps = suboptimality_gaps(cert.gamma_bar, stars)
     print(f"gamma_bar={cert.gamma_bar:.6g}  "
           f"(verified, worst slack eigenvalue {check.worst_violation:.3e})")
@@ -185,7 +179,7 @@ def cmd_reproduce(args):
     t0 = time.perf_counter()
     report = regret_report(traj_mm, traj_h, p, spec.kind)
     diag = sublinearity_diagnostic(report.R)
-    stars = _gamma_star_table(ms, p)
+    stars = gamma_stars(ms.A, ms.B, p)
     bound = value_bound(cert, rcfg.x0)
     cost_mm = accumulated_cost(traj_mm, gbar)
     cost_h = accumulated_cost(traj_h, gbar)

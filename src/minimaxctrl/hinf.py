@@ -8,24 +8,21 @@ for x+ = A x + B u + w.  Its value matrix solves the game Riccati equation
 
     M = Q + A' M Lambda^-1 A,    Lambda = I + G M,    G = B R^-1 B' - gamma^-2 I,
 
-which `solve_riccati` computes by structure-preserving doubling; at
-gamma = inf, G = B R^-1 B' and the same solver gives the LQR solution.
-The doubling loop runs on a stack of models at one level
-(`_solve_stack`), so a certificate probe solves its F members in one
-stacked doubling; `solve_riccati` is that loop on a stack of one.  At
-a feasible level the solution is stabilizing with 0 < M < gamma^2 I, and
-the saddle-point strategies are u = -K x with K = R^-1 B' M Lambda^-1 A and
-w = L x with L = gamma^-2 M Lambda^-1 A.  The smallest feasible level is
-found by `_level_search` (which also finds the certified level of
-`minimax_cert`), and an independent frequency-domain oracle evaluates the
-actual closed-loop H-infinity norm on a grid.
+which `_solve_stack` computes by structure-preserving doubling for a stack
+of models, each at its own level; `solve_riccati` is a stack of one, and at
+gamma = inf (G = B R^-1 B') it gives the LQR solution.  At a feasible level
+the solution is stabilizing with 0 < M < gamma^2 I, and the saddle-point
+strategies are u = -K x with K = R^-1 B' M Lambda^-1 A and w = L x with
+L = gamma^-2 M Lambda^-1 A.  `_level_search` finds the least feasible level
+of k brackets in lockstep: `gamma_stars` one per model of a stack, one
+stacked doubling per round (`optimal_attenuation`: a stack of one), and
+`minimax_cert` one for the certified level.  A frequency-domain oracle
+evaluates the closed-loop H-infinity norm on a grid.
 
-All functions are pure, memoise nothing and take matrices as 2-D arrays
-(a 1-D B is a shape error; only `_solve_stack` takes stacks of them);
-`solve_riccati` and
-`synthesize`-style entry points signal lack of a solution by returning
-`Infeasible` (falsy, carries the reason) rather than raising, since probing
-infeasible levels is the normal mode of bisection.
+All functions are pure and memoise nothing.  `_solve_stack` and
+`gamma_stars` take stacks of matrices, the others 2-D arrays (a 1-D B is a
+shape error).  A solve returns `Infeasible` (falsy, with the reason) rather
+than raising, since probing infeasible levels is what bisection does.
 """
 from __future__ import annotations
 
@@ -123,12 +120,12 @@ def _stacked(linalg, *stacks):
     return (np.stack(out) if out else None), failed
 
 
-def _settle(results, failed, reason, members, *arrays):
-    """Give the members at the positions `failed` (a sequence of distinct
-    ints) the result Infeasible(reason); returns `members` and each of
+def _settle(results, gamma, failed, reason, members, *arrays):
+    """Give the members at the positions `failed` (distinct ints) the result
+    Infeasible(reason + its own level); returns `members` and each of
     `arrays` without those positions."""
     for i in members[failed]:
-        results[i] = Infeasible(reason)
+        results[i] = Infeasible(f"{reason} (gamma={gamma[i]:.6g})")
     if len(failed) == len(members):
         keep = slice(0)
     else:
@@ -172,57 +169,57 @@ def solve_riccati(A, B, penalties, gamma):
     positive definite with Lambda^-1 A (= A - B K + L) Schur stable.
     The doubling itself is `_solve_stack`'s, run on a stack of one.
     """
-    A = np.asarray(A, dtype=float)
-    B = np.asarray(B, dtype=float)
-    return _solve_stack(A[None], B[None], penalties, gamma)[0]
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    return _solve_stack(A[None], B[None], penalties, [float(gamma)])[0]
 
 
 def _solve_stack(A, B, penalties, gamma):
-    """`solve_riccati` for k models at one level: A (k, n, n), B (k, n, m).
-
-    Returns a list of k results, entry i being exactly (bit for bit) what
-    solve_riccati(A[i], B[i], penalties, gamma) is: each numpy call of the
-    doubling runs once on the stack of members still iterating, and a
-    member leaves the stack at the doubling where it converges or fails,
-    so it sees the same iterates as when solved alone.  The checks of the
-    converged limits and the gains are stacked calls too.  Shapes are
-    checked on the first member (ValueError, as are gamma <= 0).
+    """`solve_riccati` for k models A (k, n, n), B (k, n, m) at k levels gamma:
+    entry i of the returned list is bit for bit solve_riccati(A[i], B[i],
+    penalties, gamma[i]).  Each numpy call of the doubling runs once on the
+    stack of members still iterating, gamma[i]^-2 stays beside member i like
+    its A_k, G_k and M, and a member leaves the stack at the doubling where
+    it converges or fails, so it sees the same iterates as when solved alone.
+    The limit checks and gains are stacked calls too.  Shapes are checked on
+    the first member (ValueError, as is a level <= 0).
     """
     Q, R = penalties.Q, penalties.R
     n, _ = _check_shapes(A[0], B[0], Q, R)
-    gamma = float(gamma)
-    if not gamma > 0:
+    if not all(g > 0 for g in gamma):
         raise ValueError("gamma must be positive")
 
     results = [None] * len(A)
     eye = np.eye(n)
-    margin = FEAS_MARGIN * eye
-    ginv2 = gamma ** -2
-    G = B @ np.linalg.solve(R, B.swapaxes(1, 2)) - ginv2 * eye
+    # I, the margin and gamma^-2 (by Python's power; numpy's differs) as an
+    # (n, n) block per member: same-shape sums run faster than broadcasts
+    eyes = eye[None].repeat(len(A), axis=0)
+    margins = FEAS_MARGIN * eyes
+    ginv2 = np.array([g ** -2 for g in gamma]).repeat(n * n).reshape(eyes.shape)
+    G = B @ np.linalg.solve(R, B.swapaxes(1, 2)) - ginv2 * eyes
 
     # live: the members still iterating; iters[i]: the doubling at which
     # member i converged (0 if it has not), Mlim[i] its limit
     live = np.arange(len(A))
     iters = np.zeros(len(A), dtype=int)
     Mlim = np.empty(A.shape)
-    Ak, Gk, M = A, G, Q[None].repeat(len(A), axis=0)
+    Ak, Gk, M, g2 = A, G, Q[None].repeat(len(A), axis=0), ginv2
     # an unstabilizable pair at gamma = inf overflows within ~10 doublings;
     # overflow and NaN are left to the divergence test
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, RICCATI_BUDGET + 1):
-            _, failed = _stacked(np.linalg.cholesky, eye - ginv2 * M - margin)
+            _, failed = _stacked(np.linalg.cholesky, eyes - g2 * M - margins)
             if failed:
-                live, Ak, Gk, M = _settle(
-                    results, failed, "I - gamma^-2 M lost positive definiteness at "
-                    f"doubling {it - 1} (gamma={gamma:.6g})", live, Ak, Gk, M)
+                live, Ak, Gk, M, g2, eyes, margins = _settle(
+                    results, gamma, failed, "I - gamma^-2 M lost positive definiteness "
+                    f"at doubling {it - 1}", live, Ak, Gk, M, g2, eyes, margins)
                 if not live.size:
                     break
-            X, failed = _stacked(np.linalg.solve, eye + Gk @ M,
+            X, failed = _stacked(np.linalg.solve, eyes + Gk @ M,
                                  np.concatenate([Ak, Gk], axis=2))
             if failed:
-                live, Ak, Gk, M = _settle(
-                    results, failed, f"singular doubling step {it} (gamma={gamma:.6g})",
-                    live, Ak, Gk, M)
+                live, Ak, Gk, M, g2, eyes, margins = _settle(
+                    results, gamma, failed, f"singular doubling step {it}",
+                    live, Ak, Gk, M, g2, eyes, margins)
                 if not live.size:
                     break
             X1 = X[..., :n]
@@ -242,9 +239,10 @@ def _solve_stack(A, B, penalties, gamma):
                 continue
             finite = np.isfinite(delta)
             if not finite.all():
-                live, Ak, Gk, M, delta, tol = _settle(
-                    results, np.flatnonzero(~finite), "Riccati iterates diverged at doubling "
-                    f"{it} (gamma={gamma:.6g})", live, Ak, Gk, M, delta, tol)
+                live, Ak, Gk, M, g2, eyes, margins, delta, tol = _settle(
+                    results, gamma, np.flatnonzero(~finite),
+                    f"Riccati iterates diverged at doubling {it}",
+                    live, Ak, Gk, M, g2, eyes, margins, delta, tol)
                 if not live.size:
                     break
             converged = delta <= tol
@@ -254,11 +252,11 @@ def _solve_stack(A, B, penalties, gamma):
             if converged.any():
                 Mlim[live[converged]], iters[live[converged]] = M[converged], it
                 keep = ~converged
-                live, Ak, Gk, M = live[keep], Ak[keep], Gk[keep], M[keep]
+                live, Ak, Gk, M, g2, eyes, margins = (
+                    x[keep] for x in (live, Ak, Gk, M, g2, eyes, margins))
         else:
-            for i in live:
-                results[i] = Infeasible(f"Riccati doubling did not converge in "
-                                        f"{RICCATI_BUDGET} steps (gamma={gamma:.6g})")
+            _settle(results, gamma, np.arange(live.size), "Riccati doubling did not "
+                    f"converge in {RICCATI_BUDGET} steps", live)
 
         # the converged limits, checked and turned into gains
         idx = np.flatnonzero(iters)
@@ -266,20 +264,20 @@ def _solve_stack(A, B, penalties, gamma):
             return results
         M = Mlim
         if idx.size < len(A):
-            A, B, G, M = A[idx], B[idx], G[idx], M[idx]
-        _, failed = _stacked(np.linalg.cholesky, eye - ginv2 * M - margin)
+            A, B, G, M, ginv2 = A[idx], B[idx], G[idx], M[idx], ginv2[idx]
+        _, failed = _stacked(np.linalg.cholesky, eye - ginv2 * M - FEAS_MARGIN * eye)
         if failed:
-            idx, A, B, G, M = _settle(results, failed, "converged M violates "
-                                      f"M < gamma^2 I (gamma={gamma:.6g})", idx, A, B, G, M)
+            idx, A, B, G, M, ginv2 = _settle(results, gamma, failed, "converged M violates "
+                                             "M < gamma^2 I", idx, A, B, G, M, ginv2)
         _, failed = _stacked(np.linalg.cholesky, M)
         if failed:
-            idx, A, B, G, M = _settle(results, failed, "converged M is not positive "
-                                      f"definite (gamma={gamma:.6g})", idx, A, B, G, M)
+            idx, A, B, G, M, ginv2 = _settle(results, gamma, failed, "converged M is not "
+                                             "positive definite", idx, A, B, G, M, ginv2)
         X = np.linalg.solve(eye + G @ M, A)
         failed = np.flatnonzero(np.abs(np.linalg.eigvals(X)).max(axis=1) >= 1.0)
         if failed.size:
-            idx, B, M, X = _settle(results, failed, "converged M is not stabilizing "
-                                   f"(gamma={gamma:.6g})", idx, B, M, X)
+            idx, B, M, X, ginv2 = _settle(results, gamma, failed, "converged M is not "
+                                          "stabilizing", idx, B, M, X, ginv2)
         MX = M @ X
         K = np.linalg.solve(R, B.swapaxes(1, 2) @ MX)
         L = ginv2 * MX
@@ -288,49 +286,62 @@ def _solve_stack(A, B, penalties, gamma):
     return results
 
 
-def _level_search(probe, Q, rel_tol):
-    """Smallest level the probe accepts, by doubling then bisection.
+def _level_search(probe, k, Q, rel_tol):
+    """Smallest level each of k brackets accepts, by doubling then bisection
+    in lockstep: each round is one call probe(levels, members), `members`
+    listing the unfinished brackets in order and `levels` their levels, and
+    returns one result per member, truthy or falsy with a `reason`.
 
-    probe(level) returns a truthy result or a falsy one with a `reason`.
-    lo = sqrt(max eig Q) is never probed: below it no M >= Q has
-    M < level^2 I.  hi starts at max(2 lo, 1), clamped to GAMMA_MAX, and
-    doubles until accepted, the last probe being exactly GAMMA_MAX, then
-    [lo, hi] is bisected to hi - lo <= rel_tol * hi.  Returns (level,
-    result) at the accepted end; raises BracketError with the last reason
-    if GAMMA_MAX is rejected, and without probing if lo >= GAMMA_MAX.
+    Every bracket has lo = sqrt(max eig Q), never probed: below it no
+    M >= Q has M < level^2 I.  Its hi starts at max(2 lo, 1), clamped to
+    GAMMA_MAX, and doubles until accepted, the last probe being exactly
+    GAMMA_MAX; then [lo, hi] is bisected to hi - lo <= rel_tol * hi.
+    Returns the k accepted levels and the results there.  BracketError with
+    the last reason of the first bracket whose GAMMA_MAX is rejected, and
+    without probing if lo >= GAMMA_MAX.
     """
     lo = float(np.sqrt(np.max(np.linalg.eigvalsh(Q))))
     if lo >= GAMMA_MAX:
-        raise BracketError(
-            f"no feasible level up to {GAMMA_MAX:.3g}: sqrt(max eig Q) = "
-            f"{lo:.6g} is not below it"
-        )
-    hi = min(max(2.0 * lo, 1.0), GAMMA_MAX)
-    while not (result := probe(hi)):
-        if hi >= GAMMA_MAX:
-            raise BracketError(
-                f"no feasible level up to {GAMMA_MAX:.3g} "
-                f"(last reason: {result.reason})"
-            )
-        hi = min(2.0 * hi, GAMMA_MAX)
-    while hi - lo > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        res = probe(mid)
-        if res:
-            hi, result = mid, res
-        else:
-            lo = mid
-    return hi, result
+        raise BracketError(f"no feasible level up to {GAMMA_MAX:.3g}: sqrt(max eig Q) = "
+                           f"{lo:.6g} is not below it")
+    los, his = [lo] * k, [min(max(2.0 * lo, 1.0), GAMMA_MAX)] * k
+    found = [None] * k  # the result at his[i] once bracket i has one
+    members = list(range(k))
+    while members:
+        levels = [his[i] if found[i] is None else 0.5 * (los[i] + his[i]) for i in members]
+        for i, level, result in zip(members, levels, probe(levels, members)):
+            if result:
+                his[i], found[i] = level, result
+            elif found[i] is not None:
+                los[i] = level
+            elif level >= GAMMA_MAX:
+                raise BracketError(f"no feasible level up to {GAMMA_MAX:.3g} "
+                                   f"(last reason: {result.reason})")
+            else:
+                his[i] = min(2.0 * level, GAMMA_MAX)
+        members = [i for i in members
+                   if found[i] is None or his[i] - los[i] > rel_tol * his[i]]
+    return his, found
+
+
+def gamma_stars(A, B, penalties):
+    """gamma*, the smallest feasible level, of each model of a stack A (k, n, n),
+    B (k, n, m) as a list: k bisections in lockstep (relative tolerance
+    BISECT_REL_TOL), each round one `_solve_stack` of the unfinished models,
+    so each gamma* is bit for bit its model's search alone.  BracketError if
+    even GAMMA_MAX is infeasible for one (e.g. an unstabilizable pair)."""
+    def probe(levels, members):
+        if len(members) < len(A):
+            return _solve_stack(A[members], B[members], penalties, levels)
+        return _solve_stack(A, B, penalties, levels)
+
+    return _level_search(probe, len(A), penalties.Q, BISECT_REL_TOL)[0]
 
 
 def optimal_attenuation(A, B, penalties):
-    """Smallest feasible attenuation level gamma* for (A, B), by bisection.
-
-    Bracket as in `_level_search`; BracketError if even GAMMA_MAX is
-    infeasible (e.g. an unstabilizable pair).  Relative tolerance: BISECT_REL_TOL.
-    """
-    return _level_search(lambda g: solve_riccati(A, B, penalties, g),
-                         penalties.Q, BISECT_REL_TOL)[0]
+    """gamma* of one model, A (n, n) and B (n, m): `gamma_stars` of a stack of one."""
+    A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
+    return gamma_stars(A[None], B[None], penalties)[0]
 
 
 @dataclass(eq=False)

@@ -192,7 +192,7 @@ def synthesize_certificate(ms, penalties, gamma):
     """
     gamma = float(gamma)
     F, n = ms.size, ms.n
-    designs = _solve_stack(ms.A, ms.B, penalties, gamma)
+    designs = _solve_stack(ms.A, ms.B, penalties, [gamma] * F)
     for l, sol in enumerate(designs, start=1):
         if not sol:
             return Infeasible(
@@ -232,13 +232,14 @@ def synthesize_certificate(ms, penalties, gamma):
 def minimal_feasible_gamma(ms, penalties):
     """Smallest certifiable level found by bisection; returns (gamma_bar, cert).
 
-    Same bracket as gamma* (`hinf._level_search`), and no gamma* is
-    computed: a probe below a member's true threshold fails at its Riccati
-    solve, so a gap gamma_bar - gamma*_i is negative only within gamma*'s
-    tolerance.  Relative tolerance on the returned level: GAMMA_BAR_REL_TOL.
+    Same bracket as gamma* (`hinf._level_search` with one bracket), and no
+    gamma* is computed: a probe below a member's true threshold fails at its
+    Riccati solve, so a gap gamma_bar - gamma*_i is negative only within
+    gamma*'s tolerance.  Relative tolerance on the level: GAMMA_BAR_REL_TOL.
     """
-    return _level_search(lambda g: synthesize_certificate(ms, penalties, g),
-                         penalties.Q, GAMMA_BAR_REL_TOL)
+    gs, certs = _level_search(lambda g, _: [synthesize_certificate(ms, penalties, g[0])],
+                              1, penalties.Q, GAMMA_BAR_REL_TOL)
+    return gs[0], certs[0]
 
 
 def value_bound(cert, x0):

@@ -44,22 +44,19 @@ def penalties(bench_cfg):
 
 @pytest.fixture(scope="session")
 def gamma_stars(models, penalties):
-    out = []
-    for i in range(1, models.size + 1):
-        A, B = models.pair(i)
-        out.append(mc.optimal_attenuation(A, B, penalties))
-    return out
+    return hinf.gamma_stars(models.A, models.B, penalties)
 
 
 @pytest.fixture
 def gamma_star_calls(monkeypatch):
-    """List that grows by one entry per `optimal_attenuation` call.
+    """List that grows by one entry per `hinf.gamma_stars` call, the one
+    gamma* routine (`optimal_attenuation` calls it too).
 
     The function is replaced at every name the package binds it to, as
     bench/tracing.py does, so a call is counted whichever module makes it.
     """
     calls = []
-    original = hinf.optimal_attenuation
+    original = hinf.gamma_stars
 
     def counted(*args):
         calls.append(args)

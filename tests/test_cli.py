@@ -109,7 +109,7 @@ def synthesis_must_not_run(*args, **kwargs):
 def assert_rejected_at_load(tmp_path, monkeypatch, where, value):
     # synth-hinf, not reproduce: reproduce also refuses horizons below 4,
     # which would hide a boolean horizon read as 1
-    monkeypatch.setattr(cli, "optimal_attenuation", synthesis_must_not_run)
+    monkeypatch.setattr(cli, "gamma_stars", synthesis_must_not_run)
     cfg = edited_config(tmp_path, where, value)
     assert run(["synth-hinf", cfg, "--out-dir", str(tmp_path / "out")]) == 2
 
@@ -196,7 +196,7 @@ def test_short_horizon_is_rejected_before_synthesis(tmp_path, monkeypatch):
 @pytest.mark.parametrize("gamma", ["inf", "nan", "1e308", "1000000.1", "0", "-1"])
 def test_gamma_outside_level_range_is_input_error(tmp_path, monkeypatch,
                                                    command, gamma):
-    monkeypatch.setattr(cli, "solve_riccati", synthesis_must_not_run)
+    monkeypatch.setattr(cli, "_solve_stack", synthesis_must_not_run)
     monkeypatch.setattr(cli, "synthesize_certificate", synthesis_must_not_run)
     assert run([command, CFG, f"--gamma={gamma}", "--out-dir", str(tmp_path)]) == 2
     assert list(tmp_path.iterdir()) == []
@@ -223,7 +223,7 @@ def test_no_level_below_gamma_max_is_infeasible(tmp_path, capsys, command):
 ], ids=["reproduce", "synth-minimax"])
 def test_gamma_star_table_is_computed_once(tmp_path, gamma_star_calls, argv):
     assert run(argv + ["--out-dir", str(tmp_path)]) == 0
-    assert len(gamma_star_calls) == 4  # once per model, for gaps only
+    assert len(gamma_star_calls) == 1  # one table for all models, for gaps only
 
 
 @pytest.mark.parametrize("scenario", ["fig1", "fig2", "fig3"])

@@ -151,11 +151,14 @@ def test_feasibility_matches_game_dare_oracle():
                 assert bool(mc.solve_riccati(A, B, penalties, g)) == expected, (seed, g)
 
 
-def test_bracket_error_when_nothing_feasible(penalties):
+def test_bracket_error_when_nothing_feasible(models, penalties):
     A = np.diag([2.0, 2.0, 2.0])
     B = np.zeros((3, 1))
     with pytest.raises(mc.BracketError):
         mc.optimal_attenuation(A, B, penalties)
+    # beside a stabilizable model, the table raises with this model's reason
+    with pytest.raises(mc.BracketError, match=r"not positive definite \(gamma=1e\+06\)\)$"):
+        hinf.gamma_stars(np.stack([models.A[0], A]), np.stack([models.B[0], B]), penalties)
 
 
 @pytest.mark.filterwarnings("error")
@@ -221,42 +224,80 @@ def test_scalar_bisection_brackets_the_level(a, b):
 
 
 class Probe:
-    """Fake probe accepting every level at or above `threshold`; logs calls."""
+    """Fake probe over k brackets: bracket i accepts every level at or above
+    thresholds[i]; logs each call's (levels, members)."""
 
-    def __init__(self, threshold):
-        self.threshold = threshold
-        self.levels = []
+    def __init__(self, *thresholds):
+        self.thresholds = thresholds
+        self.calls = []
 
-    def __call__(self, level):
-        self.levels.append(level)
-        if level >= self.threshold:
-            return ("accepted", level)
-        return hinf.Infeasible(f"rejected {level:g}")
+    def __call__(self, levels, members):
+        self.calls.append((list(levels), list(members)))
+        return [("accepted", i, g) if g >= self.thresholds[i]
+                else hinf.Infeasible(f"bracket {i} rejected {g:g}")
+                for g, i in zip(levels, members)]
+
+    def levels_of(self, i):
+        return [g for levels, members in self.calls
+                for g, j in zip(levels, members) if j == i]
+
+    @property
+    def levels(self):
+        return self.levels_of(0)
 
 
 def test_level_search_doubles_then_bisects():
-    probe = Probe(threshold=10.0)
-    level, result = hinf._level_search(probe, np.eye(1), 1e-4)  # lo 1, hi 2
+    probe = Probe(10.0)
+    (level,), (result,) = hinf._level_search(probe, 1, np.eye(1), 1e-4)  # lo 1, hi 2
     assert probe.levels[:4] == [2.0, 4.0, 8.0, 16.0]
     assert all(g < 16.0 for g in probe.levels[4:])
-    assert result == ("accepted", level)
+    assert result == ("accepted", 0, level)
     assert 10.0 <= level and level - 10.0 <= 1e-4 * level
 
 
 def test_level_search_last_probe_is_gamma_max():
-    probe = Probe(threshold=hinf.GAMMA_MAX)
-    level, _ = hinf._level_search(probe, 2.25 * np.eye(1), 1e-4)  # lo 1.5, hi 3
+    probe = Probe(hinf.GAMMA_MAX)
+    (level,), _ = hinf._level_search(probe, 1, 2.25 * np.eye(1), 1e-4)  # lo 1.5, hi 3
     doubling = [3.0 * 2.0 ** k for k in range(19)]
     assert probe.levels[:20] == doubling + [hinf.GAMMA_MAX]
     assert level == hinf.GAMMA_MAX
 
 
 def test_level_search_raises_with_last_reason():
-    probe = Probe(threshold=np.inf)
+    probe = Probe(np.inf)
     with pytest.raises(mc.BracketError, match=r"rejected 1e\+06"):
-        hinf._level_search(probe, 2.25 * np.eye(1), 1e-4)
+        hinf._level_search(probe, 1, 2.25 * np.eye(1), 1e-4)
     assert probe.levels[-1] == hinf.GAMMA_MAX
     assert len(probe.levels) == 20
+
+
+def test_level_search_runs_brackets_in_lockstep():
+    """Three brackets: one accepted near 10, one never accepted, one clamped
+    at GAMMA_MAX.  Each round probes the unfinished ones in one call, each
+    at the levels of its search alone, and the never-accepted one raises
+    with its own last reason."""
+    probe = Probe(10.0, np.inf, hinf.GAMMA_MAX)
+    with pytest.raises(mc.BracketError, match=r"bracket 1 rejected 1e\+06"):
+        hinf._level_search(probe, 3, np.eye(1), 1e-4)
+    for levels, members in probe.calls:
+        assert members == sorted(members) and len(levels) == len(members)
+    assert len(probe.calls) == 20  # 2, 4, ..., 2^19, then GAMMA_MAX
+    assert probe.calls[0] == ([2.0] * 3, [0, 1, 2])
+    assert probe.calls[-1] == ([hinf.GAMMA_MAX] * 2, [1, 2])
+
+    alone = Probe(10.0)
+    (level,), _ = hinf._level_search(alone, 1, np.eye(1), 1e-4)
+    assert probe.levels_of(0) == alone.levels  # finished before the raise
+    assert 10.0 <= level and level - 10.0 <= 1e-4 * level
+    assert probe.levels_of(1) == probe.levels_of(2) == \
+        [2.0 ** k for k in range(1, 20)] + [hinf.GAMMA_MAX]
+
+    # without the never-accepted bracket the other two return
+    probe = Probe(10.0, hinf.GAMMA_MAX)
+    levels, results = hinf._level_search(probe, 2, np.eye(1), 1e-4)
+    assert levels == [level, hinf.GAMMA_MAX]
+    assert results == [("accepted", 0, level), ("accepted", 1, hinf.GAMMA_MAX)]
+    assert probe.levels_of(0) == alone.levels
 
 
 def test_one_dimensional_b_is_a_shape_error(models, penalties):
@@ -266,18 +307,18 @@ def test_one_dimensional_b_is_a_shape_error(models, penalties):
 
 
 def test_level_search_first_probe_is_clamped_to_gamma_max():
-    probe = Probe(threshold=0.8 * hinf.GAMMA_MAX)
+    probe = Probe(0.8 * hinf.GAMMA_MAX)
     lo = 0.7 * hinf.GAMMA_MAX
-    level, _ = hinf._level_search(probe, np.array([[lo ** 2]]), 1e-4)
+    (level,), _ = hinf._level_search(probe, 1, np.array([[lo ** 2]]), 1e-4)
     assert probe.levels[0] == hinf.GAMMA_MAX  # not 2 lo
     assert all(lo < g <= hinf.GAMMA_MAX for g in probe.levels)
     assert 0.8 * hinf.GAMMA_MAX <= level <= hinf.GAMMA_MAX
 
 
 def test_level_search_with_lo_at_gamma_max_probes_nothing():
-    probe = Probe(threshold=0.0)
+    probe = Probe(0.0)
     with pytest.raises(mc.BracketError, match="is not below it"):
-        hinf._level_search(probe, np.array([[hinf.GAMMA_MAX ** 2]]), 1e-4)
+        hinf._level_search(probe, 1, np.array([[hinf.GAMMA_MAX ** 2]]), 1e-4)
     assert probe.levels == []
 
 
@@ -344,16 +385,17 @@ def as_reference(result):
             result.iterations)
 
 
-def assert_stack_matches_members(A, B, penalties, gamma):
-    """Each entry of the stacked solve is, bit for bit, the member's own
-    solve and the 2-D reference's result."""
-    stack = hinf._solve_stack(A, B, penalties, gamma)
+def assert_stack_matches_members(A, B, penalties, levels):
+    """Each entry of the stacked solve, member i at levels[i], is bit for bit
+    the member's own solve at that level and the 2-D reference's result."""
+    stack = hinf._solve_stack(A, B, penalties, levels)
     assert len(stack) == len(A)
-    for i, got in enumerate(stack):
+    for i, (got, gamma) in enumerate(zip(stack, levels)):
         ref = mc.solve_riccati(A[i], B[i], penalties, gamma)
         assert type(got) is type(ref), (gamma, i)
         if not ref:
             assert got.reason == ref.reason
+            assert got.reason.endswith(f" (gamma={gamma:.6g})")
         assert as_reference(got) == as_reference(ref) \
             == doubling_reference(A[i], B[i], penalties, gamma), (gamma, i)
     return stack
@@ -375,11 +417,50 @@ def test_stacked_solve_matches_member_solves(models, penalties, draw):
         seed, n, m, F = draw
         A, B = stack_of(seeded_model_set(seed, n, m, F))
         p = mc.Penalties(Q=np.eye(n), R=np.eye(m))
-    split = 0
-    for g in np.geomspace(1.0001, hinf.GAMMA_MAX, 40):
-        results = assert_stack_matches_members(A, B, p, g)
+    grid = np.geomspace(1.0001, hinf.GAMMA_MAX, 40)
+    split = mixed = 0
+    for j, g in enumerate(grid):
+        results = assert_stack_matches_members(A, B, p, [g] * len(A))
         split += len({verdict(r) for r in results}) > 1
+        # each member at its own level: member i at grid point j + 5 i
+        levels = [grid[(j + 5 * i) % len(grid)] for i in range(len(A))]
+        results = assert_stack_matches_members(A, B, p, levels)
+        mixed += len({bool(r) for r in results}) > 1
     assert split >= 2  # members leave the stack at different doublings
+    assert mixed >= 10  # feasible and infeasible members share a stack
+
+
+def bisection_reference(A, B, penalties):
+    """gamma* by a scalar doubling-then-bisection over `solve_riccati`, as
+    `optimal_attenuation` ran before the level search took brackets in
+    lockstep: the reference for bit-for-bit equality."""
+    lo = float(np.sqrt(np.max(np.linalg.eigvalsh(penalties.Q))))
+    hi = min(max(2.0 * lo, 1.0), hinf.GAMMA_MAX)
+    while not mc.solve_riccati(A, B, penalties, hi):
+        assert hi < hinf.GAMMA_MAX
+        hi = min(2.0 * hi, hinf.GAMMA_MAX)
+    while hi - lo > hinf.BISECT_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        if mc.solve_riccati(A, B, penalties, mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+@pytest.mark.parametrize("draw", [None, (1001, 2, 1, 8), (1006, 4, 1, 5), (1009, 4, 2, 8)],
+                         ids=["shipped", "draw1001", "draw1006", "draw1009"])
+def test_gamma_stars_match_one_model_searches(models, penalties, draw):
+    """The lockstep table is, bit for bit, each model's own search."""
+    if draw is None:
+        A, B, p = models.A, models.B, penalties
+    else:
+        seed, n, m, F = draw
+        A, B = stack_of(seeded_model_set(seed, n, m, F))
+        p = mc.Penalties(Q=np.eye(n), R=np.eye(m))
+    stars = hinf.gamma_stars(A, B, p)
+    assert stars == [mc.optimal_attenuation(A[i], B[i], p) for i in range(len(A))]
+    assert stars == [bisection_reference(A[i], B[i], p) for i in range(len(A))]
 
 
 def test_stacked_solve_with_members_leaving_at_different_doublings():
@@ -391,7 +472,7 @@ def test_stacked_solve_with_members_leaving_at_different_doublings():
     p = mc.Penalties(Q=np.eye(4), R=np.eye(1))
     seen = set()
     for g in (8.0, 16.0, 20.0):
-        seen |= {verdict(r) for r in assert_stack_matches_members(A, B, p, g)}
+        seen |= {verdict(r) for r in assert_stack_matches_members(A, B, p, [g] * len(A))}
     lost = "I - gamma^-2 M lost positive definiteness at doubling"
     assert seen == {
         "ok after 7 doublings", "ok after 8 doublings", "ok after 9 doublings",
@@ -401,7 +482,7 @@ def test_stacked_solve_with_members_leaving_at_different_doublings():
     }
 
     A, B = stack_of(pairs[:2] + [(2.0 * np.eye(4), np.zeros((4, 1)))] + pairs[2:])
-    results = assert_stack_matches_members(A, B, p, np.inf)
+    results = assert_stack_matches_members(A, B, p, [np.inf] * len(A))
     assert [bool(r) for r in results] == [True, True, False, True, True, True]
     assert results[2].reason.startswith("Riccati iterates diverged")
 

@@ -144,6 +144,44 @@ def test_value_bound_is_max_quadratic_form(certified):
         mc.value_bound(cert, np.ones(4))
 
 
+def cost_bound_initial_states(n):
+    """x0 = 1, each +-e_k, and 8 seeded unit vectors."""
+    rng = np.random.default_rng(0)
+    random = rng.standard_normal((8, n))
+    return ([np.ones(n)] + [s * e for e in np.eye(n) for s in (1.0, -1.0)]
+            + list(random / np.linalg.norm(random, axis=1, keepdims=True)))
+
+
+@pytest.mark.parametrize("law", ["zero", "hinf_worst_case", "confusing"])
+@pytest.mark.parametrize("true_index", [1, 2, 3, 4])
+def test_soft_cost_stays_below_value_bound(bench_cfg, certified, true_index, law):
+    """sum c_k - gamma_bar^2 W <= max_ij x0' P_ij x0, the certificate's
+    guarantee, at T = 200 for every true model under three laws: none, the
+    true model's own worst case at gamma_bar replayed from its H-infinity
+    loop, and the residual-steering law that frames the next model.  Unlike criterion 5 on fig2 and fig3, where -gamma_bar^2 W sits
+    far below the bound, these runs come close: true model 2 under its
+    worst case reaches 0.9994 of the bound."""
+    gamma_bar, cert = certified
+    ms, p = bench_cfg.model_set, bench_cfg.penalties
+    if law == "hinf_worst_case":
+        design = mc.solve_riccati(*ms.pair(true_index), p, gamma_bar)
+        spec = mc.DisturbanceSpec(kind=law, L=design.L)
+    elif law == "confusing":
+        spec = mc.DisturbanceSpec(kind=law, target=true_index % ms.size + 1)
+    else:
+        spec = mc.DisturbanceSpec(kind=law)
+    for x0 in cost_bound_initial_states(ms.n):
+        cfg = dataclasses.replace(bench_cfg, true_index=true_index, horizon=200,
+                                  gamma=gamma_bar, disturbance=spec, x0=x0)
+        if law == "hinf_worst_case":
+            traj = mc.rollout(cfg, cert, disturbance=mc.rollout(cfg, design.K).w)
+        else:
+            traj = mc.rollout(cfg, cert)
+        bound = mc.value_bound(cert, x0)
+        cost = mc.accumulated_cost(traj, gamma_bar)
+        assert cost <= bound, (x0, cost, bound)
+
+
 def test_save_load_round_trip(certified, tmp_path):
     _, cert = certified
     path = tmp_path / "cert.json"
