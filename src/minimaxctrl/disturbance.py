@@ -101,11 +101,11 @@ def emit(cfg):
     w = np.zeros((T, ms.n))
     if spec.kind == "hinf_worst_case":
         L = spec.L
-        return w, lambda x_k, u_k: L @ x_k
+        return w, lambda x_k, u_k: L.dot(x_k)
     if spec.kind == "confusing":
         (Aj, Bj), (Ai, Bi) = ms.pair(cfg.true_index), ms.pair(spec.target)
         dA, dB = Ai - Aj, Bi - Bj
-        return w, lambda x_k, u_k: dA @ x_k + dB @ u_k
+        return w, lambda x_k, u_k: dA.dot(x_k) + dB.dot(u_k)
     return w, None
 
 

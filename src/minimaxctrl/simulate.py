@@ -7,12 +7,15 @@ recorded sequence, which `rollout` accepts in place of the config's spec.
 This keeps comparisons honest: both controllers see the same w, not the
 same disturbance law.
 
-A replayed sequence and an open-loop law fill w before the time loop,
-which computes only what feeds the next step: the input, a feedback
-disturbance, the successor state and the residuals.  Step costs are
-computed after the loop, in one stacked product.  A rollout diverges at
-the first state whose squared norm is above DIVERGENCE_LIMIT**2 or that is
-not finite; a state that overflows is such a state, not a numpy warning.
+One kernel serves both controllers (a fixed gain is a one-gain stack).
+It plays a block of steps on the current selection, computing per step
+only the input, a feedback disturbance and the successor state; then it
+folds the block into every model's residual in one stacked product and
+keeps the block up to the first step whose selection differs.  Blocks
+double from 1 step up to BLOCK_CAP and restart at 1 after a switch.  Step
+costs are computed after the loop.  A rollout diverges at the first kept
+state whose squared norm is above DIVERGENCE_LIMIT**2 or that is not
+finite; a state that overflows is such a state, not a numpy warning.
 """
 from __future__ import annotations
 
@@ -26,6 +29,8 @@ from .minimax_cert import MinimaxCertificate, check_gains_shape
 from .policies import hinf_step, minimax_step, update_residuals
 
 DIVERGENCE_LIMIT = 1e12
+# the longest block of steps played on one selection between residual folds
+BLOCK_CAP = 1024
 
 
 class DivergedRollout(RuntimeError):
@@ -61,10 +66,14 @@ def rollout(cfg, controller, disturbance=None):
     controller: a MinimaxCertificate (adaptive switching) or an (m, n) gain
     matrix K for fixed feedback u = -K x.  disturbance: None to generate the
     sequence from cfg's spec (resolved once, by `disturbance.emit`), or a
-    recorded (T, n) array to replay.  The step costs are computed after
-    the loop.  Raises DivergedRollout at the first state whose squared norm
-    is above DIVERGENCE_LIMIT**2 or that has a non-finite entry (an
-    overflow included).
+    recorded (T, n) array to replay.  For n > 1 the result is the
+    one-step-at-a-time loop's, bit for bit (see `_play_block` for n = 1).
+    A switch discards the rest of its block, never longer than the steps
+    kept since the block sizes restarted, so at most 2T steps are computed,
+    and at most T + BLOCK_CAP * (number of switches).
+    Raises DivergedRollout at the first kept state whose squared norm is
+    above DIVERGENCE_LIMIT**2 or that has a non-finite entry (an overflow
+    included).
     """
     ms = cfg.model_set
     T, n = cfg.horizon, ms.n
@@ -100,36 +109,42 @@ def rollout(cfg, controller, disturbance=None):
     x = np.zeros((T + 1, n))
     u = np.zeros((T, ms.m))
     x[0] = cfg.x0
+    # a fixed gain is a one-gain stack whose selection never moves
+    neg_gains = -(controller.gains if adaptive else controller[None])
 
-    l = None
-    alpha_hist = None
-    if adaptive:
-        l = np.zeros(T, dtype=int)
-        alpha_hist = np.zeros((T + 1, ms.size))
-        alpha = alpha_hist[0]
+    l = np.zeros(T, dtype=int) if adaptive else None
+    alpha_hist = np.zeros((T + 1, ms.size)) if adaptive else None
 
-    # overflow and NaN are left to the divergence test, which fails on both
+    # overflow and NaN are left to the divergence test, which fails on both;
+    # a speculative tail past a switch may overflow and is then discarded
     limit_sq = DIVERGENCE_LIMIT ** 2
-    xk = x[0]
+    k, size = 0, 1
     with np.errstate(over="ignore", invalid="ignore"):
-        for k in range(T):
+        while k < T:
+            end = min(k + size, T)
             if adaptive:
-                uk, l[k] = minimax_step(controller, alpha, xk)
+                u[k], sel = minimax_step(controller, alpha_hist[k], x[k])
             else:
-                uk = hinf_step(controller, xk)
-            if law is not None:
-                w[k] = law(xk, uk)
-            xn = A @ xk + B @ uk + w[k]
-            if not xn @ xn <= limit_sq:
-                raise DivergedRollout(
-                    f"state norm exceeded {DIVERGENCE_LIMIT:.0e} at step {k + 1}"
-                )
+                u[k], sel = hinf_step(controller, x[k]), 1
+            _play_block(A, B, neg_gains[sel - 1], law, x, u, w, k, end)
+            stop = end
             if adaptive:
-                alpha = update_residuals(ms, alpha, xk, uk, xn)
-                alpha_hist[k + 1] = alpha
-            u[k] = uk
-            x[k + 1] = xn
-            xk = xn
+                alpha_hist[k + 1:end + 1] = update_residuals(
+                    ms, alpha_hist[k], x[k:end + 1], u[k:end])
+                # minimax_step's rule, row by row: keep up to the first move
+                moved = np.flatnonzero(
+                    alpha_hist[k + 1:end].argmin(axis=1) != sel - 1)
+                stop = k + 1 + int(moved[0]) if moved.size else end
+                l[k:stop] = sel
+            xs = x[k + 1:stop + 1]
+            bad = np.flatnonzero(~((xs * xs).sum(axis=1) <= limit_sq))
+            if bad.size:
+                raise DivergedRollout(
+                    f"state norm exceeded {DIVERGENCE_LIMIT:.0e} at step "
+                    f"{k + 1 + int(bad[0])}"
+                )
+            size = min(2 * size, BLOCK_CAP) if stop == end else 1
+            k = stop
 
     # stacked products: bit-identical to the per-step x_k @ Q @ x_k (einsum is not)
     Q, R = cfg.penalties.Q, cfg.penalties.R
@@ -138,6 +153,22 @@ def rollout(cfg, controller, disturbance=None):
 
     return Trajectory(x=x, u=u, w=w, step_cost=step_cost, l=l,
                       alpha_hist=alpha_hist)
+
+
+def _play_block(A, B, neg_gain, law, x, u, w, k, end):
+    """Steps k .. end-1 of x+ = A x + B u + w under u = neg_gain x, in place.
+
+    u[k] is already set; a feedback law fills w as it goes.  ndarray.dot
+    makes the same BLAS call as @ at half its dispatch cost; only for n = 1
+    does it multiply directly, which can flip the sign of an exact zero.
+    """
+    xj, uj = x[k], u[k]
+    for j in range(k, end):
+        if j > k:
+            uj = u[j] = neg_gain.dot(xj)
+        if law is not None:
+            w[j] = law(xj, uj)
+        xj = x[j + 1] = A.dot(xj) + B.dot(uj) + w[j]
 
 
 def accumulated_cost(traj, gamma):

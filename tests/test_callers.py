@@ -65,8 +65,9 @@ def test_tracer_sees_policy_steps_and_restores(tracing, bench_cfg, certified,
                                                benchmark_controller):
     """Rollouts reach the policy functions by name, and uninstall undoes install.
 
-    The policy functions run once per step; `emit` runs once per rollout
-    that generates its disturbance.
+    The policy functions run once per block of steps: blocks of 1, 2 and 2
+    steps at T = 5 (the adaptive loop switches only where a block starts).
+    `emit` runs once per rollout that generates its disturbance.
     """
     gamma_bar, cert = certified
     cfg = dataclasses.replace(bench_cfg, gamma=gamma_bar, horizon=5,
@@ -83,8 +84,8 @@ def test_tracer_sees_policy_steps_and_restores(tracing, bench_cfg, certified,
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before)
     spans = [tracer.names[i] for i in tracer.name]
-    expected = {"policies.minimax_step": 5, "policies.update_residuals": 5,
-                "policies.hinf_step": 5, "disturbance.emit": 2}
+    expected = {"policies.minimax_step": 3, "policies.update_residuals": 3,
+                "policies.hinf_step": 3, "disturbance.emit": 2}
     assert {name: spans.count(name) for name in expected} == expected
 
 

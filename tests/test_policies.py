@@ -1,6 +1,7 @@
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -49,34 +50,54 @@ def test_residual_update_shapes_and_growth(models):
     x = np.ones(3)
     u = np.array([0.1])
     x_next = models.A[1] @ x + models.B[1] @ u  # exact model-2 step, no noise
-    alpha2 = update_residuals(models, alpha, x, u, x_next)
-    assert alpha2.shape == (4,)
+    rows = update_residuals(models, alpha, np.stack([x, x_next]), u[None])
+    assert rows.shape == (1, 4)
+    alpha2 = rows[0]
     np.testing.assert_array_equal(alpha, np.zeros(4))  # input left untouched
     assert alpha2[1] <= 1e-28  # true model explains the step (rounding only)
     assert np.all(alpha2 >= 0.0)
     assert np.any(alpha2[[0, 2, 3]] > 0.0)
 
 
-def test_true_model_residual_is_disturbance_energy(models, penalties):
-    """alpha_j accumulates exactly the injected disturbance energy."""
+def model_2_lqr_trajectory(models, penalties, steps, seed=7):
+    """States, inputs and disturbances of model 2 under its LQR gain."""
     from scipy.linalg import solve_discrete_are
 
-    rng = np.random.default_rng(7)
-    j = 2
-    A, B = models.pair(j)
+    rng = np.random.default_rng(seed)
+    A, B = models.pair(2)
     P = solve_discrete_are(A, B, penalties.Q, penalties.R)
     K = np.linalg.solve(penalties.R + B.T @ P @ B, B.T @ P @ A)
-    alpha = np.zeros(4)
-    x = np.ones(3)
-    energy = 0.0
-    for k in range(25):
-        u = -K @ x
-        w = 0.5 * rng.standard_normal(3)
-        x_next = A @ x + B @ u + w
-        alpha = update_residuals(models, alpha, x, u, x_next)
-        energy += float(w @ w)
-        assert abs(alpha[j - 1] - energy) <= 1e-12 * max(1.0, energy)
-        x = x_next
+    x, u, w = np.zeros((steps + 1, 3)), np.zeros((steps, 1)), np.zeros((steps, 3))
+    x[0] = np.ones(3)
+    for k in range(steps):
+        u[k] = -K @ x[k]
+        w[k] = 0.5 * rng.standard_normal(3)
+        x[k + 1] = A @ x[k] + B @ u[k] + w[k]
+    return x, u, w
+
+
+def test_true_model_residual_is_disturbance_energy(models, penalties):
+    """alpha_j accumulates exactly the injected disturbance energy."""
+    x, u, w = model_2_lqr_trajectory(models, penalties, 25)
+    rows = update_residuals(models, np.zeros(4), x, u)
+    energy = np.cumsum(np.sum(w * w, axis=1))
+    assert rows.shape == (25, 4)
+    assert np.all(np.abs(rows[:, 1] - energy) <= 1e-12 * np.maximum(1.0, energy))
+
+
+@pytest.mark.parametrize("cuts", [(), (1,), (3, 4, 17), tuple(range(1, 25))],
+                         ids=["whole", "1+24", "mixed", "one-by-one"])
+def test_blocks_fold_like_single_steps(models, penalties, cuts):
+    """Folding in blocks, each seeded with the last row of the one before,
+    gives the same bits wherever the blocks are cut."""
+    x, u, _ = model_2_lqr_trajectory(models, penalties, 25)
+    alpha = np.array([0.5, 0.0, 2.0, 1e-3])
+    whole = update_residuals(models, alpha, x, u)
+    rows, seed = [], alpha
+    for a, b in zip((0,) + cuts, cuts + (25,)):
+        rows.append(update_residuals(models, seed, x[a:b + 1], u[a:b]))
+        seed = rows[-1][-1]
+    np.testing.assert_array_equal(np.concatenate(rows), whole)
 
 
 def test_hinf_step_is_linear_feedback(benchmark_controller):

@@ -1,12 +1,14 @@
 import csv
 import dataclasses
+import itertools
 import re
 
 import numpy as np
 import pytest
 
 import minimaxctrl as mc
-from minimaxctrl.simulate import Trajectory, write_trajectory_csv
+from minimaxctrl import simulate
+from minimaxctrl.simulate import BLOCK_CAP, Trajectory, write_trajectory_csv
 
 
 def scenario_cfg(bench_cfg, certified, spec):
@@ -258,17 +260,31 @@ def reference_rollout(cfg, controller, disturbance=None):
                       alpha_hist=alpha_hist)
 
 
+def outcome(run):
+    """('ok', trajectory) or ('diverged', step) for one rollout call."""
+    try:
+        return "ok", run()
+    except mc.DivergedRollout as exc:
+        return "diverged", int(re.search(r"step (\d+)$", str(exc)).group(1))
+
+
 def assert_matches_reference(cfg, controller, disturbance=None):
-    """Roll out and require bit equality with the reference loop."""
-    traj = mc.rollout(cfg, controller, disturbance=disturbance)
-    ref = reference_rollout(cfg, controller, disturbance)
+    """Roll out and require bit equality with the reference loop, or a
+    divergence at the reference's step; returns the trajectory, or None
+    when both diverged."""
+    want = outcome(lambda: reference_rollout(cfg, controller, disturbance))
+    got = outcome(lambda: mc.rollout(cfg, controller, disturbance=disturbance))
+    assert got[0] == want[0]
+    if want[0] == "diverged":
+        assert got[1] == want[1]
+        return None
     for name in ("x", "u", "w", "l", "alpha_hist", "step_cost"):
-        got, want = getattr(traj, name), getattr(ref, name)
-        if want is None:
-            assert got is None, name
+        a, b = getattr(got[1], name), getattr(want[1], name)
+        if b is None:
+            assert a is None, name
         else:
-            assert np.array_equal(got, want), name
-    return traj
+            assert np.array_equal(a, b), name
+    return got[1]
 
 
 def assert_loops_match_reference(cfg, cert, K):
@@ -278,8 +294,9 @@ def assert_loops_match_reference(cfg, cert, K):
     loop = cfg.disturbance.generating_loop
     for gen in (("minimax", "hinf") if loop == "open" else (loop,)):
         traj = assert_matches_reference(cfg, controllers[gen])
-        other = controllers["hinf" if gen == "minimax" else "minimax"]
-        assert_matches_reference(cfg, other, disturbance=traj.w)
+        if traj is not None:
+            other = controllers["hinf" if gen == "minimax" else "minimax"]
+            assert_matches_reference(cfg, other, disturbance=traj.w)
 
 
 @pytest.mark.parametrize(
@@ -354,6 +371,63 @@ def test_divergence_step(penalties, scale, step, adaptive):
         mc.rollout(cfg, controller)
 
 
+def growth_experiment(growth, x0, kick_step, kick, T=20):
+    """F = 2, n = m = 1, true model 1 = (1, 1), model 2 = (1, 2).  Model 1's
+    gain makes the true loop grow by `growth` per step, model 2's gain
+    zeroes the state; w is zero but for `kick` at `kick_step`."""
+    ms = mc.ModelSet.from_pairs([(np.ones((1, 1)), np.ones((1, 1))),
+                                 (np.ones((1, 1)), np.full((1, 1), 2.0))])
+    w = np.zeros((T, 1))
+    w[kick_step] = kick
+    cfg = mc.ExperimentConfig(
+        model_set=ms, penalties=mc.Penalties(Q=np.eye(1), R=np.eye(1)),
+        true_index=1, horizon=T, gamma=1.0, x0=np.array([x0]),
+        disturbance=mc.DisturbanceSpec(kind="external", sequence=w))
+    cert = mc.MinimaxCertificate(gamma_bar=1.0,
+                                 gains=np.array([[[1.0 - growth]], [[1.0]]]),
+                                 P=np.zeros((2, 2, 1, 1)))
+    return cfg, cert
+
+
+def record_blocks(monkeypatch):
+    """List of (k, end, largest |x| the block computed), one per block."""
+    blocks = []
+    play = simulate._play_block
+
+    def recorded(A, B, neg_gain, law, x, u, w, k, end):
+        play(A, B, neg_gain, law, x, u, w, k, end)
+        blocks.append((k, end, float(np.max(np.abs(x[k + 1:end + 1])))))
+
+    monkeypatch.setattr(simulate, "_play_block", recorded)
+    return blocks
+
+
+def test_speculated_divergence_after_a_switch_is_discarded(monkeypatch):
+    """x_k = 100^k under model 1's gain until w_4 = u_4 makes model 2 the
+    better explainer at step 5.  The block of steps 3..6 runs on with model
+    1's gain past 1e12 before the switch is seen; those states are dropped,
+    nothing is raised, and the rollout is the reference's."""
+    cfg, cert = growth_experiment(100.0, 1.0, 4, 99e8)
+    blocks = record_blocks(monkeypatch)
+    traj = assert_matches_reference(cfg, cert)
+    assert traj.l[4] == 1 and traj.l[5] == 2
+    assert (3, 7) in [b[:2] for b in blocks]
+    assert max(b[2] for b in blocks) > simulate.DIVERGENCE_LIMIT
+    assert np.max(np.abs(traj.x)) < simulate.DIVERGENCE_LIMIT
+
+
+@pytest.mark.parametrize("growth, x0, kick", [(1e3, 1.0, 0.0), (1e200, 0.0, 1e13)],
+                         ids=["grows", "overflows"])
+def test_divergence_inside_a_kept_block(growth, x0, kick):
+    """The first state above 1e12 is x_5, inside the block of steps 3..6 on
+    an unchanged selection: DivergedRollout at the reference's step 5, also
+    when the rest of the block overflows to inf."""
+    cfg, cert = growth_experiment(growth, x0, 4, kick)
+    assert outcome(lambda: reference_rollout(cfg, cert)) == ("diverged", 5)
+    with pytest.raises(mc.DivergedRollout, match="at step 5$"):
+        mc.rollout(cfg, cert)
+
+
 def test_replay_does_not_alias_the_recorded_sequence(bench_cfg, certified):
     _, cert = certified
     cfg = scenario_cfg(bench_cfg, certified, mc.DisturbanceSpec(kind="zero"))
@@ -364,3 +438,95 @@ def test_replay_does_not_alias_the_recorded_sequence(bench_cfg, certified):
     assert not np.shares_memory(traj.w, seq)
     traj.w[:] = 0.0
     np.testing.assert_array_equal(seq, kept)
+
+
+def random_experiments(seed, T=200):
+    """A seeded random set (F 2-8, n 1-4, m 1-2) with per-model LQR gains,
+    and one experiment per law: external, sinusoid and confusing."""
+    rng = np.random.default_rng(seed)
+    F, n, m = int(rng.integers(2, 9)), int(rng.integers(1, 5)), int(rng.integers(1, 3))
+    A0 = rng.standard_normal((n, n))
+    A0 *= 1.05 / np.max(np.abs(np.linalg.eigvals(A0)))
+    B0 = rng.standard_normal((n, m))
+    ms = mc.ModelSet.from_pairs([
+        (A0 + 0.2 * rng.standard_normal((n, n)), B0 + 0.2 * rng.standard_normal((n, m)))
+        for _ in range(F)])
+    p = mc.Penalties(Q=np.eye(n), R=np.eye(m))
+    designs = [mc.solve_riccati(*ms.pair(i), p, np.inf) for i in range(1, F + 1)]
+    gains = np.stack([d.K if d else np.zeros((m, n)) for d in designs])
+    cert = mc.MinimaxCertificate(gamma_bar=1.0, gains=gains,
+                                 P=np.zeros((F, F, n, n)))
+    true = int(rng.integers(1, F + 1))
+    direction = rng.standard_normal(n)
+    specs = [
+        mc.DisturbanceSpec(kind="external", sequence=10.0 ** rng.integers(-2, 3)
+                           * rng.standard_normal((T, n))),
+        mc.DisturbanceSpec(kind="sinusoid", amplitude=float(rng.uniform(0.1, 5)),
+                           omega=float(rng.uniform(0, np.pi)),
+                           phase=float(rng.uniform(0, np.pi)),
+                           direction=direction / np.linalg.norm(direction)),
+        mc.DisturbanceSpec(kind="confusing", target=true % F + 1),
+    ]
+    x0 = rng.standard_normal(n)
+    return [(mc.ExperimentConfig(model_set=ms, penalties=p, true_index=true,
+                                 horizon=T, gamma=1.0, disturbance=spec, x0=x0),
+             cert, gains[true - 1]) for spec in specs]
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_block_kernel_matches_reference_on_random_sets(seed):
+    for cfg, cert, K in random_experiments(seed):
+        assert_loops_match_reference(cfg, cert, K)
+
+
+def switching_experiment(T=200):
+    """F = 2, n = m = 1, A = +-0.5, B = 0, true model 1 with x_k = +-1.
+    Each step adds exactly 2 x_k x_{k+1} = +-2 to alpha_2 - alpha_1, so the
+    selection moves to model 2 when the difference drops below 0 and back
+    to model 1 when it returns to the tie.  Excursions of 1..8 steps down
+    and back make blocks of every size end early at varied offsets."""
+    products = []  # x_{k+1} x_k: runs of r down-steps, then r back up
+    for r in itertools.cycle(range(1, 9)):
+        products += [-1.0] * r + [1.0] * r
+        if len(products) >= T:
+            break
+    x = np.cumprod(np.concatenate([[1.0], products[:T]]))
+    ms = mc.ModelSet.from_pairs([(np.array([[0.5]]), np.zeros((1, 1))),
+                                 (np.array([[-0.5]]), np.zeros((1, 1)))])
+    cfg = mc.ExperimentConfig(
+        model_set=ms, penalties=mc.Penalties(Q=np.eye(1), R=np.eye(1)),
+        true_index=1, horizon=T, gamma=1.0, x0=x[:1],
+        disturbance=mc.DisturbanceSpec(kind="external",
+                                       sequence=(x[1:] - 0.5 * x[:-1])[:, None]))
+    cert = mc.MinimaxCertificate(gamma_bar=1.0, gains=np.array([[[0.25]], [[-0.75]]]),
+                                 P=np.zeros((2, 2, 1, 1)))
+    return cfg, cert
+
+
+def test_switching_set_matches_reference():
+    cfg, cert = switching_experiment()
+    traj = assert_matches_reference(cfg, cert)
+    assert np.count_nonzero(np.diff(traj.l)) >= 20
+    assert_matches_reference(cfg, cert.gains[0], disturbance=traj.w)
+
+
+def test_block_work_is_bounded(monkeypatch, bench_cfg, certified,
+                               benchmark_controller):
+    """Steps computed, discarded tails included: T + BLOCK_CAP at most on the
+    shipped set, and at most 2T (the docstring's bound) on the switching set."""
+    blocks = record_blocks(monkeypatch)
+    _, cert = certified
+    T = 2 * BLOCK_CAP + 500
+    external = mc.DisturbanceSpec(
+        kind="external", sequence=np.random.default_rng(11).standard_normal((T, 3)))
+    confusing = mc.DisturbanceSpec(kind="confusing", target=3)
+    for spec, controller in ((external, cert), (external, benchmark_controller.K),
+                             (confusing, cert)):
+        cfg = dataclasses.replace(scenario_cfg(bench_cfg, certified, spec), horizon=T)
+        blocks.clear()
+        mc.rollout(cfg, controller)
+        assert T <= sum(e - k for k, e, _ in blocks) <= T + BLOCK_CAP
+    cfg, cert = switching_experiment()
+    blocks.clear()
+    mc.rollout(cfg, cert)
+    assert sum(e - k for k, e, _ in blocks) <= 2 * cfg.horizon
