@@ -14,10 +14,13 @@ gamma = inf (G = B R^-1 B') it gives the LQR solution.  At a feasible level
 the solution is stabilizing with 0 < M < gamma^2 I, and the saddle-point
 strategies are u = -K x with K = R^-1 B' M Lambda^-1 A and w = L x with
 L = gamma^-2 M Lambda^-1 A.  `_level_search` finds the least feasible level
-of k brackets in lockstep: `gamma_stars` one per model of a stack, one
-stacked doubling per round (`optimal_attenuation`: a stack of one), and
-`minimax_cert` one for the certified level.  A frequency-domain oracle
-evaluates the closed-loop H-infinity norm on a grid.
+of k brackets in lockstep, each call of its probe covering the levels the
+next SEARCH_DEPTH rounds of every bracket can reach, and replays the
+one-level-per-round search on them: `gamma_stars` one bracket per model of
+a stack, each call one stacked doubling of all planned levels
+(`optimal_attenuation`: a stack of one), and `minimax_cert` one for the
+certified level.  A frequency-domain oracle evaluates the closed-loop
+H-infinity norm on a grid.
 
 All functions are pure and memoise nothing.  `_solve_stack` and
 `gamma_stars` take stacks of matrices, the others 2-D arrays (a 1-D B is a
@@ -36,6 +39,7 @@ RICCATI_BUDGET = 64  # doublings, i.e. 2^64 - 1 fixed-point iterations
 RICCATI_TOL = 1e-11
 FEAS_MARGIN = 1e-10
 BISECT_REL_TOL = 1e-5
+SEARCH_DEPTH = 3  # rounds of the sequential level search probed per call
 GAMMA_MAX = 1e6
 GRID_SIZE = 4096
 
@@ -98,26 +102,33 @@ def _check_shapes(A, B, Q, R):
     return n, m
 
 
-def _stacked(linalg, *stacks):
-    """(out, failed): a numpy.linalg call on stacks of matrices, per member.
+def _stacked_solve(a, b):
+    """(X, failed): numpy.linalg.solve on stacks of matrices, per member.
 
-    The stacked call raises LinAlgError if any member fails, so then the
-    members of a larger stack are redone one by one.  `out` stacks the
-    results of the members that passed (None if none did) and `failed`
+    The stacked call raises LinAlgError if any member is singular, so then
+    the members of a larger stack are redone one by one.  `X` stacks the
+    solutions of the members that passed (None if none did) and `failed`
     lists the positions of the others.
     """
     try:
-        return linalg(*stacks), []
+        return np.linalg.solve(a, b), []
     except np.linalg.LinAlgError:
-        if len(stacks[0]) == 1:
+        if len(a) == 1:
             return None, [0]
     out, failed = [], []
-    for k in range(len(stacks[0])):
+    for k in range(len(a)):
         try:
-            out.append(linalg(*(S[k] for S in stacks)))
+            out.append(np.linalg.solve(a[k], b[k]))
         except np.linalg.LinAlgError:
             failed.append(k)
     return (np.stack(out) if out else None), failed
+
+
+def _not_pd(S):
+    """Positions of the members of a stack of symmetric matrices whose least
+    eigenvalue is not positive (NaN included): one stacked eigvalsh, which
+    unlike a Cholesky factorization does not raise on the failing ones."""
+    return np.flatnonzero(~(np.linalg.eigvalsh(S)[:, 0] > 0.0))
 
 
 def _settle(results, gamma, failed, reason, members, *arrays):
@@ -150,8 +161,8 @@ def solve_riccati(A, B, penalties, gamma):
     -------
     HinfSolution or Infeasible
         Infeasible (falsy, with reason) when an iterate escapes the
-        feasible region I - gamma^-2 M > 0, the iterates diverge, the
-        doubling does not converge within RICCATI_BUDGET steps, or the
+        feasible region I - gamma^-2 M > 0, the iterates diverge or fall,
+        the doubling does not converge within RICCATI_BUDGET steps, or the
         limit is not the stabilizing solution with 0 < M < gamma^2 I.
         Structural problems (dimension mismatch, non-positive gamma)
         raise ValueError instead.
@@ -163,11 +174,17 @@ def solve_riccati(A, B, penalties, gamma):
     and H_k+1 = H_k + A_k' H_k W^-1 A_k.  H_k is the (2^k - 1)-th iterate
     of M <- Q + A' M Lambda^-1 A from M = Q, so convergence is quadratic
     where that iteration crawls (near gamma*).  The iterates rise
-    monotonically, so checking I - gamma^-2 H_k > 1e-10 I on the doubled
-    ones suffices; but doubling can pass over escaping iterates and land
-    on a non-stabilizing or indefinite solution, so the limit must also be
-    positive definite with Lambda^-1 A (= A - B K + L) Schur stable.
-    The doubling itself is `_solve_stack`'s, run on a stack of one.
+    monotonically while they stay in the feasible region, so checking
+    I - gamma^-2 H_k > 1e-10 I on the doubled ones suffices; but doubling
+    can pass over escaping iterates.  A step H_k+1 - H_k with a diagonal
+    entry below -RICCATI_TOL max|H_k+1| proves that one escaped, and ends
+    the solve ("Riccati iterates fell at doubling k"); without that exit,
+    levels just below gamma* run all RICCATI_BUDGET doublings without
+    converging.  A limit may still be a non-stabilizing or
+    indefinite solution, so it must also be positive definite with
+    Lambda^-1 A (= A - B K + L) Schur stable.  Positive definiteness is
+    tested by one stacked eigvalsh.  The doubling itself is
+    `_solve_stack`'s, run on a stack of one.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     return _solve_stack(A[None], B[None], penalties, [float(gamma)])[0]
@@ -207,15 +224,14 @@ def _solve_stack(A, B, penalties, gamma):
     # overflow and NaN are left to the divergence test
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, RICCATI_BUDGET + 1):
-            _, failed = _stacked(np.linalg.cholesky, eyes - g2 * M - margins)
-            if failed:
+            failed = _not_pd(eyes - g2 * M - margins)
+            if failed.size:
                 live, Ak, Gk, M, g2, eyes, margins = _settle(
                     results, gamma, failed, "I - gamma^-2 M lost positive definiteness "
                     f"at doubling {it - 1}", live, Ak, Gk, M, g2, eyes, margins)
                 if not live.size:
                     break
-            X, failed = _stacked(np.linalg.solve, eyes + Gk @ M,
-                                 np.concatenate([Ak, Gk], axis=2))
+            X, failed = _stacked_solve(eyes + Gk @ M, np.concatenate([Ak, Gk], axis=2))
             if failed:
                 live, Ak, Gk, M, g2, eyes, margins = _settle(
                     results, gamma, failed, f"singular doubling step {it}",
@@ -232,16 +248,27 @@ def _solve_stack(A, B, penalties, gamma):
             Ak = Ak @ X1
             # M was finite, so a NaN in M comes with a NaN delta and an
             # infinite entry makes tol infinite: delta > tol holds exactly
-            # for the members that neither diverged nor converged
+            # for the members that neither diverged nor converged.  The step
+            # is H_k+1 - H_k >= 0 while every iterate is feasible, so a
+            # diagonal entry below -tol proves that one was not (and is
+            # False for a non-finite member)
             delta = np.abs(step).max(axis=(1, 2))
             tol = RICCATI_TOL * np.abs(M).max(axis=(1, 2), initial=1.0)
-            if (delta > tol).all():
+            fell = np.diagonal(step, axis1=1, axis2=2).min(axis=1) < -tol
+            if (delta > tol).all() and not fell.any():
                 continue
             finite = np.isfinite(delta)
             if not finite.all():
-                live, Ak, Gk, M, g2, eyes, margins, delta, tol = _settle(
+                live, Ak, Gk, M, g2, eyes, margins, delta, tol, fell = _settle(
                     results, gamma, np.flatnonzero(~finite),
                     f"Riccati iterates diverged at doubling {it}",
+                    live, Ak, Gk, M, g2, eyes, margins, delta, tol, fell)
+                if not live.size:
+                    break
+            if fell.any():
+                live, Ak, Gk, M, g2, eyes, margins, delta, tol = _settle(
+                    results, gamma, np.flatnonzero(fell),
+                    f"Riccati iterates fell at doubling {it}",
                     live, Ak, Gk, M, g2, eyes, margins, delta, tol)
                 if not live.size:
                     break
@@ -265,12 +292,12 @@ def _solve_stack(A, B, penalties, gamma):
         M = Mlim
         if idx.size < len(A):
             A, B, G, M, ginv2 = A[idx], B[idx], G[idx], M[idx], ginv2[idx]
-        _, failed = _stacked(np.linalg.cholesky, eye - ginv2 * M - FEAS_MARGIN * eye)
-        if failed:
+        failed = _not_pd(eye - ginv2 * M - FEAS_MARGIN * eye)
+        if failed.size:
             idx, A, B, G, M, ginv2 = _settle(results, gamma, failed, "converged M violates "
                                              "M < gamma^2 I", idx, A, B, G, M, ginv2)
-        _, failed = _stacked(np.linalg.cholesky, M)
-        if failed:
+        failed = _not_pd(M)
+        if failed.size:
             idx, A, B, G, M, ginv2 = _settle(results, gamma, failed, "converged M is not "
                                              "positive definite", idx, A, B, G, M, ginv2)
         X = np.linalg.solve(eye + G @ M, A)
@@ -286,16 +313,42 @@ def _solve_stack(A, B, penalties, gamma):
     return results
 
 
+def _plan(lo, hi, bisecting, rel_tol, depth):
+    """Every level a bracket's sequential search can probe in its next `depth`
+    rounds from [lo, hi]: before any level is accepted, the next values of
+    hi (none past GAMMA_MAX); after, the midpoints of the next `depth` levels
+    of the bisection tree, none past the rel_tol stop."""
+    if not depth:
+        return []
+    if not bisecting:
+        if hi >= GAMMA_MAX:
+            return [hi]
+        return [hi] + _plan(lo, min(2.0 * hi, GAMMA_MAX), False, rel_tol, depth - 1)
+    if hi - lo <= rel_tol * hi:
+        return []
+    mid = 0.5 * (lo + hi)
+    return ([mid] + _plan(lo, mid, True, rel_tol, depth - 1)
+            + _plan(mid, hi, True, rel_tol, depth - 1))
+
+
 def _level_search(probe, k, Q, rel_tol):
     """Smallest level each of k brackets accepts, by doubling then bisection
-    in lockstep: each round is one call probe(levels, members), `members`
-    listing the unfinished brackets in order and `levels` their levels, and
-    returns one result per member, truthy or falsy with a `reason`.
+    in lockstep, SEARCH_DEPTH rounds of the sequential search per call
+    probe(levels, members).
 
     Every bracket has lo = sqrt(max eig Q), never probed: below it no
     M >= Q has M < level^2 I.  Its hi starts at max(2 lo, 1), clamped to
     GAMMA_MAX, and doubles until accepted, the last probe being exactly
     GAMMA_MAX; then [lo, hi] is bisected to hi - lo <= rel_tol * hi.
+
+    Each call plans, for every unfinished bracket, all levels its search
+    can probe in the next SEARCH_DEPTH rounds (`_plan`); `members` names
+    the bracket of each of `levels`, brackets in order.  The probe returns
+    a function giving the result at a position of `levels`, truthy or falsy
+    with a `reason`.  The search then replays the sequential rule bracket by
+    bracket, asking only for the results on each bracket's path, each once
+    and in the order of that path.  So every probe consumed, result and
+    error is that of the search that probes one level per bracket a round.
     Returns the k accepted levels and the results there.  BracketError with
     the last reason of the first bracket whose GAMMA_MAX is rejected, and
     without probing if lo >= GAMMA_MAX.
@@ -306,34 +359,47 @@ def _level_search(probe, k, Q, rel_tol):
                            f"{lo:.6g} is not below it")
     los, his = [lo] * k, [min(max(2.0 * lo, 1.0), GAMMA_MAX)] * k
     found = [None] * k  # the result at his[i] once bracket i has one
+
+    def next_level(i):
+        """The level bracket i's sequential search probes next; None once done."""
+        if found[i] is None:
+            return his[i]
+        return 0.5 * (los[i] + his[i]) if his[i] - los[i] > rel_tol * his[i] else None
+
     members = list(range(k))
     while members:
-        levels = [his[i] if found[i] is None else 0.5 * (los[i] + his[i]) for i in members]
-        for i, level, result in zip(members, levels, probe(levels, members)):
-            if result:
-                his[i], found[i] = level, result
-            elif found[i] is not None:
-                los[i] = level
-            elif level >= GAMMA_MAX:
-                raise BracketError(f"no feasible level up to {GAMMA_MAX:.3g} "
-                                   f"(last reason: {result.reason})")
-            else:
-                his[i] = min(2.0 * level, GAMMA_MAX)
-        members = [i for i in members
-                   if found[i] is None or his[i] - los[i] > rel_tol * his[i]]
+        levels, owners, planned = [], [], {}  # planned[i]: level -> position
+        for i in members:
+            plan = _plan(los[i], his[i], found[i] is not None, rel_tol, SEARCH_DEPTH)
+            planned[i] = {level: len(levels) + j for j, level in enumerate(plan)}
+            levels += plan
+            owners += [i] * len(plan)
+        result_at = probe(levels, owners)
+        for i in members:
+            while (level := next_level(i)) in planned[i]:
+                result = result_at(planned[i].pop(level))
+                if result:
+                    his[i], found[i] = level, result
+                elif found[i] is not None:
+                    los[i] = level
+                elif level >= GAMMA_MAX:
+                    raise BracketError(f"no feasible level up to {GAMMA_MAX:.3g} "
+                                       f"(last reason: {result.reason})")
+                else:
+                    his[i] = min(2.0 * level, GAMMA_MAX)
+        members = [i for i in members if next_level(i) is not None]
     return his, found
 
 
 def gamma_stars(A, B, penalties):
     """gamma*, the smallest feasible level, of each model of a stack A (k, n, n),
     B (k, n, m) as a list: k bisections in lockstep (relative tolerance
-    BISECT_REL_TOL), each round one `_solve_stack` of the unfinished models,
-    so each gamma* is bit for bit its model's search alone.  BracketError if
-    even GAMMA_MAX is infeasible for one (e.g. an unstabilizable pair)."""
+    BISECT_REL_TOL), each call of the probe one `_solve_stack` of every
+    planned level of the unfinished models, so each gamma* is bit for bit
+    its model's search alone.  BracketError if even GAMMA_MAX is infeasible
+    for one (e.g. an unstabilizable pair)."""
     def probe(levels, members):
-        if len(members) < len(A):
-            return _solve_stack(A[members], B[members], penalties, levels)
-        return _solve_stack(A, B, penalties, levels)
+        return _solve_stack(A[members], B[members], penalties, levels).__getitem__
 
     return _level_search(probe, len(A), penalties.Q, BISECT_REL_TOL)[0]
 

@@ -191,8 +191,12 @@ def synthesize_certificate(ms, penalties, gamma):
     verification rejects.
     """
     gamma = float(gamma)
+    return _certify(ms, penalties, gamma, _solve_stack(ms.A, ms.B, penalties, [gamma] * ms.size))
+
+
+def _certify(ms, penalties, gamma, designs):
+    """`synthesize_certificate` at level gamma from its F member designs there."""
     F, n = ms.size, ms.n
-    designs = _solve_stack(ms.A, ms.B, penalties, [gamma] * F)
     for l, sol in enumerate(designs, start=1):
         if not sol:
             return Infeasible(
@@ -236,9 +240,21 @@ def minimal_feasible_gamma(ms, penalties):
     gamma* is computed: a probe below a member's true threshold fails at its
     Riccati solve, so a gap gamma_bar - gamma*_i is negative only within
     gamma*'s tolerance.  Relative tolerance on the level: GAMMA_BAR_REL_TOL.
+    Each call of the probe solves the F member designs at every planned
+    level as one `_solve_stack`; the family and its verification run only
+    at the levels the search's path reaches, which are the levels the
+    one-level-per-round bisection probes, so gamma_bar and the certificate
+    are that bisection's and `synthesize_certificate`'s there.
     """
-    gs, certs = _level_search(lambda g, _: [synthesize_certificate(ms, penalties, g[0])],
-                              1, penalties.Q, GAMMA_BAR_REL_TOL)
+    F = ms.size
+
+    def probe(levels, members):  # one bracket: every member is 0
+        designs = _solve_stack(np.tile(ms.A, (len(levels), 1, 1)),
+                               np.tile(ms.B, (len(levels), 1, 1)), penalties,
+                               [g for g in levels for _ in range(F)])
+        return lambda j: _certify(ms, penalties, levels[j], designs[j * F:(j + 1) * F])
+
+    gs, certs = _level_search(probe, 1, penalties.Q, GAMMA_BAR_REL_TOL)
     return gs[0], certs[0]
 
 

@@ -3,7 +3,8 @@
 The attenuation bisections and the certificate synthesis are
 session-scoped fixtures.  The library keeps no memo caches, so a test that
 calls a bisection again recomputes it; the doubling Riccati solver keeps
-that cheap, and each certificate probe solves its members as one stacked
+that cheap, each level search plans several bisection rounds per call,
+and each call solves every member at every planned level as one stacked
 doubling.
 """
 import pathlib

@@ -138,8 +138,8 @@ def test_feasibility_matches_game_dare_oracle():
     """Verdicts agree with scipy on open-loop unstable models over a grid.
 
     Model 4 of the seed-1006 draw at gamma 16 and 20 is the case where the
-    doubling passes over the escaping iterates and converges to a
-    stabilizing but indefinite solution: only the M > 0 check rejects it.
+    doubling passes over the escaping iterates and, without the exit on a
+    falling iterate, converges to a stabilizing but indefinite solution.
     """
     grid = np.concatenate([np.geomspace(1.5, 300.0, 24), [16.0, 20.0]])
     for seed, n, m, F in ((1006, 4, 1, 5), (1003, 4, 2, 6)):
@@ -157,7 +157,7 @@ def test_bracket_error_when_nothing_feasible(models, penalties):
     with pytest.raises(mc.BracketError):
         mc.optimal_attenuation(A, B, penalties)
     # beside a stabilizable model, the table raises with this model's reason
-    with pytest.raises(mc.BracketError, match=r"not positive definite \(gamma=1e\+06\)\)$"):
+    with pytest.raises(mc.BracketError, match=r"fell at doubling 5 \(gamma=1e\+06\)\)$"):
         hinf.gamma_stars(np.stack([models.A[0], A]), np.stack([models.B[0], B]), penalties)
 
 
@@ -225,21 +225,30 @@ def test_scalar_bisection_brackets_the_level(a, b):
 
 class Probe:
     """Fake probe over k brackets: bracket i accepts every level at or above
-    thresholds[i]; logs each call's (levels, members)."""
+    thresholds[i].  Logs each call's (levels, members) in `calls` and, in
+    `consumed`, the (bracket, level) of each result the search asks for."""
 
     def __init__(self, *thresholds):
         self.thresholds = thresholds
         self.calls = []
+        self.consumed = []
 
     def __call__(self, levels, members):
-        self.calls.append((list(levels), list(members)))
-        return [("accepted", i, g) if g >= self.thresholds[i]
-                else hinf.Infeasible(f"bracket {i} rejected {g:g}")
-                for g, i in zip(levels, members)]
+        levels, members = list(levels), list(members)
+        self.calls.append((levels, members))
+
+        def result_at(j):
+            g, i = levels[j], members[j]
+            self.consumed.append((i, g))
+            if g >= self.thresholds[i]:
+                return ("accepted", i, g)
+            return hinf.Infeasible(f"bracket {i} rejected {g:g}")
+
+        return result_at
 
     def levels_of(self, i):
-        return [g for levels, members in self.calls
-                for g, j in zip(levels, members) if j == i]
+        """The levels of bracket i whose results the search consumed, in order."""
+        return [g for j, g in self.consumed if j == i]
 
     @property
     def levels(self):
@@ -273,24 +282,31 @@ def test_level_search_raises_with_last_reason():
 
 def test_level_search_runs_brackets_in_lockstep():
     """Three brackets: one accepted near 10, one never accepted, one clamped
-    at GAMMA_MAX.  Each round probes the unfinished ones in one call, each
-    at the levels of its search alone, and the never-accepted one raises
-    with its own last reason."""
+    at GAMMA_MAX.  Each call probes the next SEARCH_DEPTH rounds of the
+    unfinished ones, each consuming the levels of its search alone, and the
+    never-accepted one raises with its own last reason."""
     probe = Probe(10.0, np.inf, hinf.GAMMA_MAX)
     with pytest.raises(mc.BracketError, match=r"bracket 1 rejected 1e\+06"):
         hinf._level_search(probe, 3, np.eye(1), 1e-4)
     for levels, members in probe.calls:
         assert members == sorted(members) and len(levels) == len(members)
-    assert len(probe.calls) == 20  # 2, 4, ..., 2^19, then GAMMA_MAX
-    assert probe.calls[0] == ([2.0] * 3, [0, 1, 2])
-    assert probe.calls[-1] == ([hinf.GAMMA_MAX] * 2, [1, 2])
+    doubling = [2.0 ** k for k in range(1, 20)] + [hinf.GAMMA_MAX]
+    depth = hinf.SEARCH_DEPTH
+    rounds = -(-len(doubling) // depth)  # 20 sequential rounds, depth per call
+    assert len(probe.calls) == rounds
+    assert probe.calls[0] == (doubling[:depth] * 3, [0] * depth + [1] * depth + [2] * depth)
+    tail = doubling[(rounds - 1) * depth:]  # bracket 0 may still bisect before it
+    levels, members = probe.calls[-1]
+    assert levels[-2 * len(tail):] == tail * 2
+    assert members[-2 * len(tail):] == [1] * len(tail) + [2] * len(tail)
 
     alone = Probe(10.0)
     (level,), _ = hinf._level_search(alone, 1, np.eye(1), 1e-4)
     assert probe.levels_of(0) == alone.levels  # finished before the raise
     assert 10.0 <= level and level - 10.0 <= 1e-4 * level
-    assert probe.levels_of(1) == probe.levels_of(2) == \
-        [2.0 ** k for k in range(1, 20)] + [hinf.GAMMA_MAX]
+    assert probe.levels_of(1) == doubling
+    # bracket 1 raised before bracket 2 asked for the results of the last call
+    assert probe.levels_of(2) == doubling[:(rounds - 1) * depth]
 
     # without the never-accepted bracket the other two return
     probe = Probe(10.0, hinf.GAMMA_MAX)
@@ -319,16 +335,91 @@ def test_level_search_with_lo_at_gamma_max_probes_nothing():
     probe = Probe(0.0)
     with pytest.raises(mc.BracketError, match="is not below it"):
         hinf._level_search(probe, 1, np.array([[hinf.GAMMA_MAX ** 2]]), 1e-4)
-    assert probe.levels == []
+    assert probe.calls == [] and probe.levels == []
+
+
+def level_search_reference(probe, k, Q, rel_tol):
+    """Each of k brackets searched alone, doubling then bisection, asking
+    `probe` for one level at a time, as `_level_search` ran before it took
+    brackets in lockstep: the reference for its levels, results and errors.
+
+    Returns, per bracket, (level, result) or its BracketError message.
+    """
+    lo0 = float(np.sqrt(np.max(np.linalg.eigvalsh(Q))))
+    outcomes = []
+    for i in range(k):
+        def at(level):
+            return probe([level], [i])(0)
+
+        lo, hi = lo0, min(max(2.0 * lo0, 1.0), hinf.GAMMA_MAX)
+        result = at(hi)
+        while not result and hi < hinf.GAMMA_MAX:
+            hi = min(2.0 * hi, hinf.GAMMA_MAX)
+            result = at(hi)
+        if not result:
+            outcomes.append(f"no feasible level up to {hinf.GAMMA_MAX:.3g} "
+                            f"(last reason: {result.reason})")
+            continue
+        while hi - lo > rel_tol * hi:
+            mid = 0.5 * (lo + hi)
+            if mid_result := at(mid):
+                hi, result = mid, mid_result
+            else:
+                lo = mid
+        outcomes.append((hi, result))
+    return outcomes
+
+
+@st.composite
+def brackets(draw):
+    """(lo, thresholds): lo = sqrt(max eig Q) and 1-4 thresholds, each never
+    accepted, exactly GAMMA_MAX, just above lo, below lo or in between."""
+    lo = draw(st.sampled_from([0.3, 1.0, 1.5, 0.7 * hinf.GAMMA_MAX])
+              | st.floats(1e-3, 1e3))
+    threshold = st.one_of(
+        st.sampled_from([np.inf, hinf.GAMMA_MAX, 0.5 * lo]),
+        st.sampled_from([1e-15, 1e-9, 1e-5, 1e-4, 1e-3]).map(lambda r: lo * (1.0 + r)),
+        st.floats(np.log(lo), np.log(2.0 * hinf.GAMMA_MAX)).map(np.exp),
+    )
+    return lo, draw(st.lists(threshold, min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(case=brackets(), rel_tol=st.sampled_from([1e-4, 1e-5]))
+def test_level_search_replays_the_sequential_search(case, rel_tol):
+    """Same levels, results and error text as each bracket's search alone,
+    with every probe call covering up to SEARCH_DEPTH rounds."""
+    lo, thresholds = case
+    k, Q = len(thresholds), np.array([[lo ** 2]])
+    alone, probe = Probe(*thresholds), Probe(*thresholds)
+    outcomes = level_search_reference(alone, k, Q, rel_tol)
+    errors = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, str)]
+    if errors:
+        with pytest.raises(mc.BracketError) as info:
+            hinf._level_search(probe, k, Q, rel_tol)
+        assert str(info.value) == outcomes[errors[0]]
+        assert probe.levels_of(errors[0]) == alone.levels_of(errors[0])
+    else:
+        levels, results = hinf._level_search(probe, k, Q, rel_tol)
+        assert list(zip(levels, results)) == outcomes
+    for i in range(k):
+        consumed = probe.levels_of(i)
+        assert consumed == alone.levels_of(i)[:len(consumed)]
+        if not errors:
+            assert consumed == alone.levels_of(i)
+    rounds = max(len(alone.levels_of(i)) for i in range(k))
+    assert len(probe.calls) <= rounds
 
 
 def stack_of(pairs):
     return (np.stack([A for A, _ in pairs]), np.stack([B for _, B in pairs]))
 
 
-def doubling_reference(A, B, penalties, gamma):
+def doubling_reference(A, B, penalties, gamma, fall_exit=True):
     """The doubling for one model in 2-D arrays, as `solve_riccati` ran
-    before it took stacks: the reference for bit-for-bit equality.
+    before it took stacks: the reference for bit-for-bit equality.  With
+    fall_exit=False it runs without the exit on a falling iterate, as
+    `solve_riccati` ran before it had one.
 
     Returns (M, K, L, iterations) as bytes and int, or the failure reason
     without its level.
@@ -359,9 +450,12 @@ def doubling_reference(A, B, penalties, gamma):
             Gk = 0.5 * (Gk + Gk.T)
             Ak = Ak @ X[:, :n]
             delta = float(np.max(np.abs(step)))
+            tol = hinf.RICCATI_TOL * max(1.0, float(np.max(np.abs(M))))
             if not np.isfinite(delta):
                 return f"Riccati iterates diverged at doubling {it}"
-            if delta <= hinf.RICCATI_TOL * max(1.0, float(np.max(np.abs(M)))):
+            if fall_exit and float(np.min(np.diag(step))) < -tol:
+                return f"Riccati iterates fell at doubling {it}"
+            if delta <= tol:
                 break
         else:
             return f"Riccati doubling did not converge in {hinf.RICCATI_BUDGET} steps"
@@ -465,8 +559,8 @@ def test_gamma_stars_match_one_model_searches(models, penalties, draw):
 
 def test_stacked_solve_with_members_leaving_at_different_doublings():
     """Members converge after 7, 8 and 9 doublings while others lose
-    I - gamma^-2 M > 0 at doublings 3, 5 and 44, exhaust the budget or
-    converge to an indefinite M; at gamma = inf one diverges."""
+    I - gamma^-2 M > 0 at doublings 3 and 5 or fall at doublings 4 and 5;
+    at gamma = inf one diverges."""
     pairs = seeded_model_set(1006, 4, 1, 5)
     A, B = stack_of(pairs)
     p = mc.Penalties(Q=np.eye(4), R=np.eye(1))
@@ -476,9 +570,8 @@ def test_stacked_solve_with_members_leaving_at_different_doublings():
     lost = "I - gamma^-2 M lost positive definiteness at doubling"
     assert seen == {
         "ok after 7 doublings", "ok after 8 doublings", "ok after 9 doublings",
-        f"{lost} 3", f"{lost} 5", f"{lost} 44",
-        "Riccati doubling did not converge in 64 steps",
-        "converged M is not positive definite",
+        f"{lost} 3", f"{lost} 5",
+        "Riccati iterates fell at doubling 4", "Riccati iterates fell at doubling 5",
     }
 
     A, B = stack_of(pairs[:2] + [(2.0 * np.eye(4), np.zeros((4, 1)))] + pairs[2:])
@@ -488,15 +581,76 @@ def test_stacked_solve_with_members_leaving_at_different_doublings():
 
 
 def test_stacked_linalg_retests_members_one_by_one():
-    """A failing member makes the stacked numpy call raise; the fallback
-    finds exactly the failing positions and solves the others alike."""
+    """A singular member makes the stacked solve raise; the fallback finds
+    exactly the failing positions and solves the others alike."""
     S = np.stack([np.eye(2), -np.eye(2), np.diag([1.0, 0.0]), 2.0 * np.eye(2)])
-    assert hinf._stacked(np.linalg.cholesky, S)[1] == [1, 2]
-    assert hinf._stacked(np.linalg.cholesky, S[:1])[1] == []
-    assert hinf._stacked(np.linalg.cholesky, S[1:2]) == (None, [0])
     rhs = np.arange(16.0).reshape(4, 2, 2)
-    X, failed = hinf._stacked(np.linalg.solve, S, rhs)
+    X, failed = hinf._stacked_solve(S, rhs)
     assert failed == [2]
     for row, k in zip(X, (0, 1, 3)):
         assert row.tobytes() == np.linalg.solve(S[k], rhs[k]).tobytes()
-    assert hinf._stacked(np.linalg.solve, S[2:3], rhs[2:3]) == (None, [0])
+    assert hinf._stacked_solve(S[2:3], rhs[2:3]) == (None, [0])
+
+
+DRAWS = [(1000, 2, 1, 2), (1001, 2, 1, 8), (1002, 3, 1, 4), (1003, 4, 2, 6),
+         (1004, 3, 2, 8), (1005, 2, 2, 3), (1006, 4, 1, 5), (1007, 3, 1, 7),
+         (1008, 2, 1, 8), (1009, 4, 2, 8)]
+
+
+@pytest.mark.parametrize("draw", [None] + DRAWS,
+                         ids=["shipped"] + [f"draw{d[0]}" for d in DRAWS])
+def test_fall_exit_changes_no_verdict(models, penalties, draw):
+    """Each model at 140 levels: within 1e-8 to 1e-1 (relative) on either
+    side of its gamma*, and geometric from 1.0001 to 1e4.  `_solve_stack`
+    accepts exactly where the reference without the exit on a falling
+    iterate (and with Cholesky tests) accepts."""
+    if draw is None:
+        A, B, p = models.A, models.B, penalties
+    else:
+        seed, n, m, F = draw
+        A, B = stack_of(seeded_model_set(seed, n, m, F))
+        p = mc.Penalties(Q=np.eye(n), R=np.eye(m))
+    rel = np.geomspace(1e-8, 1e-1, 35)
+    for i, star in enumerate(hinf.gamma_stars(A, B, p)):
+        grid = np.concatenate([star * (1.0 - rel), star * (1.0 + rel),
+                               np.geomspace(1.0001, 1e4, 70)]).tolist()
+        members = [i] * len(grid)
+        got = hinf._solve_stack(A[members], B[members], p, grid)
+        for g, result in zip(grid, got):
+            ref = doubling_reference(A[i], B[i], p, g, fall_exit=False)
+            assert bool(result) == (not isinstance(ref, str)), (i, g, verdict(result), ref)
+
+
+def test_probes_below_gamma_star_stop_before_the_budget(models, penalties):
+    """Levels just below gamma* whose doubling once ran all RICCATI_BUDGET
+    steps without converging now end when an iterate falls."""
+    A, B = models.pair(3)
+    assert verdict(mc.solve_riccati(A, B, penalties, 2.9)) == \
+        "Riccati iterates fell at doubling 7"
+    A, B = seeded_model_set(1006, 4, 1, 5)[4]
+    p = mc.Penalties(Q=np.eye(4), R=np.eye(1))
+    assert verdict(mc.solve_riccati(A, B, p, 8.0)) == "Riccati iterates fell at doubling 4"
+
+
+def test_gamma_star_search_call_budget(models, penalties, monkeypatch):
+    """gamma* of shipped model 3 (2.9126, from lo = 1): the sequential search
+    probes 2 doubling levels (2, 4) and 17 midpoints of [1, 4], so with
+    three rounds per call it makes 1 + 6 `_solve_stack` calls (19 with
+    one), and no member runs the whole Riccati budget."""
+    calls = []
+    original = hinf._solve_stack
+
+    def counted(*args):
+        results = original(*args)
+        calls.append(results)
+        return results
+
+    monkeypatch.setattr(hinf, "_solve_stack", counted)
+    A, B = models.pair(3)
+    assert mc.optimal_attenuation(A, B, penalties) == pytest.approx(2.912582, abs=1e-5)
+    assert len(calls) <= 7
+    for result in (r for results in calls for r in results):
+        if result:
+            assert result.iterations < hinf.RICCATI_BUDGET
+        else:
+            assert "did not converge" not in result.reason
