@@ -22,6 +22,10 @@ a stack, each call one stacked doubling of all planned levels
 certified level.  A frequency-domain oracle evaluates the closed-loop
 H-infinity norm on a grid.
 
+The feasibility test I - gamma^-2 M > 1e-10 I runs on every doubled
+iterate, the converged limit included; the limit checks are M > 0 and a
+Schur stable closed loop.
+
 All functions are pure and memoise nothing.  `_solve_stack` and
 `gamma_stars` take stacks of matrices, the others 2-D arrays (a 1-D B is a
 shape error).  A solve returns `Infeasible` (falsy, with the reason) rather
@@ -103,46 +107,43 @@ def _check_shapes(A, B, Q, R):
 
 
 def _stacked_solve(a, b):
-    """(X, failed): numpy.linalg.solve on stacks of matrices, per member.
+    """(X, singular): numpy.linalg.solve on stacks of matrices, per member.
 
     The stacked call raises LinAlgError if any member is singular, so then
-    the members of a larger stack are redone one by one.  `X` stacks the
-    solutions of the members that passed (None if none did) and `failed`
-    lists the positions of the others.
+    the members are redone one by one.  `singular` masks the members that
+    failed; their rows of X are NaN.
     """
+    singular = np.zeros(len(a), dtype=bool)
     try:
-        return np.linalg.solve(a, b), []
+        return np.linalg.solve(a, b), singular
     except np.linalg.LinAlgError:
-        if len(a) == 1:
-            return None, [0]
-    out, failed = [], []
+        pass
+    X = np.full(b.shape, np.nan)
     for k in range(len(a)):
         try:
-            out.append(np.linalg.solve(a[k], b[k]))
+            X[k] = np.linalg.solve(a[k], b[k])
         except np.linalg.LinAlgError:
-            failed.append(k)
-    return (np.stack(out) if out else None), failed
+            singular[k] = True
+    return X, singular
 
 
-def _not_pd(S):
-    """Positions of the members of a stack of symmetric matrices whose least
-    eigenvalue is not positive (NaN included): one stacked eigvalsh, which
-    unlike a Cholesky factorization does not raise on the failing ones."""
-    return np.flatnonzero(~(np.linalg.eigvalsh(S)[:, 0] > 0.0))
+def _pd(S):
+    """Mask of the members of a stack of finite symmetric matrices whose least
+    eigenvalue is positive: one stacked eigvalsh, which unlike a Cholesky
+    factorization does not raise on the failing ones.  On a non-finite
+    member it may give any eigenvalues or raise LinAlgError."""
+    return np.linalg.eigvalsh(S)[:, 0] > 0.0
 
 
 def _settle(results, gamma, failed, reason, members, *arrays):
-    """Give the members at the positions `failed` (distinct ints) the result
+    """Give the members that the mask `failed` marks the result
     Infeasible(reason + its own level); returns `members` and each of
-    `arrays` without those positions."""
+    `arrays` without them (the same arrays if there are none)."""
+    if not failed.any():
+        return [members, *arrays]
     for i in members[failed]:
         results[i] = Infeasible(f"{reason} (gamma={gamma[i]:.6g})")
-    if len(failed) == len(members):
-        keep = slice(0)
-    else:
-        keep = np.ones(len(members), dtype=bool)
-        keep[failed] = False
-    return [x[keep] for x in (members, *arrays)]
+    return [x[~failed] for x in (members, *arrays)]
 
 
 def solve_riccati(A, B, penalties, gamma):
@@ -175,13 +176,14 @@ def solve_riccati(A, B, penalties, gamma):
     of M <- Q + A' M Lambda^-1 A from M = Q, so convergence is quadratic
     where that iteration crawls (near gamma*).  The iterates rise
     monotonically while they stay in the feasible region, so checking
-    I - gamma^-2 H_k > 1e-10 I on the doubled ones suffices; but doubling
-    can pass over escaping iterates.  A step H_k+1 - H_k with a diagonal
-    entry below -RICCATI_TOL max|H_k+1| proves that one escaped, and ends
-    the solve ("Riccati iterates fell at doubling k"); without that exit,
-    levels just below gamma* run all RICCATI_BUDGET doublings without
-    converging.  A limit may still be a non-stabilizing or
-    indefinite solution, so it must also be positive definite with
+    I - gamma^-2 H_k > 1e-10 I on every doubled iterate, the converged
+    limit included, suffices; but doubling can pass over escaping
+    iterates.  A step H_k+1 - H_k with a diagonal entry below
+    -RICCATI_TOL max|H_k+1| proves that one escaped, and ends the solve
+    ("Riccati iterates fell at doubling k"); without that exit, levels
+    just below gamma* run all RICCATI_BUDGET doublings without
+    converging.  A feasible limit may still be a non-stabilizing or
+    indefinite solution, so the limit checks are M > 0 and
     Lambda^-1 A (= A - B K + L) Schur stable.  Positive definiteness is
     tested by one stacked eigvalsh.  The doubling itself is
     `_solve_stack`'s, run on a stack of one.
@@ -197,6 +199,7 @@ def _solve_stack(A, B, penalties, gamma):
     stack of members still iterating, gamma[i]^-2 stays beside member i like
     its A_k, G_k and M, and a member leaves the stack at the doubling where
     it converges or fails, so it sees the same iterates as when solved alone.
+    Members leave at one point per doubling, after its feasibility test.
     The limit checks and gains are stacked calls too.  Shapes are checked on
     the first member (ValueError, as is a level <= 0).
     """
@@ -214,30 +217,23 @@ def _solve_stack(A, B, penalties, gamma):
     ginv2 = np.array([g ** -2 for g in gamma]).repeat(n * n).reshape(eyes.shape)
     G = B @ np.linalg.solve(R, B.swapaxes(1, 2)) - ginv2 * eyes
 
-    # live: the members still iterating; iters[i]: the doubling at which
-    # member i converged (0 if it has not), Mlim[i] its limit
-    live = np.arange(len(A))
+    # live: the members still iterating, from those whose H_0 = Q is
+    # feasible; iters[i]: the doubling at which member i converged (0 if it
+    # has not), Mlim[i] its limit
+    M = Q[None].repeat(len(A), axis=0)
+    live, Ak, Gk, M, g2 = _settle(
+        results, gamma, ~_pd(eyes - ginv2 * M - margins), "I - gamma^-2 M lost "
+        "positive definiteness at doubling 0", np.arange(len(A)), A, G, M, ginv2)
     iters = np.zeros(len(A), dtype=int)
     Mlim = np.empty(A.shape)
-    Ak, Gk, M, g2 = A, G, Q[None].repeat(len(A), axis=0), ginv2
+    it = 0
     # an unstabilizable pair at gamma = inf overflows within ~10 doublings;
     # overflow and NaN are left to the divergence test
     with np.errstate(over="ignore", invalid="ignore"):
-        for it in range(1, RICCATI_BUDGET + 1):
-            failed = _not_pd(eyes - g2 * M - margins)
-            if failed.size:
-                live, Ak, Gk, M, g2, eyes, margins = _settle(
-                    results, gamma, failed, "I - gamma^-2 M lost positive definiteness "
-                    f"at doubling {it - 1}", live, Ak, Gk, M, g2, eyes, margins)
-                if not live.size:
-                    break
-            X, failed = _stacked_solve(eyes + Gk @ M, np.concatenate([Ak, Gk], axis=2))
-            if failed:
-                live, Ak, Gk, M, g2, eyes, margins = _settle(
-                    results, gamma, failed, f"singular doubling step {it}",
-                    live, Ak, Gk, M, g2, eyes, margins)
-                if not live.size:
-                    break
+        while live.size:
+            it += 1
+            k = live.size  # every member's I and margin are alike: eyes[:k]
+            X, singular = _stacked_solve(eyes[:k] + Gk @ M, np.concatenate([Ak, Gk], axis=2))
             X1 = X[..., :n]
             AkT = Ak.swapaxes(1, 2)
             step = AkT @ M @ X1
@@ -255,35 +251,40 @@ def _solve_stack(A, B, penalties, gamma):
             delta = np.abs(step).max(axis=(1, 2))
             tol = RICCATI_TOL * np.abs(M).max(axis=(1, 2), initial=1.0)
             fell = np.diagonal(step, axis1=1, axis2=2).min(axis=1) < -tol
-            if (delta > tol).all() and not fell.any():
+            going = (delta > tol).all() and not fell.any()
+            # the feasibility test of H_k, a converged limit included.  going
+            # implies that every member is finite; else a non-finite one,
+            # which leaves as diverged, is tested as I, since eigvalsh may
+            # raise on it
+            S = eyes[:k] - g2 * M - margins[:k]
+            if not going:
+                S[~np.isfinite(delta)] = eye
+            feasible = _pd(S)
+            if going and feasible.all() and it < RICCATI_BUDGET:
                 continue
-            finite = np.isfinite(delta)
-            if not finite.all():
-                live, Ak, Gk, M, g2, eyes, margins, delta, tol, fell = _settle(
-                    results, gamma, np.flatnonzero(~finite),
-                    f"Riccati iterates diverged at doubling {it}",
-                    live, Ak, Gk, M, g2, eyes, margins, delta, tol, fell)
-                if not live.size:
-                    break
-            if fell.any():
-                live, Ak, Gk, M, g2, eyes, margins, delta, tol = _settle(
-                    results, gamma, np.flatnonzero(fell),
-                    f"Riccati iterates fell at doubling {it}",
-                    live, Ak, Gk, M, g2, eyes, margins, delta, tol)
-                if not live.size:
-                    break
-            converged = delta <= tol
-            if converged.all():
-                Mlim[live], iters[live] = M, it
-                break
-            if converged.any():
-                Mlim[live[converged]], iters[live[converged]] = M[converged], it
-                keep = ~converged
-                live, Ak, Gk, M, g2, eyes, margins = (
-                    x[keep] for x in (live, Ak, Gk, M, g2, eyes, margins))
-        else:
-            _settle(results, gamma, np.arange(live.size), "Riccati doubling did not "
-                    f"converge in {RICCATI_BUDGET} steps", live)
+            # the one exit: every member that fails leaves with the first of
+            # the verdicts below that holds for it, every converged one with
+            # its limit, and at doubling RICCATI_BUDGET all leave
+            converged, finite = delta <= tol, np.isfinite(delta)
+            failed = singular | ~finite | fell | ~feasible
+            if it == RICCATI_BUDGET:
+                failed |= ~converged
+            for j in failed.nonzero()[0]:
+                i = live[j]
+                reason = (f"singular doubling step {it}" if singular[j] else
+                          f"Riccati iterates diverged at doubling {it}" if not finite[j] else
+                          f"Riccati iterates fell at doubling {it}" if fell[j] else
+                          "converged M violates M < gamma^2 I" if converged[j] else
+                          f"Riccati doubling did not converge in {RICCATI_BUDGET} steps"
+                          if it == RICCATI_BUDGET else
+                          f"I - gamma^-2 M lost positive definiteness at doubling {it}")
+                results[i] = Infeasible(f"{reason} (gamma={gamma[i]:.6g})")
+            # by positions and take: boolean indexing costs several times
+            # as much on these small stacks
+            done = (converged & ~failed).nonzero()[0]
+            Mlim[live[done]], iters[live[done]] = M.take(done, axis=0), it
+            keep = (~(failed | converged)).nonzero()[0]
+            live, Ak, Gk, M, g2 = (x.take(keep, axis=0) for x in (live, Ak, Gk, M, g2))
 
         # the converged limits, checked and turned into gains
         idx = np.flatnonzero(iters)
@@ -292,19 +293,12 @@ def _solve_stack(A, B, penalties, gamma):
         M = Mlim
         if idx.size < len(A):
             A, B, G, M, ginv2 = A[idx], B[idx], G[idx], M[idx], ginv2[idx]
-        failed = _not_pd(eye - ginv2 * M - FEAS_MARGIN * eye)
-        if failed.size:
-            idx, A, B, G, M, ginv2 = _settle(results, gamma, failed, "converged M violates "
-                                             "M < gamma^2 I", idx, A, B, G, M, ginv2)
-        failed = _not_pd(M)
-        if failed.size:
-            idx, A, B, G, M, ginv2 = _settle(results, gamma, failed, "converged M is not "
-                                             "positive definite", idx, A, B, G, M, ginv2)
+        idx, A, B, G, M, ginv2 = _settle(results, gamma, ~_pd(M), "converged M is not "
+                                         "positive definite", idx, A, B, G, M, ginv2)
         X = np.linalg.solve(eye + G @ M, A)
-        failed = np.flatnonzero(np.abs(np.linalg.eigvals(X)).max(axis=1) >= 1.0)
-        if failed.size:
-            idx, B, M, X, ginv2 = _settle(results, gamma, failed, "converged M is not "
-                                          "stabilizing", idx, B, M, X, ginv2)
+        idx, B, M, X, ginv2 = _settle(
+            results, gamma, np.abs(np.linalg.eigvals(X)).max(axis=1) >= 1.0,
+            "converged M is not stabilizing", idx, B, M, X, ginv2)
         MX = M @ X
         K = np.linalg.solve(R, B.swapaxes(1, 2) @ MX)
         L = ginv2 * MX

@@ -581,15 +581,64 @@ def test_stacked_solve_with_members_leaving_at_different_doublings():
 
 
 def test_stacked_linalg_retests_members_one_by_one():
-    """A singular member makes the stacked solve raise; the fallback finds
-    exactly the failing positions and solves the others alike."""
+    """A singular member makes the stacked solve raise; the fallback masks
+    exactly the failing members, gives them NaN rows and solves the others
+    alike."""
     S = np.stack([np.eye(2), -np.eye(2), np.diag([1.0, 0.0]), 2.0 * np.eye(2)])
     rhs = np.arange(16.0).reshape(4, 2, 2)
-    X, failed = hinf._stacked_solve(S, rhs)
-    assert failed == [2]
-    for row, k in zip(X, (0, 1, 3)):
-        assert row.tobytes() == np.linalg.solve(S[k], rhs[k]).tobytes()
-    assert hinf._stacked_solve(S[2:3], rhs[2:3]) == (None, [0])
+    X, singular = hinf._stacked_solve(S, rhs)
+    assert singular.tolist() == [False, False, True, False]
+    assert np.isnan(X[2]).all()
+    for k in (0, 1, 3):
+        assert X[k].tobytes() == np.linalg.solve(S[k], rhs[k]).tobytes()
+    X, singular = hinf._stacked_solve(S[2:3], rhs[2:3])
+    assert singular.tolist() == [True] and np.isnan(X).all()
+    X, singular = hinf._stacked_solve(S[:2], rhs[:2])
+    assert not singular.any() and X.tobytes() == np.linalg.solve(S[:2], rhs[:2]).tobytes()
+
+
+def test_each_exit_of_the_doubling_in_one_stack(models, penalties):
+    """At gamma = (1 - 1e-10 - 1e-12)^-1/2, M = Q = I passes
+    I - gamma^-2 M > 1e-10 I by 1e-12, and A = diag(a, 0, 0), B = 0 raise
+    M_11 by about a^2 1e10 in one doubling: a = 1e-11 stays feasible and
+    converges, a = 3e-11 converges to an infeasible limit and a = 5e-11
+    leaves the feasible region before converging.  A = I, B = 0 at
+    gamma = inf doubles H_k = 2^k Q and never converges.  Beside the
+    shipped models, one of them infeasible at Q itself, in one stack."""
+    level = (1.0 - 1e-10 - 1e-12) ** -0.5
+    A = np.concatenate([models.A, [np.diag([a, 0.0, 0.0]) for a in (1e-11, 3e-11, 5e-11)],
+                        [np.eye(3)]])
+    B = np.concatenate([models.B, np.zeros((4, 3, 1))])
+    levels = [150.0, 2.0, 2.9, 1.0] + [level] * 3 + [np.inf]
+    results = assert_stack_matches_members(A, B, penalties, levels)
+    lost = "I - gamma^-2 M lost positive definiteness at doubling"
+    assert [verdict(r) for r in results] == [
+        "ok after 5 doublings", f"{lost} 1", "Riccati iterates fell at doubling 7",
+        f"{lost} 0", "ok after 1 doublings", "converged M violates M < gamma^2 I",
+        f"{lost} 1", f"Riccati doubling did not converge in {hinf.RICCATI_BUDGET} steps"]
+
+
+def test_singular_step_leaves_at_the_one_exit(models, penalties, monkeypatch):
+    """No shipped model has a singular doubling step (I + G H is
+    nonsingular at a feasible H > 0), so one is made singular: it leaves
+    with that verdict at that doubling, and the others are unchanged."""
+    levels = [150.0] * models.size
+    clean = hinf._solve_stack(models.A, models.B, penalties, levels)
+    original, calls = hinf._stacked_solve, []
+
+    def second_step_singular_for_member_1(a, b):
+        X, singular = original(a, b)
+        calls.append(len(a))
+        if len(calls) == 2:
+            X[1], singular[1] = np.nan, True
+        return X, singular
+
+    monkeypatch.setattr(hinf, "_stacked_solve", second_step_singular_for_member_1)
+    got = hinf._solve_stack(models.A, models.B, penalties, levels)
+    assert verdict(got[1]) == "singular doubling step 2"
+    assert got[1].reason.endswith("(gamma=150)")
+    assert [as_reference(r) for r in got[:1] + got[2:]] == \
+        [as_reference(r) for r in clean[:1] + clean[2:]]
 
 
 DRAWS = [(1000, 2, 1, 2), (1001, 2, 1, 8), (1002, 3, 1, 4), (1003, 4, 2, 6),
