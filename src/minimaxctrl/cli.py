@@ -22,7 +22,7 @@ import time
 import numpy as np
 
 from . import __version__
-from .disturbance import DisturbanceSpec, peak_sinusoid_spec
+from .disturbance import DisturbanceSpec, peak_sinusoid_spec, validate_spec
 from .fileio import atomic_write_text, sha256_of, svg_line_chart, write_csv
 from .hinf import BracketError, _solve_stack, checked_level, gamma_stars, solve_riccati
 from .minimax_cert import (
@@ -142,6 +142,9 @@ def cmd_reproduce(args):
             f"for the sublinearity diagnostic, got {cfg.horizon}"
         )
     ms, p = cfg.model_set, cfg.penalties
+    if args.scenario == "fig3":  # the target must be another model of this set
+        validate_spec(DisturbanceSpec(kind="confusing", target=CONFUSING_TARGET), ms,
+                      cfg.true_index)
     out_dir = _out_dir(args)
 
     if args.certificate:
@@ -207,7 +210,8 @@ def cmd_reproduce(args):
          lambda pth: write_csv(pth, ["T", "d_T", "R_T", "R_over_T", "cost_diff_T"],
                                regret_rows))
 
-    gap_rows = [[i, star, gbar - star] for i, star in enumerate(stars, start=1)]
+    gap_rows = [[i, star, gap] for i, (star, gap)
+                in enumerate(zip(stars, suboptimality_gaps(gbar, stars).per_model), start=1)]
     emit("gaps.csv", "gaps",
          lambda pth: write_csv(pth, ["model", "gamma_star", "gap"], gap_rows))
 

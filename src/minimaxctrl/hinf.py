@@ -22,9 +22,11 @@ a stack, each call one stacked doubling of all planned levels
 certified level.  A frequency-domain oracle evaluates the closed-loop
 H-infinity norm on a grid.
 
-The feasibility test I - gamma^-2 M > 1e-10 I runs on every doubled
-iterate, the converged limit included; the limit checks are M > 0 and a
-Schur stable closed loop.
+Each pass of the doubling loop tests I - gamma^-2 M > 1e-10 I on its
+iterate (H_0 = Q first, the converged limit last), lets the members that
+fail or converge leave, then doubles the rest; after the loop, one pass
+over the converged limits checks M > 0 and a Schur stable closed loop and
+forms the gains.
 
 All functions are pure and memoise nothing.  `_solve_stack` and
 `gamma_stars` take stacks of matrices, the others 2-D arrays (a 1-D B is a
@@ -135,17 +137,6 @@ def _pd(S):
     return np.linalg.eigvalsh(S)[:, 0] > 0.0
 
 
-def _settle(results, gamma, failed, reason, members, *arrays):
-    """Give the members that the mask `failed` marks the result
-    Infeasible(reason + its own level); returns `members` and each of
-    `arrays` without them (the same arrays if there are none)."""
-    if not failed.any():
-        return [members, *arrays]
-    for i in members[failed]:
-        results[i] = Infeasible(f"{reason} (gamma={gamma[i]:.6g})")
-    return [x[~failed] for x in (members, *arrays)]
-
-
 def solve_riccati(A, B, penalties, gamma):
     """Solve the game Riccati equation at level gamma by doubling.
 
@@ -176,16 +167,16 @@ def solve_riccati(A, B, penalties, gamma):
     of M <- Q + A' M Lambda^-1 A from M = Q, so convergence is quadratic
     where that iteration crawls (near gamma*).  The iterates rise
     monotonically while they stay in the feasible region, so checking
-    I - gamma^-2 H_k > 1e-10 I on every doubled iterate, the converged
-    limit included, suffices; but doubling can pass over escaping
+    I - gamma^-2 H_k > 1e-10 I on every iterate, from H_0 = Q to the
+    converged limit, suffices; but doubling can pass over escaping
     iterates.  A step H_k+1 - H_k with a diagonal entry below
     -RICCATI_TOL max|H_k+1| proves that one escaped, and ends the solve
     ("Riccati iterates fell at doubling k"); without that exit, levels
     just below gamma* run all RICCATI_BUDGET doublings without
     converging.  A feasible limit may still be a non-stabilizing or
     indefinite solution, so the limit checks are M > 0 and
-    Lambda^-1 A (= A - B K + L) Schur stable.  Positive definiteness is
-    tested by one stacked eigvalsh.  The doubling itself is
+    Lambda^-1 A (= A - B K + L) Schur stable, made once the doubling has
+    ended.  Positive definiteness is tested by one stacked eigvalsh.  The doubling itself is
     `_solve_stack`'s, run on a stack of one.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
@@ -199,8 +190,10 @@ def _solve_stack(A, B, penalties, gamma):
     stack of members still iterating, gamma[i]^-2 stays beside member i like
     its A_k, G_k and M, and a member leaves the stack at the doubling where
     it converges or fails, so it sees the same iterates as when solved alone.
-    Members leave at one point per doubling, after its feasibility test.
-    The limit checks and gains are stacked calls too.  Shapes are checked on
+    Each pass of the loop tests H_k, lets members leave at its one exit and
+    doubles the rest, so doubling 0 is the loop's first test.  After the
+    loop, one pass over the converged members gives each limit verdict by a
+    mask and forms the gains, all in stacked calls.  Shapes are checked on
     the first member (ValueError, as is a level <= 0).
     """
     Q, R = penalties.Q, penalties.R
@@ -217,23 +210,55 @@ def _solve_stack(A, B, penalties, gamma):
     ginv2 = np.array([g ** -2 for g in gamma]).repeat(n * n).reshape(eyes.shape)
     G = B @ np.linalg.solve(R, B.swapaxes(1, 2)) - ginv2 * eyes
 
-    # live: the members still iterating, from those whose H_0 = Q is
-    # feasible; iters[i]: the doubling at which member i converged (0 if it
-    # has not), Mlim[i] its limit
-    M = Q[None].repeat(len(A), axis=0)
-    live, Ak, Gk, M, g2 = _settle(
-        results, gamma, ~_pd(eyes - ginv2 * M - margins), "I - gamma^-2 M lost "
-        "positive definiteness at doubling 0", np.arange(len(A)), A, G, M, ginv2)
+    # live: the members still iterating; iters[i]: the doubling at which
+    # member i converged (0 if it has not), Mlim[i] its limit.  Before the
+    # first doubling no member is singular, diverged, fallen or converged
+    live, Ak, Gk, M, g2 = np.arange(len(A)), A, G, Q[None].repeat(len(A), axis=0), ginv2
     iters = np.zeros(len(A), dtype=int)
     Mlim = np.empty(A.shape)
-    it = 0
+    singular = fell = converged = np.zeros(len(A), dtype=bool)
+    finite, going, it = ~singular, True, 0
     # an unstabilizable pair at gamma = inf overflows within ~10 doublings;
     # overflow and NaN are left to the divergence test
     with np.errstate(over="ignore", invalid="ignore"):
-        while live.size:
-            it += 1
+        while True:
+            # the feasibility test of H_it, a converged limit included.
+            # going implies that every member is finite; else a non-finite
+            # one, which leaves as diverged, is tested as I, since eigvalsh
+            # may raise on it
             k = live.size  # every member's I and margin are alike: eyes[:k]
-            X, singular = _stacked_solve(eyes[:k] + Gk @ M, np.concatenate([Ak, Gk], axis=2))
+            S = eyes[:k] - g2 * M - margins[:k]
+            if not going:
+                S[~finite] = eye
+            feasible = _pd(S)
+            if not (going and feasible.all() and it < RICCATI_BUDGET):
+                # the one exit: every member that fails leaves with the first
+                # of the verdicts below that holds for it, every converged one
+                # with its limit, and at doubling RICCATI_BUDGET all leave
+                failed = singular | ~finite | fell | ~feasible
+                if it == RICCATI_BUDGET:
+                    failed |= ~converged
+                for j in failed.nonzero()[0]:
+                    i = live[j]
+                    reason = (f"singular doubling step {it}" if singular[j] else
+                              f"Riccati iterates diverged at doubling {it}" if not finite[j] else
+                              f"Riccati iterates fell at doubling {it}" if fell[j] else
+                              "converged M violates M < gamma^2 I" if converged[j] else
+                              f"Riccati doubling did not converge in {RICCATI_BUDGET} steps"
+                              if it == RICCATI_BUDGET else
+                              f"I - gamma^-2 M lost positive definiteness at doubling {it}")
+                    results[i] = Infeasible(f"{reason} (gamma={gamma[i]:.6g})")
+                # by positions and take: boolean indexing costs several times
+                # as much on these small stacks
+                done = (converged & ~failed).nonzero()[0]
+                Mlim[live[done]], iters[live[done]] = M.take(done, axis=0), it
+                keep = (~(failed | converged)).nonzero()[0]
+                live, Ak, Gk, M, g2 = (x.take(keep, axis=0) for x in (live, Ak, Gk, M, g2))
+                if not live.size:
+                    break
+            it += 1
+            X, singular = _stacked_solve(eyes[:live.size] + Gk @ M,
+                                         np.concatenate([Ak, Gk], axis=2))
             X1 = X[..., :n]
             AkT = Ak.swapaxes(1, 2)
             step = AkT @ M @ X1
@@ -251,59 +276,27 @@ def _solve_stack(A, B, penalties, gamma):
             delta = np.abs(step).max(axis=(1, 2))
             tol = RICCATI_TOL * np.abs(M).max(axis=(1, 2), initial=1.0)
             fell = np.diagonal(step, axis1=1, axis2=2).min(axis=1) < -tol
-            going = (delta > tol).all() and not fell.any()
-            # the feasibility test of H_k, a converged limit included.  going
-            # implies that every member is finite; else a non-finite one,
-            # which leaves as diverged, is tested as I, since eigvalsh may
-            # raise on it
-            S = eyes[:k] - g2 * M - margins[:k]
-            if not going:
-                S[~np.isfinite(delta)] = eye
-            feasible = _pd(S)
-            if going and feasible.all() and it < RICCATI_BUDGET:
-                continue
-            # the one exit: every member that fails leaves with the first of
-            # the verdicts below that holds for it, every converged one with
-            # its limit, and at doubling RICCATI_BUDGET all leave
             converged, finite = delta <= tol, np.isfinite(delta)
-            failed = singular | ~finite | fell | ~feasible
-            if it == RICCATI_BUDGET:
-                failed |= ~converged
-            for j in failed.nonzero()[0]:
-                i = live[j]
-                reason = (f"singular doubling step {it}" if singular[j] else
-                          f"Riccati iterates diverged at doubling {it}" if not finite[j] else
-                          f"Riccati iterates fell at doubling {it}" if fell[j] else
-                          "converged M violates M < gamma^2 I" if converged[j] else
-                          f"Riccati doubling did not converge in {RICCATI_BUDGET} steps"
-                          if it == RICCATI_BUDGET else
-                          f"I - gamma^-2 M lost positive definiteness at doubling {it}")
-                results[i] = Infeasible(f"{reason} (gamma={gamma[i]:.6g})")
-            # by positions and take: boolean indexing costs several times
-            # as much on these small stacks
-            done = (converged & ~failed).nonzero()[0]
-            Mlim[live[done]], iters[live[done]] = M.take(done, axis=0), it
-            keep = (~(failed | converged)).nonzero()[0]
-            live, Ak, Gk, M, g2 = (x.take(keep, axis=0) for x in (live, Ak, Gk, M, g2))
+            going = (delta > tol).all() and not fell.any()
 
-        # the converged limits, checked and turned into gains
+        # the converged limits in one pass, each verdict a mask.  A limit
+        # that is not positive definite is replaced by Q, which passed
+        # doubling 0, so that I + G M stays nonsingular; its gains are unused
         idx = np.flatnonzero(iters)
-        if not idx.size:
-            return results
-        M = Mlim
-        if idx.size < len(A):
-            A, B, G, M, ginv2 = A[idx], B[idx], G[idx], M[idx], ginv2[idx]
-        idx, A, B, G, M, ginv2 = _settle(results, gamma, ~_pd(M), "converged M is not "
-                                         "positive definite", idx, A, B, G, M, ginv2)
+        A, B, G, M, ginv2 = (x.take(idx, axis=0) for x in (A, B, G, Mlim, ginv2))
+        pd = _pd(M)
+        M[~pd] = Q
         X = np.linalg.solve(eye + G @ M, A)
-        idx, B, M, X, ginv2 = _settle(
-            results, gamma, np.abs(np.linalg.eigvals(X)).max(axis=1) >= 1.0,
-            "converged M is not stabilizing", idx, B, M, X, ginv2)
+        stable = np.abs(np.linalg.eigvals(X)).max(axis=1) < 1.0
         MX = M @ X
         K = np.linalg.solve(R, B.swapaxes(1, 2) @ MX)
         L = ginv2 * MX
     for j, i in enumerate(idx):
-        results[i] = HinfSolution(M=M[j], K=K[j], L=L[j], iterations=int(iters[i]))
+        results[i] = (Infeasible(f"converged M is not positive definite (gamma={gamma[i]:.6g})")
+                      if not pd[j] else
+                      Infeasible(f"converged M is not stabilizing (gamma={gamma[i]:.6g})")
+                      if not stable[j] else
+                      HinfSolution(M=M[j], K=K[j], L=L[j], iterations=int(iters[i])))
     return results
 
 

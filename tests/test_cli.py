@@ -138,6 +138,20 @@ def test_non_integer_input_is_rejected_at_load(tmp_path, monkeypatch, where, val
     assert_rejected_at_load(tmp_path, monkeypatch, where, value)
 
 
+MODEL_3 = json.loads(CONFIG_PATH.read_text())["models"][2]
+
+
+@pytest.mark.parametrize("where, value", [
+    (("models", 2, "A"), [row[:-1] for row in MODEL_3["A"]]),
+    (("models", 2, "B"), MODEL_3["B"] + MODEL_3["B"][:1]),
+    (("penalties", "Q"), [[1.0, 0.0], [0.0, 1.0]]),
+    (("penalties", "R"), [[1.0, 0.0], [0.0, 1.0]]),
+    (("experiment", "x0"), [1.0, 1.0]),
+], ids=["A-column-dropped", "B-extra-row", "Q-2x2", "R-2x2", "x0-2"])
+def test_mismatched_dimensions_are_rejected_at_load(tmp_path, monkeypatch, where, value):
+    assert_rejected_at_load(tmp_path, monkeypatch, where, value)
+
+
 @pytest.mark.parametrize("where, value, reason", [
     (("P", 4, "i"), None, "P entry i must be an integer"),
     (("P", 4, "i"), 2.7, "P entry i must be an integer"),
@@ -190,6 +204,22 @@ def test_short_horizon_is_rejected_before_synthesis(tmp_path, monkeypatch):
     code = run(["reproduce", cfg, "--scenario", "fig1",
                 "--out-dir", str(tmp_path / "out")])
     assert code == 2
+
+
+@pytest.mark.parametrize("where, value, reason", [
+    (("experiment", "true_index"), 3, "confusing target must differ from the true model"),
+    (("models",), "first two", "confusing target 3 outside 1..2"),
+], ids=["target-is-true-model", "target-outside-set"])
+def test_confusing_target_is_rejected_before_synthesis(tmp_path, monkeypatch, capsys,
+                                                       where, value, reason):
+    monkeypatch.setattr(cli, "minimal_feasible_gamma", synthesis_must_not_run)
+    if value == "first two":
+        value = json.loads(CONFIG_PATH.read_text())["models"][:2]
+    cfg = edited_config(tmp_path, where, value)
+    code = run(["reproduce", cfg, "--scenario", "fig3",
+                "--out-dir", str(tmp_path / "out")])
+    assert code == 2
+    assert reason in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["synth-hinf", "synth-minimax"])

@@ -641,6 +641,37 @@ def test_singular_step_leaves_at_the_one_exit(models, penalties, monkeypatch):
         [as_reference(r) for r in clean[:1] + clean[2:]]
 
 
+def test_limit_verdicts_leave_the_other_members_unchanged(models, penalties, monkeypatch):
+    """No known input has a converged limit that is not positive definite
+    (every feasible iterate has M >= Q > 0) or not stabilizing, so member
+    1's limit is made to fail both checks and member 2's the second: each
+    gets the first verdict that holds at its own level, and the others,
+    one converged and one that left the loop at doubling 0, are unchanged."""
+    levels = [150.0, 150.0, 20.0, 1.0]
+    clean = hinf._solve_stack(models.A, models.B, penalties, levels)
+    assert [verdict(r) for r in clean] == [
+        "ok after 5 doublings", "ok after 8 doublings", "ok after 6 doublings",
+        "I - gamma^-2 M lost positive definiteness at doubling 0"]
+    pd, eigvals, limit = hinf._pd, np.linalg.eigvals, clean[1].M
+
+    def limit_of_member_1_not_pd(S):
+        return pd(S) & ~(S == limit).all(axis=(1, 2))
+
+    def members_1_and_2_unstable(X):
+        # the limits are checked in member order: rows 1 and 2 are members 1 and 2
+        lam = eigvals(X)
+        lam[1:3] = 2.0
+        return lam
+
+    monkeypatch.setattr(hinf, "_pd", limit_of_member_1_not_pd)
+    monkeypatch.setattr(np.linalg, "eigvals", members_1_and_2_unstable)
+    got = hinf._solve_stack(models.A, models.B, penalties, levels)
+    assert got[1].reason == "converged M is not positive definite (gamma=150)"
+    assert got[2].reason == "converged M is not stabilizing (gamma=20)"
+    assert [as_reference(r) for r in (got[0], got[3])] == \
+        [as_reference(r) for r in (clean[0], clean[3])]
+
+
 DRAWS = [(1000, 2, 1, 2), (1001, 2, 1, 8), (1002, 3, 1, 4), (1003, 4, 2, 6),
          (1004, 3, 2, 8), (1005, 2, 2, 3), (1006, 4, 1, 5), (1007, 3, 1, 7),
          (1008, 2, 1, 8), (1009, 4, 2, 8)]
