@@ -36,7 +36,7 @@ from .minimax_cert import (
 from .model_set import ConfigError, load_config
 from .regret import (MIN_DIAGNOSTIC_STEPS, regret_report, suboptimality_gaps,
                      sublinearity_diagnostic)
-from .simulate import DivergedRollout, accumulated_cost, rollout, write_trajectory_csv
+from .simulate import DivergedRollout, accumulated_cost, paired_rollouts, write_trajectory_csv
 
 EXIT_OK = 0
 EXIT_INFEASIBLE = 1
@@ -48,8 +48,13 @@ CONFUSING_TARGET = 3  # scenario fig3 zeroes this wrong model's residual
 
 
 def _out_dir(args):
+    """The output directory, created if missing; ConfigError if it cannot be."""
     path = args.out_dir or os.environ.get(OUT_DIR_ENV) or "out"
-    os.makedirs(path, exist_ok=True)
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot create output directory {path}: "
+                          f"{exc.strerror}") from None
     return path
 
 
@@ -60,9 +65,10 @@ def cmd_synth_hinf(args):
         raise ConfigError(f"--model {args.model} outside 1..{ms.size}")
     sel = slice(None) if args.model is None else slice(args.model - 1, args.model)
     A, B, indices = ms.A[sel], ms.B[sel], range(1, ms.size + 1)[sel]
+    gamma = None if args.gamma is None else checked_level(args.gamma, "--gamma")
+    out_dir = _out_dir(args)
     entries = []
-    if args.gamma is not None:
-        gamma = checked_level(args.gamma, "--gamma")
+    if gamma is not None:
         for i, sol in zip(indices, _solve_stack(A, B, p, [gamma] * len(A))):
             if not sol:
                 print(f"model {i} infeasible at gamma={args.gamma:g}: {sol.reason}",
@@ -76,7 +82,7 @@ def cmd_synth_hinf(args):
             print(f"model {i}: gamma_star={gs:.6g}")
             entries.append({"model": i, "gamma_star": gs})
 
-    out = os.path.join(_out_dir(args), "hinf_synthesis.json")
+    out = os.path.join(out_dir, "hinf_synthesis.json")
     atomic_write_text(out, json.dumps({"entries": entries}, indent=2) + "\n")
     print(f"wrote {out}")
     return EXIT_OK
@@ -85,13 +91,15 @@ def cmd_synth_hinf(args):
 def cmd_synth_minimax(args):
     cfg = load_config(args.config)
     ms, p = cfg.model_set, cfg.penalties
-    if args.gamma is not None:
-        cert = synthesize_certificate(ms, p, checked_level(args.gamma, "--gamma"))
+    gamma = None if args.gamma is None else checked_level(args.gamma, "--gamma")
+    out_dir = _out_dir(args)
+    if gamma is not None:
+        cert = synthesize_certificate(ms, p, gamma)
         if not cert:
             print(f"infeasible at gamma={args.gamma:g}: {cert.reason}", file=sys.stderr)
             return EXIT_INFEASIBLE
     else:
-        gbar, cert = minimal_feasible_gamma(ms, p)
+        _, cert = minimal_feasible_gamma(ms, p)
 
     check = verify_certificate(ms, p, cert)
     stars = gamma_stars(ms.A, ms.B, p)
@@ -102,7 +110,7 @@ def cmd_synth_minimax(args):
         print(f"model {i}: gamma_star={star:.6g}  gap={gap:.6g}")
     print(f"minimal gap={gaps.minimal:.6g}  maximal gap={gaps.maximal:.6g}")
 
-    out = os.path.join(_out_dir(args), "certificate.json")
+    out = os.path.join(out_dir, "certificate.json")
     save_certificate(cert, out)
     print(f"wrote {out}")
     return EXIT_OK
@@ -167,16 +175,11 @@ def cmd_reproduce(args):
               file=sys.stderr)
         return EXIT_INFEASIBLE
     spec = _scenario_spec(args.scenario, cfg, bench)
-    rcfg = dataclasses.replace(cfg, gamma=gbar, disturbance=spec)
+    rcfg = dataclasses.replace(cfg, disturbance=spec)
     stages["design"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    if spec.generating_loop == "minimax":
-        traj_mm = rollout(rcfg, cert)
-        traj_h = rollout(rcfg, bench.K, disturbance=traj_mm.w)
-    else:
-        traj_h = rollout(rcfg, bench.K)
-        traj_mm = rollout(rcfg, cert, disturbance=traj_h.w)
+    traj_mm, traj_h = paired_rollouts(rcfg, cert, bench.K)
     stages["rollouts"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()

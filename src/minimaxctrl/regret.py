@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-W_MATCH_TOL = 1e-12
 RATIO_SLACK = 1e-12
 DECAY_FACTOR = 0.5
 MIN_DIAGNOSTIC_STEPS = 4
@@ -53,16 +52,12 @@ def regret_report(traj_a, traj_b, penalties, kind):
     terminal state distance at k = T, and R is its running sum.  cost_diff
     is the running sum of the realized cost difference; it may be negative,
     and its last entry is the difference of the gamma = 0 accumulated
-    costs.  Raises ValueError if the two disturbance sequences differ.
+    costs.  Raises ValueError unless the two disturbance sequences are
+    identical: the same shape and every entry equal (a NaN equals nothing).
     """
-    if traj_a.w.shape != traj_b.w.shape:
-        raise ValueError("trajectories have different horizons or dimensions")
-    w_gap = float(np.max(np.abs(traj_a.w - traj_b.w))) if traj_a.w.size else 0.0
-    if w_gap > W_MATCH_TOL:
-        raise ValueError(
-            f"trajectories answer different disturbances (gap {w_gap:.3e}); "
-            f"replay the recorded sequence on both loops first"
-        )
+    if not np.array_equal(traj_a.w, traj_b.w):
+        raise ValueError("trajectories answer different disturbances; replay the "
+                         "recorded sequence on both loops (simulate.paired_rollouts)")
     dx = traj_a.x - traj_b.x
     du = traj_a.u - traj_b.u
     d = np.einsum("ki,ij,kj->k", dx, penalties.Q, dx)

@@ -1,11 +1,11 @@
 """Closed-loop rollouts of the true model against a controller.
 
 Feedback-type disturbances (worst-case linear, confusing) are only ever
-generated along the loop their kind fixes.  To expose a second controller
-to the identical input, roll out the generating loop first and replay the
-recorded sequence, which `rollout` accepts in place of the config's spec.
-This keeps comparisons honest: both controllers see the same w, not the
-same disturbance law.
+generated along the loop their kind fixes.  `paired_rollouts` exposes a
+second controller to the identical input: it rolls out the generating loop
+first and replays the recorded sequence, which `rollout` accepts in place
+of the config's spec.  This keeps comparisons honest: both controllers see
+the same w, not the same disturbance law.
 
 One kernel serves both controllers (a fixed gain is a one-gain stack).
 It plays a block of steps on the current selection, computing per step
@@ -153,6 +153,19 @@ def rollout(cfg, controller, disturbance=None):
 
     return Trajectory(x=x, u=u, w=w, step_cost=step_cost, l=l,
                       alpha_hist=alpha_hist)
+
+
+def paired_rollouts(cfg, cert, gain):
+    """(adaptive, fixed): `cert` and the fixed `gain` under one disturbance.
+
+    The loop along which cfg's disturbance is generated runs first (the
+    fixed-gain loop for open-loop kinds) and its w is replayed on the other.
+    """
+    if cfg.disturbance.generating_loop == "minimax":
+        adaptive = rollout(cfg, cert)
+        return adaptive, rollout(cfg, gain, disturbance=adaptive.w)
+    fixed = rollout(cfg, gain)
+    return rollout(cfg, cert, disturbance=fixed.w), fixed
 
 
 def _play_block(A, B, neg_gain, law, x, u, w, k, end):

@@ -11,9 +11,15 @@ import pathlib
 import sys
 
 import pytest
+from hypothesis import settings
 
 import minimaxctrl as mc
 from minimaxctrl import hinf
+
+# Tier-1 is deterministic: every run draws the same examples, and no
+# example database replays an old failure
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parents[1] / "configs" / "benchmark.json"
 

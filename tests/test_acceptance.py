@@ -24,6 +24,7 @@ import pytest
 import minimaxctrl as mc
 from minimaxctrl import cli
 from minimaxctrl.fileio import sha256_of
+from minimaxctrl.simulate import paired_rollouts
 
 import conftest
 from conftest import CONFIG_PATH
@@ -43,7 +44,7 @@ def report(n, ok, detail):
 @pytest.fixture(scope="module")
 def scenarios(bench_cfg, certified, benchmark_controller):
     """All three paired rollouts at gamma_bar, keyed by scenario name."""
-    gamma_bar, cert = certified
+    _, cert = certified
     ms, p = bench_cfg.model_set, bench_cfg.penalties
     A, B = ms.pair(2)
     specs = {
@@ -54,14 +55,8 @@ def scenarios(bench_cfg, certified, benchmark_controller):
     }
     out = {}
     for name, spec in specs.items():
-        rcfg = dataclasses.replace(bench_cfg, gamma=gamma_bar, disturbance=spec)
-        if spec.generating_loop == "minimax":
-            traj_mm = mc.rollout(rcfg, cert)
-            traj_h = mc.rollout(rcfg, benchmark_controller.K,
-                                disturbance=traj_mm.w)
-        else:
-            traj_h = mc.rollout(rcfg, benchmark_controller.K)
-            traj_mm = mc.rollout(rcfg, cert, disturbance=traj_h.w)
+        rcfg = dataclasses.replace(bench_cfg, disturbance=spec)
+        traj_mm, traj_h = paired_rollouts(rcfg, cert, benchmark_controller.K)
         rep = mc.regret_report(traj_mm, traj_h, p, spec.kind)
         out[name] = {
             "traj_mm": traj_mm,

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import minimaxctrl as mc
-from minimaxctrl import cli
+from minimaxctrl import cli, simulate
 from minimaxctrl.fileio import sha256_of
 
 from conftest import CONFIG_PATH
@@ -228,7 +228,7 @@ def test_gamma_outside_level_range_is_input_error(tmp_path, monkeypatch,
                                                    command, gamma):
     monkeypatch.setattr(cli, "_solve_stack", synthesis_must_not_run)
     monkeypatch.setattr(cli, "synthesize_certificate", synthesis_must_not_run)
-    assert run([command, CFG, f"--gamma={gamma}", "--out-dir", str(tmp_path)]) == 2
+    assert run([command, CFG, f"--gamma={gamma}", "--out-dir", str(tmp_path / "out")]) == 2
     assert list(tmp_path.iterdir()) == []
 
 
@@ -338,11 +338,29 @@ def test_out_dir_flag_beats_env(tmp_path, monkeypatch):
     assert not (tmp_path / "env").exists()
 
 
+@pytest.mark.parametrize("under_file", [False, True], ids=["file", "under-file"])
+@pytest.mark.parametrize("argv", [["synth-hinf", CFG], ["synth-minimax", CFG],
+                                  ["reproduce", CFG, "--scenario", "fig1"]],
+                         ids=["synth-hinf", "synth-minimax", "reproduce"])
+def test_unusable_out_dir_is_input_error(tmp_path, monkeypatch, capsys, argv,
+                                         under_file):
+    """An --out-dir that is a regular file, or lies under one, exits 2
+    before any synthesis."""
+    monkeypatch.setattr(cli, "gamma_stars", synthesis_must_not_run)
+    monkeypatch.setattr(cli, "minimal_feasible_gamma", synthesis_must_not_run)
+    blocker = tmp_path / "blocker"
+    blocker.write_text("not a directory\n")
+    out = blocker / "out" if under_file else blocker
+    assert run(argv + ["--out-dir", str(out)]) == 2
+    assert "input error: cannot create output directory" in capsys.readouterr().err
+    assert blocker.read_text() == "not a directory\n"
+
+
 def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, certificate_file):
     def boom(*args, **kwargs):
         raise mc.DivergedRollout("state norm exceeded limit at step 3")
 
-    monkeypatch.setattr(cli, "rollout", boom)
+    monkeypatch.setattr(simulate, "rollout", boom)
     out = tmp_path / "out"
     code = run(["reproduce", CFG, "--scenario", "fig3",
                 "--certificate", certificate_file, "--out-dir", str(out)])

@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from minimaxctrl.fileio import (
+    ConfigError,
     atomic_write_text,
     fmt,
+    number,
+    read_json_object,
     sha256_of,
     svg_line_chart,
     write_csv,
@@ -54,6 +57,17 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     assert os.listdir(tmp_path) == ["out.txt"]
 
 
+def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
+    """A write that fails midway raises, keeps the old file and removes its
+    temp file."""
+    path = tmp_path / "out.txt"
+    atomic_write_text(path, "old\n")
+    with pytest.raises(TypeError):
+        atomic_write_text(path, None)
+    assert os.listdir(tmp_path) == ["out.txt"]
+    assert path.read_text() == "old\n"
+
+
 def test_atomic_write_replaces_existing(tmp_path):
     path = tmp_path / "out.txt"
     atomic_write_text(path, "one\n")
@@ -82,3 +96,15 @@ def test_svg_chart_handles_constant_series():
                          title="flat")
     assert "NaN" not in svg
     assert "flat" in svg
+
+
+def test_json_root_must_be_an_object(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    with pytest.raises(ConfigError, match="config root must be an object"):
+        read_json_object(path, "config", ())
+
+
+def test_number_rejects_an_array():
+    with pytest.raises(ConfigError, match=r"gamma must be a number, got shape \(2,\)"):
+        number([1.0, 2.0], "gamma")

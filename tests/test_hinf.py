@@ -322,6 +322,28 @@ def test_one_dimensional_b_is_a_shape_error(models, penalties):
         mc.solve_riccati(A, B[:, 0], penalties, 10.0)
 
 
+@pytest.mark.parametrize("cols, Q, R, gamma, reason", [
+    (2, np.eye(3), np.eye(1), 10.0, r"A must be square, got \(3, 2\)"),
+    (3, np.eye(2), np.eye(1), 10.0, r"Q must be 3 x 3, got \(2, 2\)"),
+    (3, np.eye(3), np.eye(2), 10.0, r"R must be 1 x 1, got \(2, 2\)"),
+    (3, np.eye(3), np.eye(1), 0.0, "gamma must be positive"),
+    (3, np.eye(3), np.eye(1), -1.0, "gamma must be positive"),
+], ids=["A-not-square", "Q-size", "R-size", "gamma-zero", "gamma-negative"])
+def test_structural_problems_raise(models, cols, Q, R, gamma, reason):
+    A, B = models.pair(1)
+    with pytest.raises(ValueError, match=reason):
+        mc.solve_riccati(A[:, :cols], B, mc.Penalties(Q=Q, R=R), gamma)
+
+
+@pytest.mark.parametrize("A, K, reason", [
+    (0.5 * np.eye(3), np.zeros((3, 1)), r"K must be 1 x 3, got \(3, 1\)"),
+    (2.0 * np.eye(3), np.zeros((1, 3)), r"Schur stable \(spectral radius 2\)"),
+], ids=["K-shape", "unstable"])
+def test_scan_rejects(penalties, A, K, reason):
+    with pytest.raises(ValueError, match=reason):
+        mc.closed_loop_scan(A, np.ones((3, 1)), K, penalties)
+
+
 def test_level_search_first_probe_is_clamped_to_gamma_max():
     probe = Probe(0.8 * hinf.GAMMA_MAX)
     lo = 0.7 * hinf.GAMMA_MAX

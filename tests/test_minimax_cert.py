@@ -58,6 +58,26 @@ def test_asymmetric_certificate_rejected(models, penalties, certified):
         mc.verify_certificate(models, penalties, bad)
 
 
+@pytest.mark.parametrize("scale", [0.0, 1.0], ids=["zero", "gamma_bar-squared"])
+def test_family_outside_the_box_is_rejected(models, penalties, certified, scale):
+    """P = 0 and P = gamma_bar^2 I are symmetric but outside 0 < P < gamma_bar^2 I."""
+    _, cert = certified
+    P = scale * cert.gamma_bar ** 2 * np.broadcast_to(np.eye(3), cert.P.shape)
+    bad = mc.MinimaxCertificate(gamma_bar=cert.gamma_bar, gains=cert.gains, P=P)
+    with pytest.raises(ValueError, match="violates 0 < P < gamma_bar"):
+        mc.verify_certificate(models, penalties, bad)
+
+
+@pytest.mark.parametrize("gains, P, reason", [
+    (np.zeros((1, 3)), np.zeros((1, 1, 3, 3)), "gains must be stacked"),
+    (np.zeros((2, 1, 3)), np.zeros((1, 1, 3, 3)),
+     r"P must be \(F, F, n, n\) = \(2, 2, 3, 3\)"),
+], ids=["2-D-gains", "P-shape"])
+def test_certificate_checks_its_shapes(gains, P, reason):
+    with pytest.raises(ValueError, match=reason):
+        mc.MinimaxCertificate(gamma_bar=10.0, gains=gains, P=P)
+
+
 def test_single_model_reduces_to_riccati(models, penalties):
     """F=1 synthesis must coincide with the plain H-infinity design."""
     ms1 = single_model_set(models, 2)

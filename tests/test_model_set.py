@@ -40,6 +40,29 @@ def test_from_pairs_matches_loaded(models):
     np.testing.assert_array_equal(rebuilt.B, models.B)
 
 
+@pytest.mark.parametrize("A, B, reason", [
+    (np.eye(2), np.ones((1, 2, 1)), "stacked A"),
+    (np.zeros((0, 2, 2)), np.zeros((0, 2, 1)), "at least one model"),
+    (np.zeros((1, 2, 3)), np.zeros((1, 2, 1)), "must be square"),
+    (np.zeros((2, 2, 2)), np.zeros((1, 2, 1)), "does not match"),
+    (np.zeros((2, 2, 2)), np.array([np.ones((2, 1)), [[0.0], [np.inf]]]),
+     "model 2: B has a non-finite entry"),
+], ids=["not-stacked", "empty", "non-square", "B-mismatch", "non-finite"])
+def test_model_set_checks_its_stacks(A, B, reason):
+    with pytest.raises(mc.ConfigError, match=reason):
+        mc.ModelSet(A, B)
+
+
+@pytest.mark.parametrize("pairs, reason", [
+    ([], "at least one model"),
+    ([(np.eye(2), np.ones((2, 1))), (np.eye(3), np.ones((3, 1)))],
+     "same state/input dimensions"),
+], ids=["empty", "mixed-dimensions"])
+def test_from_pairs_rejects(pairs, reason):
+    with pytest.raises(mc.ConfigError, match=reason):
+        mc.ModelSet.from_pairs(pairs)
+
+
 def write_json(tmp_path, doc):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps(doc))
@@ -67,6 +90,21 @@ def test_load_rejects_missing_section(tmp_path):
     doc = json.loads(CONFIG_PATH.read_text())
     del doc["penalties"]
     with pytest.raises(mc.ConfigError):
+        mc.load_config(write_json(tmp_path, doc))
+
+
+@pytest.mark.parametrize("section, value, reason", [
+    ("models", [], "'models' must be a non-empty list"),
+    ("models", {"A": [[1.0]], "B": [[1.0]]}, "'models' must be a non-empty list"),
+    ("models", [{"A": [[1.0]]}], "model 1 must be an object with 'A' and 'B'"),
+    ("penalties", {"Q": [[1.0]]}, "'penalties' must contain Q and R"),
+    ("experiment", [1, 100], "'experiment' must be an object"),
+], ids=["models-empty", "models-object", "model-without-B", "penalties-without-R",
+        "experiment-list"])
+def test_load_rejects_malformed_section(tmp_path, section, value, reason):
+    doc = json.loads(CONFIG_PATH.read_text())
+    doc[section] = value
+    with pytest.raises(mc.ConfigError, match=reason):
         mc.load_config(write_json(tmp_path, doc))
 
 
@@ -117,6 +155,8 @@ def test_enforce_symmetry():
     np.testing.assert_array_equal(S, S.T)
     with pytest.raises(mc.ConfigError):
         enforce_symmetry(np.array([[1.0, 2.0], [0.0, 3.0]]), name="Q")
+    with pytest.raises(mc.ConfigError, match=r"Q must be square, got shape \(2, 3\)"):
+        enforce_symmetry(np.ones((2, 3)), name="Q")
 
 
 def test_penalties_require_positive_definite_R():

@@ -176,3 +176,23 @@ def test_mismatched_disturbances_rejected(bench_cfg, certified,
     traj_b = mc.rollout(cfg_b, cert)
     with pytest.raises(ValueError):
         mc.regret_report(traj_a, traj_b, p, "confusing")
+
+
+def test_disturbances_apart_by_any_amount_are_rejected():
+    """w = +4e-13 against w = -4e-13 are different sequences."""
+    p = mc.Penalties(Q=np.eye(1), R=np.eye(1))
+    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], [0.0, 0.0])
+    b = tiny_trajectory([[1.0], [0.5]], [[0.0]], [0.0, 0.0])
+    a.w[0, 0], b.w[0, 0] = 4e-13, -4e-13
+    with pytest.raises(ValueError, match="different disturbances"):
+        mc.regret_report(a, b, p, "external")
+
+
+def test_nan_disturbance_is_rejected():
+    """A NaN entry equals nothing, so a trajectory carrying one is not
+    paired even with itself."""
+    p = mc.Penalties(Q=np.eye(1), R=np.eye(1))
+    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], [0.0, 0.0])
+    a.w[0, 0] = np.nan
+    with pytest.raises(ValueError, match="different disturbances"):
+        mc.regret_report(a, a, p, "external")

@@ -268,6 +268,15 @@ def outcome(run):
         return "diverged", int(re.search(r"step (\d+)$", str(exc)).group(1))
 
 
+def assert_same_trajectory(got, want):
+    for name in ("x", "u", "w", "l", "alpha_hist", "step_cost"):
+        a, b = getattr(got, name), getattr(want, name)
+        if b is None:
+            assert a is None, name
+        else:
+            assert np.array_equal(a, b), name
+
+
 def assert_matches_reference(cfg, controller, disturbance=None):
     """Roll out and require bit equality with the reference loop, or a
     divergence at the reference's step; returns the trajectory, or None
@@ -278,18 +287,26 @@ def assert_matches_reference(cfg, controller, disturbance=None):
     if want[0] == "diverged":
         assert got[1] == want[1]
         return None
-    for name in ("x", "u", "w", "l", "alpha_hist", "step_cost"):
-        a, b = getattr(got[1], name), getattr(want[1], name)
-        if b is None:
-            assert a is None, name
-        else:
-            assert np.array_equal(a, b), name
+    assert_same_trajectory(got[1], want[1])
     return got[1]
+
+
+def reference_pair(cfg, cert, K):
+    """(adaptive, fixed) from the reference loop in the pairing order: the
+    adaptive loop first for the kinds it generates, else the fixed gain
+    first, and the first loop's w replayed on the other."""
+    if cfg.disturbance.generating_loop == "minimax":
+        adaptive = reference_rollout(cfg, cert)
+        return adaptive, reference_rollout(cfg, K, disturbance=adaptive.w)
+    fixed = reference_rollout(cfg, K)
+    return reference_rollout(cfg, cert, disturbance=fixed.w), fixed
 
 
 def assert_loops_match_reference(cfg, cert, K):
     """Every loop that may generate cfg's disturbance, then the replay onto
-    the other controller, each against the reference loop."""
+    the other controller, each against the reference loop; and
+    `paired_rollouts` against the reference pair, bit for bit, or diverging
+    at the reference's step."""
     controllers = {"minimax": cert, "hinf": K}
     loop = cfg.disturbance.generating_loop
     for gen in (("minimax", "hinf") if loop == "open" else (loop,)):
@@ -297,6 +314,15 @@ def assert_loops_match_reference(cfg, cert, K):
         if traj is not None:
             other = controllers["hinf" if gen == "minimax" else "minimax"]
             assert_matches_reference(cfg, other, disturbance=traj.w)
+    want = outcome(lambda: reference_pair(cfg, cert, K))
+    got = outcome(lambda: simulate.paired_rollouts(cfg, cert, K))
+    assert got[0] == want[0]
+    if want[0] == "diverged":
+        assert got[1] == want[1]
+        return
+    for traj, ref in zip(got[1], want[1]):
+        assert_same_trajectory(traj, ref)
+    assert got[1][0].l is not None and got[1][1].l is None
 
 
 @pytest.mark.parametrize(
