@@ -153,9 +153,7 @@ def cmd_reproduce(args):
     if args.scenario == "fig3":  # the target must be another model of this set
         validate_spec(DisturbanceSpec(kind="confusing", target=CONFUSING_TARGET), ms,
                       cfg.true_index)
-    out_dir = _out_dir(args)
-
-    if args.certificate:
+    if args.certificate:  # a rejected certificate leaves no output directory
         cert = load_certificate(args.certificate)
         check = verify_certificate(ms, p, cert)
         if not check.feasible:
@@ -163,7 +161,9 @@ def cmd_reproduce(args):
                   f"(worst {check.worst_violation:.3e} at {check.worst_triple})",
                   file=sys.stderr)
             return EXIT_INFEASIBLE
+        out_dir = _out_dir(args)
     else:
+        out_dir = _out_dir(args)
         _, cert = minimal_feasible_gamma(ms, p)
     gbar = cert.gamma_bar
     stages["certificate"] = time.perf_counter() - t0

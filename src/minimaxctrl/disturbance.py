@@ -90,7 +90,7 @@ def emit(cfg):
 
     Returns (w, law): w is a new (T, n) array of the open-loop samples
     (zeros for a feedback kind), and law is None or, for a feedback kind,
-    the function (x_k, u_k) -> w_k that the rollout evaluates at each step.
+    the function (x_k, u_k, w_k) that writes row w_k in place at each step.
     """
     spec, ms, T = cfg.disturbance, cfg.model_set, cfg.horizon
     if spec.kind == "sinusoid":
@@ -101,11 +101,15 @@ def emit(cfg):
     w = np.zeros((T, ms.n))
     if spec.kind == "hinf_worst_case":
         L = spec.L
-        return w, lambda x_k, u_k: L.dot(x_k)
+        return w, lambda x_k, u_k, w_k: L.dot(x_k, out=w_k)
     if spec.kind == "confusing":
         (Aj, Bj), (Ai, Bi) = ms.pair(cfg.true_index), ms.pair(spec.target)
         dA, dB = Ai - Aj, Bi - Bj
-        return w, lambda x_k, u_k: dA.dot(x_k) + dB.dot(u_k)
+
+        def law(x_k, u_k, w_k):
+            dA.dot(x_k, out=w_k)
+            w_k += dB.dot(u_k)
+        return w, law
     return w, None
 
 

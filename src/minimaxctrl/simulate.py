@@ -8,10 +8,10 @@ of the config's spec.  This keeps comparisons honest: both controllers see
 the same w, not the same disturbance law.
 
 One kernel serves both controllers (a fixed gain is a one-gain stack).
-It plays a block of steps on the current selection, computing per step
-only the input, a feedback disturbance and the successor state; then it
-folds the block into every model's residual in one stacked product and
-keeps the block up to the first step whose selection differs.  Blocks
+It plays a block of steps on the current selection, writing per step only
+the input, a feedback disturbance and the successor state into their rows;
+then it folds the block into every model's residual in one stacked product
+and keeps the block up to the first step whose selection differs.  Blocks
 double from 1 step up to BLOCK_CAP and restart at 1 after a switch.  Step
 costs are computed after the loop.  A rollout diverges at the first kept
 state whose squared norm is above DIVERGENCE_LIMIT**2 or that is not
@@ -171,17 +171,23 @@ def paired_rollouts(cfg, cert, gain):
 def _play_block(A, B, neg_gain, law, x, u, w, k, end):
     """Steps k .. end-1 of x+ = A x + B u + w under u = neg_gain x, in place.
 
-    u[k] is already set; a feedback law fills w as it goes.  ndarray.dot
-    makes the same BLAS call as @ at half its dispatch cost; only for n = 1
-    does it multiply directly, which can flip the sign of an exact zero.
+    u[k] is already set; a feedback law writes each w row.  Products go into
+    their rows (B u into one scratch row), so the loop allocates nothing
+    and each step is A x + B u + w bit for bit.  ndarray.dot is @ at half the dispatch cost;
+    for n = 1 it multiplies directly, which can flip an exact zero's sign.
     """
-    xj, uj = x[k], u[k]
-    for j in range(k, end):
-        if j > k:
-            uj = u[j] = neg_gain.dot(xj)
+    a_dot, b_dot, k_dot = A.dot, B.dot, neg_gain.dot
+    bu = np.empty(len(A))
+    rows = zip(x[k:end], x[k + 1:end + 1], u[k:end], w[k:end])
+    for j, (xj, xn, uj, wj) in enumerate(rows):
+        if j:
+            k_dot(xj, out=uj)
         if law is not None:
-            w[j] = law(xj, uj)
-        xj = x[j + 1] = A.dot(xj) + B.dot(uj) + w[j]
+            law(xj, uj, wj)
+        a_dot(xj, out=xn)
+        b_dot(uj, out=bu)
+        xn += bu
+        xn += wj
 
 
 def accumulated_cost(traj, gamma):

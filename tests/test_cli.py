@@ -313,6 +313,25 @@ def test_reproduce_rejects_bad_certificate(tmp_path, certified):
     assert code == 1
 
 
+@pytest.mark.parametrize("defect, code", [("truncated", 2), ("unverified", 1)])
+def test_rejected_certificate_leaves_no_out_dir(tmp_path, certified, defect, code):
+    """A certificate that fails to load (exit 2) or to verify (exit 1) is
+    rejected before `reproduce` creates its output directory."""
+    _, cert = certified
+    path = tmp_path / "cert.json"
+    if defect == "truncated":
+        mc.save_certificate(cert, path)
+        text = path.read_text()
+        path.write_text(text[: len(text) // 3])
+    else:
+        mc.save_certificate(mc.MinimaxCertificate(
+            gamma_bar=cert.gamma_bar, gains=cert.gains, P=0.5 * cert.P), path)
+    out = tmp_path / "out"
+    assert run(["reproduce", CFG, "--scenario", "fig1",
+                "--certificate", str(path), "--out-dir", str(out)]) == code
+    assert not out.exists()
+
+
 def test_svg_flag_emits_charts(tmp_path, certificate_file):
     out = tmp_path / "fig1"
     code = run(["reproduce", CFG, "--scenario", "fig1", "--svg",

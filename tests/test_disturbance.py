@@ -33,7 +33,8 @@ def test_confusing_identity(models, bench_cfg):
     open_loop, law = resolve(bench_cfg, mc.DisturbanceSpec(kind="confusing", target=i),
                              true_index=j)
     np.testing.assert_array_equal(open_loop, np.zeros((bench_cfg.horizon, 3)))
-    w = law(x, u)
+    w = np.full(3, np.nan)
+    law(x, u, w)  # writes w in place
     x_next = Aj @ x + Bj @ u + w
     assert np.linalg.norm(x_next - (Ai @ x + Bi @ u)) <= 1e-12
 
@@ -117,7 +118,9 @@ def test_worst_case_is_state_feedback(bench_cfg, benchmark_controller):
         mc.DisturbanceSpec(kind="hinf_worst_case", L=benchmark_controller.L))
     np.testing.assert_array_equal(open_loop, np.zeros((bench_cfg.horizon, 3)))
     x = np.array([1.0, 2.0, 3.0])
-    np.testing.assert_allclose(law(x, np.zeros(1)), benchmark_controller.L @ x)
+    w = np.full(3, np.nan)
+    law(x, np.zeros(1), w)  # writes w in place
+    np.testing.assert_allclose(w, benchmark_controller.L @ x)
 
 
 def test_stable_loop_disturbance_has_finite_energy(models, penalties,

@@ -269,10 +269,15 @@ def outcome(run):
 
 
 def assert_same_trajectory(got, want):
+    """Byte for byte for n > 1, the sign of every zero included; for n = 1,
+    where an exact zero can carry the other sign, equal as numbers."""
     for name in ("x", "u", "w", "l", "alpha_hist", "step_cost"):
         a, b = getattr(got, name), getattr(want, name)
         if b is None:
             assert a is None, name
+        elif want.x.shape[1] > 1:
+            assert a.dtype == b.dtype and a.shape == b.shape, name
+            assert a.tobytes() == b.tobytes(), name
         else:
             assert np.array_equal(a, b), name
 
@@ -347,6 +352,23 @@ def test_rollout_matches_reference_loop(bench_cfg, certified,
     }[kind]
     cfg = scenario_cfg(bench_cfg, certified, spec)
     assert_loops_match_reference(cfg, cert, benchmark_controller.K)
+
+
+@pytest.mark.parametrize("kind", ["external", "hinf_worst_case"])
+def test_full_cap_blocks_match_reference_loop(monkeypatch, bench_cfg, certified,
+                                              benchmark_controller, kind):
+    """T = 2 BLOCK_CAP + 500 on the shipped set, where the rollouts play
+    whole BLOCK_CAP-step blocks, each loop compared with the reference."""
+    blocks = record_blocks(monkeypatch)
+    _, cert = certified
+    T = 2 * BLOCK_CAP + 500
+    spec = (mc.DisturbanceSpec(kind="hinf_worst_case", L=benchmark_controller.L)
+            if kind == "hinf_worst_case" else mc.DisturbanceSpec(
+                kind="external",
+                sequence=np.random.default_rng(13).standard_normal((T, 3))))
+    cfg = dataclasses.replace(scenario_cfg(bench_cfg, certified, spec), horizon=T)
+    assert_loops_match_reference(cfg, cert, benchmark_controller.K)
+    assert BLOCK_CAP in [end - k for k, end, _ in blocks]
 
 
 @pytest.mark.parametrize("kind", ["confusing", "external"])
@@ -464,6 +486,38 @@ def test_replay_does_not_alias_the_recorded_sequence(bench_cfg, certified):
     assert not np.shares_memory(traj.w, seq)
     traj.w[:] = 0.0
     np.testing.assert_array_equal(seq, kept)
+
+
+@pytest.mark.parametrize("kind", ["external", "replay", "hinf_worst_case",
+                                  "confusing"])
+def test_rollout_writes_only_its_trajectory(bench_cfg, certified,
+                                            benchmark_controller, kind):
+    """The rows a step writes in place belong to the trajectory: the spec's
+    sequence and L, a replayed array, the gains and the model stacks are
+    unchanged, and a second rollout is byte-identical to the first."""
+    _, cert = certified
+    rng = np.random.default_rng(17)
+    seq = rng.standard_normal((bench_cfg.horizon, 3))
+    spec, controller, replay = {
+        "external": (mc.DisturbanceSpec(kind="external", sequence=seq),
+                     cert, None),
+        "replay": (mc.DisturbanceSpec(kind="zero"), cert, seq),
+        "hinf_worst_case": (mc.DisturbanceSpec(kind="hinf_worst_case",
+                                               L=benchmark_controller.L),
+                            benchmark_controller.K, None),
+        "confusing": (mc.DisturbanceSpec(kind="confusing", target=3), cert, None),
+    }[kind]
+    cfg = scenario_cfg(bench_cfg, certified, spec)
+    ms = cfg.model_set
+    inputs = {"seq": seq, "spec.sequence": cfg.disturbance.sequence,
+              "spec.L": cfg.disturbance.L, "gains": cert.gains, "P": cert.P,
+              "K": benchmark_controller.K, "A": ms.A, "B": ms.B}
+    kept = {name: a.tobytes() for name, a in inputs.items() if a is not None}
+    first = mc.rollout(cfg, controller, disturbance=replay)
+    second = mc.rollout(cfg, controller, disturbance=replay)
+    for name, raw in kept.items():
+        assert inputs[name].tobytes() == raw, name
+    assert_same_trajectory(second, first)
 
 
 def random_experiments(seed, T=200):
