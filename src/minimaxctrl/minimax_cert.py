@@ -36,6 +36,15 @@ Its feasible set need not be an interval either, so the doubling-then-
 bisect search (`hinf._level_search`, no fallback sweep) may miss the least.
 Its bracket is gamma*'s, from sqrt(max eig Q): the (i, i, i) slack forces
 P_ii >= Q while P < gamma^2 I.
+
+Once a full verification in that search has failed, each later family is
+first screened at the worst triple of the last failed one: one triple's
+slack, the same arithmetic as its entry in the F^3 table.  Below
+-VERIFY_TOL it rejects the level, which the full check would reject too;
+otherwise the full check runs, and only it accepts a level, so gamma_bar
+and the certificate do not depend on the screen.  A screened rejection's
+reason names the screened triple's violation, not the worst one; it
+surfaces only as the last reason of a BracketError.
 """
 from __future__ import annotations
 
@@ -46,7 +55,8 @@ import numpy as np
 
 from .fileio import (ConfigError, atomic_write_text, integer, numeric,
                      read_json_object)
-from .hinf import Infeasible, _level_search, _solve_stack, checked_level
+from .hinf import (Infeasible, _level_search, _solve_stack, _stacked_solve,
+                   checked_level)
 
 VERIFY_TOL = 1e-8
 GAMMA_BAR_REL_TOL = 1e-4
@@ -134,6 +144,48 @@ def _check_cert_invariants(cert, ms):
         raise ValueError(f"P family violates 0 < P < gamma_bar^2 I ({violation})")
 
 
+def _pair_inverses(P, g2):
+    """(Z, singular) for a stack of pairs P (..., n, n): Z = (P^-1 - g2^-1 I)^-1
+    and the mask of the singular pairs, those whose P or X = P^-1 - g2^-1 I
+    numpy cannot invert or whose X is not positive definite.  A singular
+    pair's Z is 0, a finite stand-in: its triples are infeasible whatever
+    their slack."""
+    shape, n = P.shape, P.shape[-1]
+    eye = np.eye(n)
+    P = P.reshape(-1, n, n)
+    eyes = np.broadcast_to(eye, P.shape)
+    X, singular = _stacked_solve(P, eyes)  # bit for bit numpy.linalg.inv
+    X -= eye / g2
+    X = 0.5 * (X + X.transpose(0, 2, 1))
+    X[singular] = eye  # their NaN rows would make eigvalsh raise
+    singular |= np.linalg.eigvalsh(X)[:, 0] <= 0.0
+    # shifted by I, a singular pair rarely sends the solve to one member at a time
+    Z, failed = _stacked_solve(X + np.where(singular, 1.0, 0.0)[:, None, None] * eye, eyes)
+    singular |= failed
+    Z[singular] = 0.0
+    return Z.reshape(shape), singular.reshape(shape[:-2])
+
+
+def _least_slacks(ms, penalties, cert, i, j, l):
+    """Least eigenvalue of the slack matrix of the triples (i, j, l), given as
+    0-based indices or as index arrays that broadcast together; -inf where
+    the pair (i, j) is singular.  One triple and the full F^3 table run the
+    same arithmetic, so a triple's entry is the same bit for bit."""
+    g2 = cert.gamma_bar ** 2
+    Abar, C = _closed_loops(ms, penalties, cert.gains)
+    Z, singular = _pair_inverses(cert.P[i, j], g2)
+    Sm = 0.5 * (Abar[i, l] - Abar[j, l])
+    Sp = 0.5 * (Abar[i, l] + Abar[j, l])
+    slack = (
+        cert.P[i, l]
+        - C[l]
+        + g2 * np.matmul(np.swapaxes(Sm, -1, -2), Sm)
+        - np.matmul(np.swapaxes(Sp, -1, -2), np.matmul(Z, Sp))
+    )
+    slack = 0.5 * (slack + np.swapaxes(slack, -1, -2))
+    return np.where(singular, -np.inf, np.linalg.eigvalsh(slack)[..., 0])
+
+
 def verify_certificate(ms, penalties, cert):
     """Eigenvalue check of the certificate inequality over all F^3 triples.
 
@@ -143,35 +195,14 @@ def verify_certificate(ms, penalties, cert):
     as (i, j, l)).  Feasible iff every slack eigenvalue is >= -VERIFY_TOL.
 
     Structural violations of the certificate's own invariants (asymmetry,
-    P outside (0, gamma_bar^2 I)) raise ValueError; a near-singular
-    P_ij^-1 - gamma_bar^-2 I marks the affected triples as infeasible
+    P outside (0, gamma_bar^2 I)) raise ValueError; a pair whose
+    P_ij^-1 - gamma_bar^-2 I is not positive definite, or whose P_ij or that
+    matrix numpy cannot invert, marks its triples as infeasible (-inf)
     rather than raising.
     """
     _check_cert_invariants(cert, ms)
-    F, n = ms.size, ms.n
-    g2 = cert.gamma_bar ** 2
-
-    Abar, C = _closed_loops(ms, penalties, cert.gains)
-    Sm = 0.5 * (Abar[:, None, :] - Abar[None, :, :])  # indexed [i, j, l]
-    Sp = 0.5 * (Abar[:, None, :] + Abar[None, :, :])
-
-    X = np.linalg.inv(cert.P) - np.eye(n) / g2
-    X = 0.5 * (X + X.transpose(0, 1, 3, 2))
-    x_min = np.linalg.eigvalsh(X)[:, :, 0]
-    singular_pair = x_min <= 0.0
-    X_safe = X + np.where(singular_pair, 1.0, 0.0)[:, :, None, None] * np.eye(n)
-    Z = np.linalg.inv(X_safe)
-
-    slack = (
-        cert.P[:, None]                       # P_il broadcast over j
-        - C[None, None]
-        + g2 * np.matmul(Sm.transpose(0, 1, 2, 4, 3), Sm)
-        - np.matmul(Sp.transpose(0, 1, 2, 4, 3), np.matmul(Z[:, :, None], Sp))
-    )
-    slack = 0.5 * (slack + slack.transpose(0, 1, 2, 4, 3))
-    min_eig = np.linalg.eigvalsh(slack)[..., 0]
-    min_eig = np.where(singular_pair[:, :, None], -np.inf, min_eig)
-
+    F = ms.size
+    min_eig = _least_slacks(ms, penalties, cert, *np.ix_(range(F), range(F), range(F)))
     worst_flat = int(np.argmin(min_eig))
     i, j, l = np.unravel_index(worst_flat, (F, F, F))
     worst = float(min_eig[i, j, l])
@@ -188,14 +219,27 @@ def synthesize_certificate(ms, penalties, gamma):
     Returns the certificate, or Infeasible with the failing stage: a model
     without an H-infinity design at gamma (the lowest-index one), a family
     outside 0 < P < gamma^2 I, or a family that the full triple
-    verification rejects.
+    verification rejects (its worst violation and triple).
     """
     gamma = float(gamma)
-    return _certify(ms, penalties, gamma, _solve_stack(ms.A, ms.B, penalties, [gamma] * ms.size))
+    cert = _family(ms, penalties, gamma, _solve_stack(ms.A, ms.B, penalties, [gamma] * ms.size))
+    if not cert:
+        return cert
+    check = verify_certificate(ms, penalties, cert)
+    if not check.feasible:
+        return _fails_verification(gamma, "worst violation", check.worst_violation,
+                                   check.worst_triple)
+    return cert
 
 
-def _certify(ms, penalties, gamma, designs):
-    """`synthesize_certificate` at level gamma from its F member designs there."""
+def _fails_verification(gamma, what, violation, triple):
+    return Infeasible(f"family fails verification at gamma={gamma:.6g} "
+                      f"({what} {violation:.3e} at triple {triple})")
+
+
+def _family(ms, penalties, gamma, designs):
+    """The unverified certificate at level gamma from its F member designs
+    there, or Infeasible for a missing design or a family outside the box."""
     F, n = ms.size, ms.n
     for l, sol in enumerate(designs, start=1):
         if not sol:
@@ -222,15 +266,7 @@ def _certify(ms, penalties, gamma, designs):
     # so serialization round-trips are byte-stable
     iu, ju = np.triu_indices(F)
     P[ju, iu] = P[iu, ju]
-    cert = MinimaxCertificate(gamma_bar=gamma, gains=K, P=P)
-    check = verify_certificate(ms, penalties, cert)
-    if not check.feasible:
-        return Infeasible(
-            f"family fails verification at gamma={gamma:.6g} "
-            f"(worst violation {check.worst_violation:.3e} at triple "
-            f"{check.worst_triple})"
-        )
-    return cert
+    return MinimaxCertificate(gamma_bar=gamma, gains=K, P=P)
 
 
 def minimal_feasible_gamma(ms, penalties):
@@ -245,14 +281,33 @@ def minimal_feasible_gamma(ms, penalties):
     at the levels the search's path reaches, which are the levels the
     one-level-per-round bisection probes, so gamma_bar and the certificate
     are that bisection's and `synthesize_certificate`'s there.
+    Once a full verification has failed, each later family is first
+    screened at the worst triple of the last one that failed (module
+    docstring).
     """
     F = ms.size
+    failed_at = None  # worst triple (1-based) of the last failed full verification
+
+    def certify(gamma, designs):
+        nonlocal failed_at
+        cert = _family(ms, penalties, gamma, designs)
+        if not cert:
+            return cert
+        if failed_at is not None:
+            slack = float(_least_slacks(ms, penalties, cert, *(k - 1 for k in failed_at)))
+            if not slack >= -VERIFY_TOL:
+                return _fails_verification(gamma, "violation", slack, failed_at)
+        check = verify_certificate(ms, penalties, cert)
+        if check.feasible:
+            return cert
+        failed_at = check.worst_triple
+        return _fails_verification(gamma, "worst violation", check.worst_violation, failed_at)
 
     def probe(levels, members):  # one bracket: every member is 0
         designs = _solve_stack(np.tile(ms.A, (len(levels), 1, 1)),
                                np.tile(ms.B, (len(levels), 1, 1)), penalties,
                                [g for g in levels for _ in range(F)])
-        return lambda j: _certify(ms, penalties, levels[j], designs[j * F:(j + 1) * F])
+        return lambda j: certify(levels[j], designs[j * F:(j + 1) * F])
 
     gs, certs = _level_search(probe, 1, penalties.Q, GAMMA_BAR_REL_TOL)
     return gs[0], certs[0]

@@ -9,6 +9,7 @@ from minimaxctrl import cli, simulate
 from minimaxctrl.fileio import sha256_of
 
 from conftest import CONFIG_PATH
+from test_minimax_cert import singular_pair_certificate
 
 CFG = str(CONFIG_PATH)
 
@@ -329,6 +330,20 @@ def test_rejected_certificate_leaves_no_out_dir(tmp_path, certified, defect, cod
     out = tmp_path / "out"
     assert run(["reproduce", CFG, "--scenario", "fig1",
                 "--certificate", str(path), "--out-dir", str(out)]) == code
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case", ["X-not-invertible", "P-not-invertible"])
+def test_singular_pair_certificate_is_infeasible(tmp_path, models, penalties, case):
+    """A certificate whose pair (1, 2) numpy cannot invert is rejected as
+    infeasible (exit 1), not as an input error, by `verify` and by
+    `reproduce --certificate`, which creates no output directory."""
+    path = tmp_path / "cert.json"
+    mc.save_certificate(singular_pair_certificate(models, penalties, case), path)
+    assert run(["verify", str(path), CFG]) == 1
+    out = tmp_path / "out"
+    assert run(["reproduce", CFG, "--scenario", "fig1",
+                "--certificate", str(path), "--out-dir", str(out)]) == 1
     assert not out.exists()
 
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 import minimaxctrl as mc
+from minimaxctrl import minimax_cert
 
-from test_hinf import GAMMA_STAR_ORACLE
+from test_hinf import DRAWS, GAMMA_STAR_ORACLE, seeded_model_set
 
 
 def single_model_set(models, i):
@@ -66,6 +67,72 @@ def test_family_outside_the_box_is_rejected(models, penalties, certified, scale)
     bad = mc.MinimaxCertificate(gamma_bar=cert.gamma_bar, gains=cert.gains, P=P)
     with pytest.raises(ValueError, match="violates 0 < P < gamma_bar"):
         mc.verify_certificate(models, penalties, bad)
+
+
+# (seed, spectrum of P_12 relative to gamma_bar^2 = 1e12) reaching each
+# singular-pair rule of the verifier in `singular_pair_certificate`; the
+# test checks that the construction still reaches its rule.
+SINGULAR_PAIRS = {
+    "not-positive-definite": (3, (1.0, 10.0, (1 - 1e-12) * 1e12)),
+    "X-not-invertible": (1, (1.0, 10.0, (1 - 1e-12) * 1e12)),
+    "P-not-invertible": (30, (2e-10, 1.0, 5e11)),
+}
+
+
+def singular_pair_certificate(models, penalties, case):
+    """The shipped set's certificate at gamma_bar = 1e6 with P_12 = P_21 replaced
+    by V diag(spectrum) V' for a seeded random orthogonal V: symmetric and
+    inside 0 < P < gamma_bar^2 I, yet ill-conditioned enough that numpy
+    finds X = P_12^-1 - gamma_bar^-2 I not positive definite, or cannot
+    invert X or P_12 itself."""
+    seed, spectrum = SINGULAR_PAIRS[case]
+    cert = mc.synthesize_certificate(models, penalties, 1e6)
+    V, _ = np.linalg.qr(np.random.default_rng(seed).standard_normal((3, 3)))
+    M = (V * np.array(spectrum)) @ V.T
+    P = cert.P.copy()
+    P[0, 1] = P[1, 0] = 0.5 * (M + M.T)
+    return mc.MinimaxCertificate(gamma_bar=cert.gamma_bar, gains=cert.gains, P=P)
+
+
+def slack_table(ms, penalties, cert):
+    """Least slack eigenvalue of every triple, as `verify_certificate` computes it."""
+    F = ms.size
+    return minimax_cert._least_slacks(ms, penalties, cert,
+                                      *np.ix_(range(F), range(F), range(F)))
+
+
+@pytest.mark.parametrize("case", list(SINGULAR_PAIRS))
+def test_singular_pair_is_infeasible(models, penalties, case):
+    """A pair whose (P_12^-1 - gamma_bar^-2 I)^-1 does not exist in floating
+    point gives its 2F triples the verdict -inf instead of raising, and a
+    single triple's slack, as the gamma_bar search screens it, is the
+    table's entry."""
+    cert = singular_pair_certificate(models, penalties, case)
+    P12 = cert.P[0, 1]
+    if case == "P-not-invertible":
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.inv(P12)
+    else:
+        X = np.linalg.inv(P12) - np.eye(3) / cert.gamma_bar ** 2
+        X = 0.5 * (X + X.T)
+        if case == "not-positive-definite":
+            assert np.linalg.eigvalsh(X)[0] <= 0.0
+        else:
+            assert np.linalg.eigvalsh(X)[0] > 0.0
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.inv(X)
+    check = mc.verify_certificate(models, penalties, cert)
+    assert not check.feasible
+    assert check.worst_violation == -np.inf
+    assert check.worst_triple[:2] in [(1, 2), (2, 1)]
+    table = slack_table(models, penalties, cert)
+    singular = np.zeros((4, 4), dtype=bool)
+    singular[0, 1] = singular[1, 0] = True
+    assert np.all(table[singular] == -np.inf)
+    assert np.all(np.isfinite(table[~singular]))
+    for triple in [(0, 1, 0), (1, 0, 3), (0, 0, 1), (2, 3, 1)]:
+        screened = minimax_cert._least_slacks(models, penalties, cert, *triple)
+        assert screened.tobytes() == table[triple].tobytes()
 
 
 @pytest.mark.parametrize("gains, P, reason", [
@@ -149,6 +216,86 @@ def test_minimal_feasible_gamma_is_deterministic(models, penalties, certified,
     assert gamma_bar == certified[0]
     np.testing.assert_array_equal(cert.gains, certified[1].gains)
     np.testing.assert_array_equal(cert.P, certified[1].P)
+
+
+def search_records(monkeypatch, ms, penalties):
+    """Run `minimal_feasible_gamma` and record its families (every certificate
+    that reaches verification), its full verifications and its screens
+    (single-triple `_least_slacks` calls) as (cert, triple, slack)."""
+    families, verified, screens = [], [], []
+    family, verify, least_slacks = (minimax_cert._family, minimax_cert.verify_certificate,
+                                    minimax_cert._least_slacks)
+
+    def recorded_family(*args):
+        result = family(*args)
+        if result:
+            families.append(result)
+        return result
+
+    def recorded_verify(ms, penalties, cert):
+        verified.append(cert)
+        return verify(ms, penalties, cert)
+
+    def recorded_slacks(ms, penalties, cert, i, j, l):
+        slack = least_slacks(ms, penalties, cert, i, j, l)
+        if np.ndim(i) == 0:
+            screens.append((cert, (i, j, l), slack))
+        return slack
+
+    monkeypatch.setattr(minimax_cert, "_family", recorded_family)
+    monkeypatch.setattr(minimax_cert, "verify_certificate", recorded_verify)
+    monkeypatch.setattr(minimax_cert, "_least_slacks", recorded_slacks)
+    result = mc.minimal_feasible_gamma(ms, penalties)
+    monkeypatch.undo()
+    return result, families, verified, screens
+
+
+def test_screen_saves_full_verifications(models, penalties, certified, monkeypatch):
+    """The shipped set's search reaches verification at 20 levels.  Once a
+    full verification has failed, a level whose slack at that failing triple
+    is below -VERIFY_TOL is rejected by the screen, so only 11 levels run
+    the F^3 check; gamma_bar and the certificate are the pinned ones."""
+    (gamma_bar, cert), families, verified, screens = search_records(
+        monkeypatch, models, penalties)
+    assert (len(families), len(verified)) == (20, 11)
+    rejected = [s for s in screens if not s[2] >= -minimax_cert.VERIFY_TOL]
+    assert len(rejected) == 9
+    assert gamma_bar == GAMMA_BAR_PIN
+    np.testing.assert_array_equal(cert.P, certified[1].P)
+
+
+@pytest.mark.parametrize("draw", [None] + [d for d in DRAWS if d[0] != 1001],
+                         ids=["shipped"] + [f"draw{d[0]}" for d in DRAWS if d[0] != 1001])
+def test_screen_matches_full_verification(models, penalties, monkeypatch, draw):
+    """At every level the gamma_bar search verifies or screens, failing levels
+    included, a triple's least slack eigenvalue alone is the full F^3
+    table's entry bit for bit: every triple the search screened, the
+    table's worst, and every triple for F <= 4 (else 16 seeded ones); and
+    `verify_certificate` reports the table's minimum."""
+    if draw is None:
+        ms, p = models, penalties
+    else:
+        seed, n, m, F = draw
+        ms = mc.ModelSet.from_pairs(seeded_model_set(seed, n, m, F))
+        p = mc.Penalties(Q=np.eye(n), R=np.eye(m))
+    _, families, _, screens = search_records(monkeypatch, ms, p)
+    F = ms.size
+    rng = np.random.default_rng(0)
+    tables = {id(cert): slack_table(ms, p, cert) for cert in families}
+    for cert, triple, slack in screens:
+        assert slack.tobytes() == tables[id(cert)][triple].tobytes()
+    for cert in families:
+        table = tables[id(cert)]
+        worst = np.unravel_index(np.argmin(table), table.shape)
+        check = mc.verify_certificate(ms, p, cert)
+        assert check.worst_triple == tuple(int(k) + 1 for k in worst)
+        assert np.float64(check.worst_violation).tobytes() == table[worst].tobytes()
+        picks = range(F ** 3) if F <= 4 else rng.choice(F ** 3, 16, replace=False)
+        for triple in [worst] + [np.unravel_index(k, table.shape) for k in picks]:
+            triple = tuple(int(k) for k in triple)
+            slack = minimax_cert._least_slacks(ms, p, cert, *triple)
+            assert slack.tobytes() == table[triple].tobytes(), triple
+    assert len(screens) > 0
 
 
 def test_value_bound_is_max_quadratic_form(certified):
