@@ -23,8 +23,8 @@ import numpy as np
 
 from . import __version__
 from .disturbance import DisturbanceSpec, peak_sinusoid_spec, validate_spec
-from .fileio import atomic_write_text, sha256_of, svg_line_chart, write_csv
-from .hinf import BracketError, _solve_stack, checked_level, gamma_stars, solve_riccati
+from .fileio import atomic_write_text, svg_line_chart, write_csv
+from .hinf import BracketError, checked_level, gamma_stars, solve_riccati
 from .minimax_cert import (
     load_certificate,
     minimal_feasible_gamma,
@@ -69,7 +69,8 @@ def cmd_synth_hinf(args):
     out_dir = _out_dir(args)
     entries = []
     if gamma is not None:
-        for i, sol in zip(indices, _solve_stack(A, B, p, [gamma] * len(A))):
+        for i, Ai, Bi in zip(indices, A, B):
+            sol = solve_riccati(Ai, Bi, p, gamma)
             if not sol:
                 print(f"model {i} infeasible at gamma={args.gamma:g}: {sol.reason}",
                       file=sys.stderr)
@@ -141,8 +142,14 @@ def _scenario_spec(scenario, cfg, bench):
 
 
 def cmd_reproduce(args):
-    stages = {}
-    t0 = time.perf_counter()
+    stages, last = {}, time.perf_counter()
+
+    def lap(stage):
+        """Record the seconds since the previous lap (or the start) as `stage`."""
+        nonlocal last
+        now = time.perf_counter()
+        stages[stage], last = now - last, now
+
     cfg = load_config(args.config)
     if cfg.horizon < MIN_DIAGNOSTIC_STEPS:
         raise ConfigError(
@@ -166,9 +173,8 @@ def cmd_reproduce(args):
         out_dir = _out_dir(args)
         _, cert = minimal_feasible_gamma(ms, p)
     gbar = cert.gamma_bar
-    stages["certificate"] = time.perf_counter() - t0
+    lap("certificate")
 
-    t0 = time.perf_counter()
     bench = solve_riccati(*ms.pair(cfg.true_index), p, gbar)
     if not bench:
         print(f"benchmark design infeasible at gamma_bar={gbar:.6g}: {bench.reason}",
@@ -176,63 +182,48 @@ def cmd_reproduce(args):
         return EXIT_INFEASIBLE
     spec = _scenario_spec(args.scenario, cfg, bench)
     rcfg = dataclasses.replace(cfg, disturbance=spec)
-    stages["design"] = time.perf_counter() - t0
+    lap("design")
 
-    t0 = time.perf_counter()
     traj_mm, traj_h = paired_rollouts(rcfg, cert, bench.K)
-    stages["rollouts"] = time.perf_counter() - t0
+    lap("rollouts")
 
-    t0 = time.perf_counter()
     report = regret_report(traj_mm, traj_h, p, spec.kind)
     diag = sublinearity_diagnostic(report.R)
     stars = gamma_stars(ms.A, ms.B, p)
     bound = value_bound(cert, rcfg.x0)
     cost_mm = accumulated_cost(traj_mm, gbar)
     cost_h = accumulated_cost(traj_h, gbar)
-    stages["metrics"] = time.perf_counter() - t0
+    lap("metrics")
 
-    t0 = time.perf_counter()
-    artifacts = []
+    def at(name):
+        return os.path.join(out_dir, name)
 
-    def emit(name, kind, writer):
-        path = os.path.join(out_dir, name)
-        writer(path)
-        artifacts.append({"name": name, "kind": kind, "sha256": sha256_of(path)})
-
-    emit("minimax_traj.csv", "trajectory",
-         lambda pth: write_trajectory_csv(traj_mm, pth))
-    emit("hinf_traj.csv", "trajectory",
-         lambda pth: write_trajectory_csv(traj_h, pth))
-
-    T = traj_mm.horizon
-    regret_rows = [
-        [k, report.d[k], report.R[k], report.R_over_T[k], report.cost_diff[k]]
-        for k in range(T + 1)
-    ]
-    emit("regret.csv", "regret",
-         lambda pth: write_csv(pth, ["T", "d_T", "R_T", "R_over_T", "cost_diff_T"],
-                               regret_rows))
-
-    gap_rows = [[i, star, gap] for i, (star, gap)
-                in enumerate(zip(stars, suboptimality_gaps(gbar, stars).per_model), start=1)]
-    emit("gaps.csv", "gaps",
-         lambda pth: write_csv(pth, ["model", "gamma_star", "gap"], gap_rows))
-
-    emit("certificate.json", "certificate",
-         lambda pth: save_certificate(cert, pth))
-
+    ks = np.arange(traj_mm.horizon + 1)
+    files = {  # name -> (kind, sha256 of the bytes written), in writing order
+        "minimax_traj.csv": ("trajectory", write_trajectory_csv(
+            traj_mm, at("minimax_traj.csv"))),
+        "hinf_traj.csv": ("trajectory", write_trajectory_csv(traj_h, at("hinf_traj.csv"))),
+        "regret.csv": ("regret", write_csv(
+            at("regret.csv"), ["T", "d_T", "R_T", "R_over_T", "cost_diff_T"],
+            np.column_stack([ks, report.d, report.R, report.R_over_T, report.cost_diff]))),
+        "gaps.csv": ("gaps", write_csv(
+            at("gaps.csv"), ["model", "gamma_star", "gap"],
+            np.column_stack([np.arange(1, ms.size + 1), stars,
+                             suboptimality_gaps(gbar, stars).per_model]))),
+        "certificate.json": ("certificate", save_certificate(cert, at("certificate.json"))),
+    }
     if args.svg:
-        ks = list(range(T + 1))
-        emit("states.svg", "chart", lambda pth: atomic_write_text(pth, svg_line_chart(
-            {"adaptive |x|": (ks, np.linalg.norm(traj_mm.x, axis=1).tolist()),
-             "benchmark |x|": (ks, np.linalg.norm(traj_h.x, axis=1).tolist())},
-            f"{args.scenario}: state norms")))
-        emit("regret.svg", "chart", lambda pth: atomic_write_text(pth, svg_line_chart(
-            {"R": (ks, report.R.tolist())}, f"{args.scenario}: cumulative regret")))
-        emit("ratio.svg", "chart", lambda pth: atomic_write_text(pth, svg_line_chart(
-            {"R/T": (ks[1:], report.R_over_T[1:].tolist())},
-            f"{args.scenario}: regret per step")))
-    stages["write"] = time.perf_counter() - t0
+        charts = {
+            "states.svg": ({"adaptive |x|": (ks, np.linalg.norm(traj_mm.x, axis=1)),
+                            "benchmark |x|": (ks, np.linalg.norm(traj_h.x, axis=1))},
+                           "state norms"),
+            "regret.svg": ({"R": (ks, report.R)}, "cumulative regret"),
+            "ratio.svg": ({"R/T": (ks[1:], report.R_over_T[1:])}, "regret per step"),
+        }
+        for name, (series, title) in charts.items():
+            files[name] = ("chart", atomic_write_text(
+                at(name), svg_line_chart(series, f"{args.scenario}: {title}")))
+    lap("write")
 
     manifest = {
         "config": os.path.abspath(args.config),
@@ -244,15 +235,15 @@ def cmd_reproduce(args):
         "accumulated_cost": {"adaptive": cost_mm, "benchmark": cost_h},
         "sublinearity": {"verdict": diag.verdict, "tail_slope": diag.tail_slope},
         "stage_seconds": stages,
-        "artifacts": artifacts,
+        "artifacts": [{"name": name, "kind": kind, "sha256": digest}
+                      for name, (kind, digest) in files.items()],
     }
-    atomic_write_text(os.path.join(out_dir, "manifest.json"),
-                      json.dumps(manifest, indent=2) + "\n")
+    atomic_write_text(at("manifest.json"), json.dumps(manifest, indent=2) + "\n")
 
     print(f"{args.scenario}: gamma_bar={gbar:.6g}  value_bound={bound:.6g}")
     print(f"accumulated cost: adaptive={cost_mm:.6g}  benchmark={cost_h:.6g}")
     print(f"final regret R(T)={report.R[-1]:.6g}  verdict={diag.verdict}")
-    print(f"wrote {len(artifacts) + 1} files to {out_dir}")
+    print(f"wrote {len(files) + 1} files to {out_dir}")
     return EXIT_OK
 
 

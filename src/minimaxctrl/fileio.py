@@ -3,14 +3,17 @@
 The package reads only JSON: config and certificate files are read by
 `read_json_object`, and each value in them passes `numeric`, `number` or `integer`: finite JSON numbers
 only, never a string, boolean, null or truncated fraction, else a
-`ConfigError` naming the field.  Writers print floats with 12 significant
-digits ('%.12g', '.' decimal separator) and '\\n' line ends, and write to a
-temp name renamed into place so readers never observe a partial file.
+`ConfigError` naming the field.  Every CSV is a float table: writers print
+each cell with '%.12g' ('.' decimal separator), NaN as an empty cell, with
+'\\n' line ends, and write to a temp name renamed into place so readers
+never observe a partial file.  Each writer returns the sha256 of the bytes
+it wrote.
 """
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import numbers
 import os
 import tempfile
@@ -79,38 +82,40 @@ def integer(value, name):
 
 
 def fmt(value):
-    """Format one CSV cell: ints verbatim, floats at 12 significant digits."""
-    if value is None:
-        return ""
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
+    """One CSV cell: a float at 12 significant digits, empty for NaN."""
     v = float(value)
-    if np.isnan(v):
-        return ""
-    return f"{v:.12g}"
+    return "" if math.isnan(v) else f"{v:.12g}"
 
 
 def atomic_write_text(path, text):
-    """Write text to path via temp-file-plus-rename in the same directory."""
+    """Write text to path via temp-file-plus-rename in the same directory.
+
+    Returns the sha256 of the bytes written: text in UTF-8, line ends
+    untranslated.  ConfigError if the file cannot be written.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = None
     try:
+        os.makedirs(directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
         with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
         os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    finally:
+        if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-        raise
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def write_csv(path, header, rows):
-    """Write a CSV of mixed int/float/None cells with fixed formatting."""
+def write_csv(path, header, table):
+    """Write a 2-D float table under `header`, each cell `fmt`-ed (so a NaN
+    cell is empty and an integer-valued one prints as the integer); returns
+    the sha256 of the bytes written."""
     lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(fmt(cell) for cell in row))
-    atomic_write_text(path, "\n".join(lines) + "\n")
+    lines += [",".join(map(fmt, row)) for row in np.asarray(table, dtype=float).tolist()]
+    return atomic_write_text(path, "\n".join(lines) + "\n")
 
 
 def sha256_of(path):

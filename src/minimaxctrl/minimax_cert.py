@@ -324,7 +324,8 @@ def value_bound(cert, x0):
 
 
 def save_certificate(cert, path):
-    """Write a certificate as JSON: gamma_bar, gains, upper-triangle P."""
+    """Write a certificate as JSON: gamma_bar, gains, upper-triangle P;
+    returns the sha256 of the bytes written."""
     doc = {
         "gamma_bar": cert.gamma_bar,
         "gains": [cert.gains[l].tolist() for l in range(cert.size)],
@@ -334,7 +335,7 @@ def save_certificate(cert, path):
             for j in range(i, cert.size)
         ],
     }
-    atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
+    return atomic_write_text(path, json.dumps(doc, indent=2) + "\n")
 
 
 def load_certificate(path):

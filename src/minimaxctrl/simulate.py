@@ -199,10 +199,11 @@ def accumulated_cost(traj, gamma):
 
 
 def write_trajectory_csv(traj, path):
-    """Write k, x, u, w, selected model and step cost, one row per step.
+    """Write k, x, u, w, selected model and step cost, one row per step;
+    returns the sha256 of the bytes written.
 
     The final row carries the terminal state and cost; its u, w and l
-    cells are empty.
+    cells are empty, as is every l cell of a fixed-gain run.
     """
     T, n = traj.horizon, traj.x.shape[1]
     m = traj.u.shape[1]
@@ -213,15 +214,9 @@ def write_trajectory_csv(traj, path):
         + [f"w_{i + 1}" for i in range(n)]
         + ["l", "step_cost"]
     )
-    rows = []
-    for k in range(T + 1):
-        last = k == T
-        rows.append(
-            [k]
-            + list(traj.x[k])
-            + ([None] * m if last else list(traj.u[k]))
-            + ([None] * n if last else list(traj.w[k]))
-            + [None if last or traj.l is None else int(traj.l[k])]
-            + [traj.step_cost[k]]
-        )
-    write_csv(path, header, rows)
+    steps = np.full((T + 1, m + n + 1), np.nan)
+    steps[:T, :m + n] = np.column_stack([traj.u, traj.w])
+    if traj.l is not None:
+        steps[:T, -1] = traj.l
+    table = np.column_stack([np.arange(T + 1), traj.x, steps, traj.step_cost])
+    return write_csv(path, header, table)

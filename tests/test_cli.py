@@ -227,7 +227,7 @@ def test_confusing_target_is_rejected_before_synthesis(tmp_path, monkeypatch, ca
 @pytest.mark.parametrize("gamma", ["inf", "nan", "1e308", "1000000.1", "0", "-1"])
 def test_gamma_outside_level_range_is_input_error(tmp_path, monkeypatch,
                                                    command, gamma):
-    monkeypatch.setattr(cli, "_solve_stack", synthesis_must_not_run)
+    monkeypatch.setattr(cli, "solve_riccati", synthesis_must_not_run)
     monkeypatch.setattr(cli, "synthesize_certificate", synthesis_must_not_run)
     assert run([command, CFG, f"--gamma={gamma}", "--out-dir", str(tmp_path / "out")]) == 2
     assert list(tmp_path.iterdir()) == []
@@ -278,6 +278,40 @@ def test_reproduce_is_byte_deterministic(tmp_path):
     assert run(["reproduce", CFG, "--scenario", "fig3", "--out-dir", str(out_b)]) == 0
     for name in ("minimax_traj.csv", "hinf_traj.csv", "regret.csv", "gaps.csv"):
         assert sha256_of(out_a / name) == sha256_of(out_b / name), name
+
+
+# sha256 of the shipped bundles, so a change to any cell's bytes shows
+SHIPPED_GAPS = "372bd68c4deee6dc7d8a0c43739da3b4ef363250c3768f64997f7cb2fd170445"
+SHIPPED_CERTIFICATE = "c123fddb6de4170feb99b683db8fef198c2c0024a5ff0ddab13a8da036a70785"
+SHIPPED_BUNDLES = {
+    "fig1": {
+        "minimax_traj.csv": "21cf411a91b2af1c5ae884694275adad978b07c16a7371634e1137b29512783e",
+        "hinf_traj.csv": "ccd12e60d0cd253c33d9dd0400a5d964f08511d540317610d7e854f5e58ef207",
+        "regret.csv": "6a5dfb1810034f3915aa22f630976c732ae298c1e8ad3c3133ca29a65f7ab1ed",
+    },
+    "fig2": {
+        "minimax_traj.csv": "938385e756bae7a2d2a49d14a316ed78855dd26e4d42ceb79ff9dc30bcedb393",
+        "hinf_traj.csv": "6a74332bc7336e0c97285edc5ca57184c009ef8ce63149a3ba3d79e289e8e139",
+        "regret.csv": "4ccc0acc7dfb20300889089dea656355c92e5520ddf68c72e4f122a69805fe09",
+    },
+    "fig3": {
+        "minimax_traj.csv": "b521ecc84e17b50e0c108ddb8e2e7a6d5080d25b70d1c91618d1655fb239d17f",
+        "hinf_traj.csv": "52de2044dfef2863e3f8820bc0f744bd88f0a56167cb4571a78e2b3c5e1d50e7",
+        "regret.csv": "511a5626f537dd37796c17af84424f0db54f6bc59cc57451fe6a4fb075f595ef",
+    },
+}
+
+
+@pytest.mark.parametrize("scenario", sorted(SHIPPED_BUNDLES))
+def test_reproduce_bundle_bytes_are_pinned(tmp_path, scenario):
+    """Each shipped bundle file has the pinned bytes, and the manifest lists
+    their digests."""
+    assert run(["reproduce", CFG, "--scenario", scenario, "--out-dir", str(tmp_path)]) == 0
+    pinned = {**SHIPPED_BUNDLES[scenario], "gaps.csv": SHIPPED_GAPS,
+              "certificate.json": SHIPPED_CERTIFICATE}
+    assert {name: sha256_of(tmp_path / name) for name in pinned} == pinned
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert {a["name"]: a["sha256"] for a in manifest["artifacts"]} == pinned
 
 
 def test_config_disturbance_section_is_ignored(tmp_path, certificate_file):
@@ -388,6 +422,23 @@ def test_unusable_out_dir_is_input_error(tmp_path, monkeypatch, capsys, argv,
     assert run(argv + ["--out-dir", str(out)]) == 2
     assert "input error: cannot create output directory" in capsys.readouterr().err
     assert blocker.read_text() == "not a directory\n"
+
+
+@pytest.mark.parametrize("argv, blocked", [
+    (["synth-hinf", CFG], "hinf_synthesis.json"),
+    (["synth-minimax", CFG], "certificate.json"),
+    (["reproduce", CFG, "--scenario", "fig1"], "regret.csv"),
+    (["reproduce", CFG, "--scenario", "fig1"], "manifest.json"),
+], ids=["synth-hinf", "synth-minimax", "reproduce-regret", "reproduce-manifest"])
+def test_unwritable_output_file_is_input_error(tmp_path, capsys, argv, blocked):
+    """A directory where an output file goes exits 2 with one stderr line
+    naming that file, not a traceback and not "infeasible"."""
+    (tmp_path / blocked).mkdir()
+    assert run(argv + ["--out-dir", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: cannot write {tmp_path / blocked}: ")
+    assert err.count("\n") == 1
+    assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
 
 
 def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, certificate_file):

@@ -26,8 +26,8 @@ def test_fmt_twelve_significant_digits():
 
 
 def test_fmt_blanks_for_missing():
-    assert fmt(None) == ""
     assert fmt(float("nan")) == ""
+    assert fmt(np.float64("nan")) == ""
 
 
 def test_fmt_is_stable():
@@ -40,6 +40,16 @@ def test_csv_round_trip(tmp_path):
     rows = [[0, 1.5, None], [1, -2.25, 7.0]]
     write_csv(path, ["k", "a", "b"], rows)
     assert path.read_text() == "k,a,b\n0,1.5,\n1,-2.25,7\n"
+
+
+def test_csv_cells_of_a_float_table(tmp_path):
+    """NaN cells are empty, integer-valued cells print as the integer (up to
+    12 digits) and a negative zero keeps its sign."""
+    path = tmp_path / "t.csv"
+    table = np.array([[0.0, np.nan, -0.0], [3.0, 123456789012.0, 1.0 / 3.0]])
+    digest = write_csv(path, ["k", "a", "b"], table)
+    assert path.read_text() == "k,a,b\n0,,-0\n3,123456789012,0.333333333333\n"
+    assert digest == sha256_of(path)
 
 
 def test_csv_uses_unix_line_ends(tmp_path):
@@ -55,6 +65,21 @@ def test_atomic_write_leaves_no_temp_files(tmp_path):
     atomic_write_text(path, "hello\n")
     assert path.read_text() == "hello\n"
     assert os.listdir(tmp_path) == ["out.txt"]
+
+
+def test_atomic_write_returns_the_digest_of_the_file(tmp_path):
+    path = tmp_path / "out.txt"
+    assert atomic_write_text(path, "caf\u00e9 \u03b3\n") == sha256_of(path)
+    assert sha256_of(path) == hashlib.sha256("caf\u00e9 \u03b3\n".encode()).hexdigest()
+
+
+def test_unwritable_path_is_a_config_error(tmp_path):
+    """An OSError of the write (here: a directory in the way) is a ConfigError
+    naming the file, and no temp file is left behind."""
+    (tmp_path / "out.csv").mkdir()
+    with pytest.raises(ConfigError, match=r"cannot write .*out\.csv: \w"):
+        atomic_write_text(tmp_path / "out.csv", "x\n")
+    assert os.listdir(tmp_path) == ["out.csv"]
 
 
 def test_failed_atomic_write_leaves_no_temp_file(tmp_path):
