@@ -198,6 +198,15 @@ def cmd_reproduce(args):
     def at(name):
         return os.path.join(out_dir, name)
 
+    # no manifest while the data files are replaced: a run that fails partway
+    # leaves a bundle without one, never one that vouches for mixed files
+    try:
+        os.remove(at("manifest.json"))
+    except FileNotFoundError:
+        pass
+    except OSError as exc:  # e.g. a directory: the manifest could not be written
+        raise ConfigError(f"cannot write {at('manifest.json')}: {exc.strerror}") from None
+
     ks = np.arange(traj_mm.horizon + 1)
     files = {  # name -> (kind, sha256 of the bytes written), in writing order
         "minimax_traj.csv": ("trajectory", write_trajectory_csv(

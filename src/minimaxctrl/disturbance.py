@@ -17,6 +17,10 @@ produces the recorded sequence): the worst-case policy is generated along
 the H-infinity loop, the confusing one along the adaptive loop;
 zero/sinusoid/external sequences are open.  The recorded sequence is then
 replayed verbatim on the other controller so both see the same inputs.
+
+Sequences are shared, never copied per rollout: a validated spec owns a
+read-only copy of an external sequence (and of its direction and L), and
+`read_only` is the one rule for when an array may be shared as it is.
 """
 from __future__ import annotations
 
@@ -60,6 +64,24 @@ class DisturbanceSpec:
         return KINDS[self.kind]
 
 
+def read_only(array):
+    """`array` as a float array that nothing can write to, copied only if needed.
+
+    A float64 ndarray is returned as it is when it and every array in its
+    `.base` chain are read-only, so no view can change its values; anything
+    else (a writable array, a read-only view of a writable one, another
+    dtype, a list) is copied once and the copy made read-only.
+    """
+    a = array
+    while type(a) is np.ndarray and not a.flags.writeable:
+        if a.base is None and array.dtype == np.float64:
+            return array
+        a = a.base
+    copy = np.array(array, dtype=float)
+    copy.flags.writeable = False
+    return copy
+
+
 def peak_sinusoid_spec(A, B, K, penalties):
     """Unit cosine at the closed loop's worst frequency.
 
@@ -88,16 +110,19 @@ def peak_sinusoid_spec(A, B, K, penalties):
 def emit(cfg):
     """Resolve a validated ExperimentConfig's disturbance for one rollout.
 
-    Returns (w, law): w is a new (T, n) array of the open-loop samples
-    (zeros for a feedback kind), and law is None or, for a feedback kind,
-    the function (x_k, u_k, w_k) that writes row w_k in place at each step.
+    Returns (w, law): w is the (T, n) array of open-loop samples, and law
+    is None or, for a feedback kind, the function (x_k, u_k, w_k) that
+    writes row w_k in place at each step.  For `external`, w is a read-only
+    view of the spec's own sequence, shared by every rollout of the
+    config; for every other kind it is a new writable array (zeros for a
+    feedback kind).
     """
     spec, ms, T = cfg.disturbance, cfg.model_set, cfg.horizon
     if spec.kind == "sinusoid":
         wave = spec.amplitude * np.sin(spec.omega * np.arange(T) + spec.phase)
         return np.outer(wave, spec.direction), None
     if spec.kind == "external":
-        return spec.sequence[:T].copy(), None
+        return spec.sequence[:T], None
     w = np.zeros((T, ms.n))
     if spec.kind == "hinf_worst_case":
         L = spec.L
@@ -118,8 +143,10 @@ def validate_spec(spec, ms, true_index):
 
     The copy passes the kind-specific checks (finite entries, unit
     direction, valid confusing target, a (steps, n) sequence, an n x n
-    worst-case gain L).  Nothing about the experiment is stored in it, and
-    `spec` itself is not modified, so one spec can serve several
+    worst-case gain L).  Its arrays pass `read_only`, so they are the
+    copy's own (or already read-only) and a later change to the caller's
+    arrays does not reach it.  Nothing about the experiment is stored in
+    it, and `spec` itself is not modified, so one spec can serve several
     experiments.  Raises ConfigError.
     """
     spec = replace(spec)
@@ -143,6 +170,7 @@ def validate_spec(spec, ms, true_index):
             raise ConfigError("sinusoid direction must be nonzero")
         if abs(norm - 1.0) > 1e-12:
             spec.direction = spec.direction / norm
+        spec.direction = read_only(spec.direction)
     elif spec.kind == "confusing":
         spec.target = integer(spec.target, "confusing target")
         if not 1 <= spec.target <= ms.size:
@@ -150,7 +178,7 @@ def validate_spec(spec, ms, true_index):
         if spec.target == true_index:
             raise ConfigError("confusing target must differ from the true model index")
     elif spec.kind == "external":
-        spec.sequence = numeric(spec.sequence, "external sequence")
+        spec.sequence = read_only(numeric(spec.sequence, "external sequence"))
         if spec.sequence.ndim != 2 or spec.sequence.shape[1] != n:
             raise ConfigError(
                 f"external sequence must be (steps, {n}), got "
@@ -160,7 +188,7 @@ def validate_spec(spec, ms, true_index):
         if spec.L is None:
             raise ConfigError("hinf_worst_case needs the L gain of an "
                               "H-infinity design")
-        spec.L = numeric(spec.L, "L gain")
+        spec.L = read_only(numeric(spec.L, "L gain"))
         if spec.L.shape != (n, n):
             raise ConfigError(f"L gain must be {n}x{n}, got {spec.L.shape}")
     return spec

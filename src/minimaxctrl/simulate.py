@@ -5,7 +5,8 @@ generated along the loop their kind fixes.  `paired_rollouts` exposes a
 second controller to the identical input: it rolls out the generating loop
 first and replays the recorded sequence, which `rollout` accepts in place
 of the config's spec.  This keeps comparisons honest: both controllers see
-the same w, not the same disturbance law.
+the same w, not the same disturbance law.  A trajectory's w is read-only,
+so the replay shares it instead of copying it: a pair keeps one buffer.
 
 One kernel serves both controllers (a fixed gain is a one-gain stack).
 It plays a block of steps on the current selection, writing per step only
@@ -41,7 +42,9 @@ class DivergedRollout(RuntimeError):
 class Trajectory:
     """One rollout.
 
-    x: (T+1, n) states, u: (T, m) inputs, w: (T, n) disturbances.
+    x: (T+1, n) states, u: (T, m) inputs, w: (T, n) disturbances, read-only
+    when made by `rollout` (it may be shared with the other rollout of a
+    pair and with the config's external sequence).
     l: (T,) selected model indices (1-based), None for fixed-gain runs.
     alpha_hist: (T+1, F) residuals after k updates, None for fixed-gain.
     step_cost: (T+1,), x_k'Q x_k + u_k'R u_k for k < T and the terminal
@@ -66,8 +69,11 @@ def rollout(cfg, controller, disturbance=None):
     controller: a MinimaxCertificate (adaptive switching) or an (m, n) gain
     matrix K for fixed feedback u = -K x.  disturbance: None to generate the
     sequence from cfg's spec (resolved once, by `disturbance.emit`), or a
-    recorded (T, n) array to replay.  For n > 1 the result is the
-    one-step-at-a-time loop's, bit for bit (see `_play_block` for n = 1).
+    recorded (T, n) array to replay: used as it is when
+    `disturbance.read_only` keeps it (another rollout's w, say), else copied
+    once, so a writable caller array is never aliased.  The returned w is
+    read-only.  For n > 1 the result is the one-step-at-a-time loop's, bit
+    for bit (see `_play_block` for n = 1).
     A switch discards the rest of its block, never longer than the steps
     kept since the block sizes restarted, so at most 2T steps are computed,
     and at most T + BLOCK_CAP * (number of switches).
@@ -99,8 +105,7 @@ def rollout(cfg, controller, disturbance=None):
             )
         w, law = _dist.emit(cfg)
     else:
-        # a copy, never the caller's array
-        w, law = np.array(disturbance, dtype=float), None
+        w, law = _dist.read_only(disturbance), None
         if w.shape != (T, n):
             raise ValueError(
                 f"recorded disturbance must be ({T}, {n}), got {w.shape}"
@@ -151,6 +156,7 @@ def rollout(cfg, controller, disturbance=None):
     step_cost = (x[:, None] @ Q @ x[:, :, None])[:, 0, 0]
     step_cost[:T] += (u[:, None] @ R @ u[:, :, None])[:, 0, 0]
 
+    w.flags.writeable = False
     return Trajectory(x=x, u=u, w=w, step_cost=step_cost, l=l,
                       alpha_hist=alpha_hist)
 
@@ -159,7 +165,9 @@ def paired_rollouts(cfg, cert, gain):
     """(adaptive, fixed): `cert` and the fixed `gain` under one disturbance.
 
     The loop along which cfg's disturbance is generated runs first (the
-    fixed-gain loop for open-loop kinds) and its w is replayed on the other.
+    fixed-gain loop for open-loop kinds) and its read-only w is replayed on
+    the other, so both trajectories share one w array (for an external
+    kind, a view of the config's sequence).
     """
     if cfg.disturbance.generating_loop == "minimax":
         adaptive = rollout(cfg, cert)

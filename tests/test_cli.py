@@ -441,6 +441,20 @@ def test_unwritable_output_file_is_input_error(tmp_path, capsys, argv, blocked):
     assert not [p for p in tmp_path.iterdir() if p.name.startswith(".tmp-")]
 
 
+def test_failed_reproduce_leaves_no_stale_manifest(tmp_path, certificate_file):
+    """A fig2 run that fails after replacing some of a fig1 bundle's files
+    removes the fig1 manifest, which no longer matches them."""
+    def reproduce(scenario):
+        return run(["reproduce", CFG, "--scenario", scenario,
+                    "--certificate", certificate_file, "--out-dir", str(tmp_path)])
+
+    assert reproduce("fig1") == 0
+    (tmp_path / "regret.csv").unlink()
+    (tmp_path / "regret.csv").mkdir()
+    assert reproduce("fig2") == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_divergence_maps_to_exit_3(tmp_path, monkeypatch, certificate_file):
     def boom(*args, **kwargs):
         raise mc.DivergedRollout("state norm exceeded limit at step 3")

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import minimaxctrl as mc
-from minimaxctrl.disturbance import emit, validate_spec
+from minimaxctrl.disturbance import emit, read_only, validate_spec
 
 
 def resolve(bench_cfg, spec, **changes):
@@ -149,6 +149,55 @@ def test_external_sequence_round_trip(bench_cfg):
         assert law is None
         np.testing.assert_array_equal(w, W[:T])
         assert not np.shares_memory(w, W)
+
+
+def owned_array():
+    """A (3, 2) float array that owns its data (reshape would make a view)."""
+    return np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+
+
+def frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("case, kept", [
+    ("read-only", True),
+    ("read-only view of read-only", True),
+    ("writable", False),
+    ("read-only view of writable", False),
+    ("read-only float32", False),
+    ("list", False),
+])
+def test_read_only_copies_unless_nothing_can_write(case, kept):
+    array = {
+        "read-only": lambda: frozen(owned_array()),
+        "read-only view of read-only": lambda: frozen(frozen(owned_array())[1:]),
+        "writable": owned_array,
+        "read-only view of writable": lambda: frozen(owned_array()[1:]),
+        "read-only float32": lambda: frozen(owned_array().astype(np.float32)),
+        "list": lambda: [[0.0, 1.0], [2.0, 3.0]],
+    }[case]()
+    out = read_only(array)
+    assert (out is array) == kept
+    assert out.dtype == np.float64 and not out.flags.writeable
+    np.testing.assert_array_equal(out, array)
+    if not kept and isinstance(array, np.ndarray):
+        assert not np.shares_memory(out, array)
+
+
+def test_validated_arrays_are_read_only_copies(models):
+    """L, direction and sequence of a validated spec are its own read-only
+    arrays; the caller's stay writable and unshared."""
+    given = {"L": np.eye(3) * 0.1, "direction": np.eye(3)[0],
+             "sequence": np.zeros((4, 3))}
+    for kind, field in (("hinf_worst_case", "L"), ("sinusoid", "direction"),
+                        ("external", "sequence")):
+        spec = validate_spec(mc.DisturbanceSpec(kind=kind, **{field: given[field]}),
+                             models, 2)
+        assert not getattr(spec, field).flags.writeable
+        assert not np.shares_memory(getattr(spec, field), given[field])
+        assert given[field].flags.writeable
 
 
 def test_external_width_checked(models):

@@ -484,8 +484,69 @@ def test_replay_does_not_alias_the_recorded_sequence(bench_cfg, certified):
     traj = mc.rollout(cfg, cert, disturbance=seq)
     assert traj.w is not seq
     assert not np.shares_memory(traj.w, seq)
-    traj.w[:] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        traj.w[:] = 0.0
     np.testing.assert_array_equal(seq, kept)
+    seq[:] = 0.0
+    np.testing.assert_array_equal(traj.w, kept)
+
+
+def test_replay_of_a_read_only_view_is_copied(bench_cfg, certified):
+    """A read-only view of a writable array can still change under the
+    rollout, so it is copied like the writable array itself."""
+    _, cert = certified
+    cfg = scenario_cfg(bench_cfg, certified, mc.DisturbanceSpec(kind="zero"))
+    seq = np.random.default_rng(3).standard_normal((cfg.horizon, 3))
+    kept = seq.copy()
+    view = seq[:]
+    view.flags.writeable = False
+    traj = mc.rollout(cfg, cert, disturbance=view)
+    assert not np.shares_memory(traj.w, seq)
+    seq[:] = 0.0
+    np.testing.assert_array_equal(traj.w, kept)
+
+
+def test_external_sequence_is_the_config_s_own_copy(bench_cfg, certified):
+    """The config keeps the validated values: a NaN written into the
+    caller's array afterwards does not reach the rollout."""
+    _, cert = certified
+    seq = np.random.default_rng(4).standard_normal((bench_cfg.horizon, 3))
+    kept = seq.copy()
+    cfg = scenario_cfg(bench_cfg, certified,
+                       mc.DisturbanceSpec(kind="external", sequence=seq))
+    seq[0, 0] = np.nan
+    np.testing.assert_array_equal(mc.rollout(cfg, cert).w, kept)
+    assert not cfg.disturbance.sequence.flags.writeable
+
+
+@pytest.mark.parametrize("kind", ["hinf_worst_case", "confusing", "sinusoid",
+                                  "external", "zero"])
+def test_pair_shares_one_read_only_disturbance(bench_cfg, certified,
+                                               benchmark_controller, kind):
+    """The replayed loop uses the generating loop's w as it is; an external
+    pair shares the config's sequence.  Every w is read-only."""
+    _, cert = certified
+    spec = {
+        "zero": mc.DisturbanceSpec(kind="zero"),
+        "hinf_worst_case": mc.DisturbanceSpec(kind="hinf_worst_case",
+                                              L=benchmark_controller.L),
+        "confusing": mc.DisturbanceSpec(kind="confusing", target=3),
+        "sinusoid": mc.DisturbanceSpec(kind="sinusoid", omega=1.1,
+                                       direction=np.ones(3) / np.sqrt(3.0)),
+        "external": mc.DisturbanceSpec(
+            kind="external",
+            sequence=np.random.default_rng(5).standard_normal((100, 3))),
+    }[kind]
+    cfg = scenario_cfg(bench_cfg, certified, spec)
+    adaptive, fixed = simulate.paired_rollouts(cfg, cert, benchmark_controller.K)
+    assert np.shares_memory(adaptive.w, fixed.w)
+    if kind == "external":
+        assert np.shares_memory(adaptive.w, cfg.disturbance.sequence)
+        assert np.shares_memory(fixed.w, cfg.disturbance.sequence)
+    for traj in (adaptive, fixed):
+        assert not traj.w.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            traj.w[0, 0] = 1.0
 
 
 @pytest.mark.parametrize("kind", ["external", "replay", "hinf_worst_case",
