@@ -17,10 +17,8 @@ produces the recorded sequence): the worst-case policy is generated along
 the H-infinity loop, the confusing one along the adaptive loop;
 zero/sinusoid/external sequences are open.  The recorded sequence is then
 replayed verbatim on the other controller so both see the same inputs.
-
-Sequences are shared, never copied per rollout: a validated spec owns a
-read-only copy of an external sequence (and of its direction and L), and
-`read_only` is the one rule for when an array may be shared as it is.
+A validated spec's arrays follow `fileio.read_only`, so an external
+sequence is shared by every rollout, never copied per rollout.
 """
 from __future__ import annotations
 
@@ -29,7 +27,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import hinf
-from .fileio import ConfigError, integer, number, numeric
+from .fileio import ConfigError, integer, number, numeric, read_only
 
 # kind -> generating loop
 KINDS = {
@@ -62,24 +60,6 @@ class DisturbanceSpec:
     def generating_loop(self):
         """'open', 'hinf' or 'minimax', fixed by the kind."""
         return KINDS[self.kind]
-
-
-def read_only(array):
-    """`array` as a float array that nothing can write to, copied only if needed.
-
-    A float64 ndarray is returned as it is when it and every array in its
-    `.base` chain are read-only, so no view can change its values; anything
-    else (a writable array, a read-only view of a writable one, another
-    dtype, a list) is copied once and the copy made read-only.
-    """
-    a = array
-    while type(a) is np.ndarray and not a.flags.writeable:
-        if a.base is None and array.dtype == np.float64:
-            return array
-        a = a.base
-    copy = np.array(array, dtype=float)
-    copy.flags.writeable = False
-    return copy
 
 
 def peak_sinusoid_spec(A, B, K, penalties):
@@ -143,11 +123,10 @@ def validate_spec(spec, ms, true_index):
 
     The copy passes the kind-specific checks (finite entries, unit
     direction, valid confusing target, a (steps, n) sequence, an n x n
-    worst-case gain L).  Its arrays pass `read_only`, so they are the
-    copy's own (or already read-only) and a later change to the caller's
-    arrays does not reach it.  Nothing about the experiment is stored in
-    it, and `spec` itself is not modified, so one spec can serve several
-    experiments.  Raises ConfigError.
+    worst-case gain L).  Its arrays pass `fileio.read_only`, so a later
+    change to the caller's arrays does not reach it.  Nothing about the
+    experiment is stored in it, and `spec` itself is not modified, so one
+    spec can serve several experiments.  Raises ConfigError.
     """
     spec = replace(spec)
     n = ms.n
@@ -169,8 +148,7 @@ def validate_spec(spec, ms, true_index):
         if norm <= 0:
             raise ConfigError("sinusoid direction must be nonzero")
         if abs(norm - 1.0) > 1e-12:
-            spec.direction = spec.direction / norm
-        spec.direction = read_only(spec.direction)
+            spec.direction = read_only(spec.direction / norm)
     elif spec.kind == "confusing":
         spec.target = integer(spec.target, "confusing target")
         if not 1 <= spec.target <= ms.size:
@@ -178,7 +156,7 @@ def validate_spec(spec, ms, true_index):
         if spec.target == true_index:
             raise ConfigError("confusing target must differ from the true model index")
     elif spec.kind == "external":
-        spec.sequence = read_only(numeric(spec.sequence, "external sequence"))
+        spec.sequence = numeric(spec.sequence, "external sequence")
         if spec.sequence.ndim != 2 or spec.sequence.shape[1] != n:
             raise ConfigError(
                 f"external sequence must be (steps, {n}), got "
@@ -188,7 +166,7 @@ def validate_spec(spec, ms, true_index):
         if spec.L is None:
             raise ConfigError("hinf_worst_case needs the L gain of an "
                               "H-infinity design")
-        spec.L = read_only(numeric(spec.L, "L gain"))
+        spec.L = numeric(spec.L, "L gain")
         if spec.L.shape != (n, n):
             raise ConfigError(f"L gain must be {n}x{n}, got {spec.L.shape}")
     return spec

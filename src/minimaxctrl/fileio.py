@@ -1,13 +1,15 @@
 """The file boundary: checked input, byte-stable output.
 
 The package reads only JSON: config and certificate files are read by
-`read_json_object`, and each value in them passes `numeric`, `number` or `integer`: finite JSON numbers
-only, never a string, boolean, null or truncated fraction, else a
-`ConfigError` naming the field.  Every CSV is a float table: writers print
-each cell with '%.12g' ('.' decimal separator), NaN as an empty cell, with
-'\\n' line ends, and write to a temp name renamed into place so readers
-never observe a partial file.  Each writer returns the sha256 of the bytes
-it wrote.
+`read_json_object`, and each value in them passes `numeric`, `number` or
+`integer`: finite JSON numbers only, never a string, boolean, null or
+truncated fraction, else a `ConfigError` naming the field.  Every array a
+container keeps passes `read_only`, so a caller's later write never
+reaches it and a write through the container raises.  Every CSV is a
+float table: writers print each cell with '%.12g' ('.' decimal
+separator), NaN as an empty cell, with '\\n' line ends, and write to a
+temp name renamed into place so readers never observe a partial file.
+Each writer returns the sha256 of the bytes it wrote.
 """
 from __future__ import annotations
 
@@ -50,13 +52,31 @@ def _numbers_only(value):
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def read_only(array):
+    """`array` as a float array that nothing can write to, copied only if needed.
+
+    A float64 ndarray is returned as it is when it and every array in its
+    `.base` chain are read-only, so no view can change its values; anything
+    else (a writable array, a read-only view of a writable one, another
+    dtype, a list) is copied once and the copy made read-only.
+    """
+    a = array
+    while type(a) is np.ndarray and not a.flags.writeable:
+        if a.base is None and array.dtype == np.float64:
+            return array
+        a = a.base
+    copy = np.array(array, dtype=float)
+    copy.flags.writeable = False
+    return copy
+
+
 def numeric(value, name):
-    """Float array of `value`: ints and floats only (nested lists of equal
-    length or an array), every entry finite."""
+    """`value` as a `read_only` float array: ints and floats only (nested
+    lists of equal length or an array), every entry finite."""
     if not _numbers_only(value):
         raise ConfigError(f"{name} must hold only numbers, got {value!r:.60}")
     try:
-        array = np.asarray(value, dtype=float)
+        array = read_only(value)
     except (ValueError, OverflowError) as exc:
         raise ConfigError(f"{name} is not a numeric array ({exc})") from None
     if not np.all(np.isfinite(array)):

@@ -54,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import (ConfigError, atomic_write_text, integer, numeric,
-                     read_json_object)
+                     read_json_object, read_only)
 from .hinf import (Infeasible, _level_search, _solve_stack, _stacked_solve,
                    checked_level)
 
@@ -78,8 +78,8 @@ class MinimaxCertificate:
 
     def __post_init__(self):
         self.gamma_bar = checked_level(self.gamma_bar, "gamma_bar")
-        self.gains = np.asarray(self.gains, dtype=float)
-        self.P = np.asarray(self.P, dtype=float)
+        self.gains = read_only(self.gains)
+        self.P = read_only(self.P)
         if self.gains.ndim != 3:
             raise ValueError("gains must be stacked (F, m, n)")
         F, _, n = self.gains.shape

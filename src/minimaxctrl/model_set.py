@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import disturbance as _dist
-from .fileio import ConfigError, integer, numeric, read_json_object
+from .fileio import ConfigError, integer, numeric, read_json_object, read_only
 from .hinf import checked_level
 
 SYMMETRY_TOL = 1e-9
@@ -21,7 +21,7 @@ PD_MIN_EIG = 1e-12
 
 
 def enforce_symmetry(M, name="matrix"):
-    """Return the symmetrized copy of M, rejecting real asymmetry.
+    """Return the symmetrized read-only copy of M, rejecting real asymmetry.
 
     Asymmetry up to SYMMETRY_TOL (max-abs of M - M.T) is treated as
     numerical noise and averaged away; anything larger is an input error,
@@ -34,19 +34,19 @@ def enforce_symmetry(M, name="matrix"):
     if gap > SYMMETRY_TOL:
         raise ConfigError(
             f"{name} is asymmetric by {gap:.3e} (limit {SYMMETRY_TOL:.1e})")
-    return 0.5 * (M + M.T)
+    return read_only(0.5 * (M + M.T))
 
 
 @dataclass(eq=False)
 class ModelSet:
     """Ordered family of linear models x+ = A_i x + B_i u + w, i = 1..size."""
 
-    A: np.ndarray  # (size, n, n)
-    B: np.ndarray  # (size, n, m)
+    A: np.ndarray  # (size, n, n), read-only
+    B: np.ndarray  # (size, n, m), read-only
 
     def __post_init__(self):
-        self.A = np.asarray(self.A, dtype=float)
-        self.B = np.asarray(self.B, dtype=float)
+        self.A = read_only(self.A)
+        self.B = read_only(self.B)
         if self.A.ndim != 3 or self.B.ndim != 3:
             raise ConfigError("ModelSet expects stacked A (F,n,n) and B (F,n,m)")
         F, n, n2 = self.A.shape

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import disturbance as _dist
-from .fileio import write_csv
+from .fileio import read_only, write_csv
 from .minimax_cert import MinimaxCertificate, check_gains_shape
 from .policies import hinf_step, minimax_step, update_residuals
 
@@ -70,7 +70,7 @@ def rollout(cfg, controller, disturbance=None):
     matrix K for fixed feedback u = -K x.  disturbance: None to generate the
     sequence from cfg's spec (resolved once, by `disturbance.emit`), or a
     recorded (T, n) array to replay: used as it is when
-    `disturbance.read_only` keeps it (another rollout's w, say), else copied
+    `fileio.read_only` keeps it (another rollout's w, say), else copied
     once, so a writable caller array is never aliased.  The returned w is
     read-only.  For n > 1 the result is the one-step-at-a-time loop's, bit
     for bit (see `_play_block` for n = 1).
@@ -105,7 +105,7 @@ def rollout(cfg, controller, disturbance=None):
             )
         w, law = _dist.emit(cfg)
     else:
-        w, law = _dist.read_only(disturbance), None
+        w, law = read_only(disturbance), None
         if w.shape != (T, n):
             raise ValueError(
                 f"recorded disturbance must be ({T}, {n}), got {w.shape}"

@@ -1,10 +1,11 @@
 import dataclasses
+import functools
 
 import numpy as np
 import pytest
 
 import minimaxctrl as mc
-from minimaxctrl.disturbance import emit, read_only, validate_spec
+from minimaxctrl.disturbance import emit, validate_spec
 
 
 def resolve(bench_cfg, spec, **changes):
@@ -151,53 +152,57 @@ def test_external_sequence_round_trip(bench_cfg):
         assert not np.shares_memory(w, W)
 
 
-def owned_array():
-    """A (3, 2) float array that owns its data (reshape would make a view)."""
-    return np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
-
-
-def frozen(a):
-    a.flags.writeable = False
-    return a
-
-
-@pytest.mark.parametrize("case, kept", [
-    ("read-only", True),
-    ("read-only view of read-only", True),
-    ("writable", False),
-    ("read-only view of writable", False),
-    ("read-only float32", False),
-    ("list", False),
+@pytest.mark.parametrize("case", [
+    "spec L", "spec direction", "spec sequence", "ModelSet(A, B)",
+    "ModelSet.from_pairs", "Penalties", "ExperimentConfig x0",
+    "ExperimentConfig default x0", "MinimaxCertificate", "load_certificate",
 ])
-def test_read_only_copies_unless_nothing_can_write(case, kept):
-    array = {
-        "read-only": lambda: frozen(owned_array()),
-        "read-only view of read-only": lambda: frozen(frozen(owned_array())[1:]),
-        "writable": owned_array,
-        "read-only view of writable": lambda: frozen(owned_array()[1:]),
-        "read-only float32": lambda: frozen(owned_array().astype(np.float32)),
-        "list": lambda: [[0.0, 1.0], [2.0, 3.0]],
-    }[case]()
-    out = read_only(array)
-    assert (out is array) == kept
-    assert out.dtype == np.float64 and not out.flags.writeable
-    np.testing.assert_array_equal(out, array)
-    if not kept and isinstance(array, np.ndarray):
-        assert not np.shares_memory(out, array)
+def test_validated_arrays_are_read_only_copies(case, models, penalties, bench_cfg,
+                                               certified, tmp_path):
+    """Every array a validated object keeps is its own or already frozen:
+    changing the caller's arrays afterwards leaves the object unchanged,
+    and a write through the object raises."""
+    gamma_bar, cert = certified
 
+    def spec(kind):
+        return lambda **given: validate_spec(mc.DisturbanceSpec(kind=kind, **given),
+                                             models, 2)
 
-def test_validated_arrays_are_read_only_copies(models):
-    """L, direction and sequence of a validated spec are its own read-only
-    arrays; the caller's stay writable and unshared."""
-    given = {"L": np.eye(3) * 0.1, "direction": np.eye(3)[0],
-             "sequence": np.zeros((4, 3))}
-    for kind, field in (("hinf_worst_case", "L"), ("sinusoid", "direction"),
-                        ("external", "sequence")):
-        spec = validate_spec(mc.DisturbanceSpec(kind=kind, **{field: given[field]}),
-                             models, 2)
-        assert not getattr(spec, field).flags.writeable
-        assert not np.shares_memory(getattr(spec, field), given[field])
-        assert given[field].flags.writeable
+    def loaded():
+        mc.save_certificate(cert, tmp_path / "certificate.json")
+        return mc.load_certificate(tmp_path / "certificate.json")
+
+    # case -> (build, the fields it keeps, the caller's arrays passed to build)
+    build, fields, given = {
+        "spec L": (spec("hinf_worst_case"), "L", {"L": np.eye(3) * 0.1}),
+        "spec direction": (spec("sinusoid"), "direction",
+                           {"direction": np.eye(3)[0]}),
+        "spec sequence": (spec("external"), "sequence",
+                          {"sequence": np.zeros((4, 3))}),
+        "ModelSet(A, B)": (mc.ModelSet, "A B",
+                           {"A": models.A.copy(), "B": models.B.copy()}),
+        "ModelSet.from_pairs": (lambda A, B: mc.ModelSet.from_pairs([(A, B)]), "A B",
+                                {"A": models.A[0].copy(), "B": models.B[0].copy()}),
+        "Penalties": (mc.Penalties, "Q R",
+                      {"Q": penalties.Q.copy(), "R": penalties.R.copy()}),
+        "ExperimentConfig x0": (functools.partial(dataclasses.replace, bench_cfg),
+                                "x0", {"x0": np.full(3, 0.5)}),
+        "ExperimentConfig default x0": (
+            lambda: dataclasses.replace(bench_cfg, x0=None), "x0", {}),
+        "MinimaxCertificate": (
+            functools.partial(mc.MinimaxCertificate, gamma_bar=gamma_bar), "gains P",
+            {"gains": cert.gains.copy(), "P": cert.P.copy()}),
+        "load_certificate": (loaded, "gains P", {}),
+    }[case]
+    built = build(**given)
+    kept = [getattr(built, field) for field in fields.split()]
+    values = [array.copy() for array in kept]
+    for caller in given.values():
+        caller[...] = np.nan
+    for array, value in zip(kept, values):
+        np.testing.assert_array_equal(array, value)
+        with pytest.raises(ValueError, match="read-only"):
+            array[...] *= 0.5
 
 
 def test_external_width_checked(models):

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import math
 import os
@@ -5,12 +6,15 @@ import os
 import numpy as np
 import pytest
 
+import minimaxctrl as mc
 from minimaxctrl.fileio import (
     ConfigError,
     atomic_write_text,
     fmt,
     number,
+    numeric,
     read_json_object,
+    read_only,
     sha256_of,
     svg_line_chart,
     write_csv,
@@ -133,3 +137,74 @@ def test_json_root_must_be_an_object(tmp_path):
 def test_number_rejects_an_array():
     with pytest.raises(ConfigError, match=r"gamma must be a number, got shape \(2,\)"):
         number([1.0, 2.0], "gamma")
+
+
+def owned_array():
+    """A (3, 2) float array that owns its data (reshape would make a view)."""
+    return np.array([[0.0, 1.0], [2.0, 3.0], [4.0, 5.0]])
+
+
+def frozen(a):
+    a.flags.writeable = False
+    return a
+
+
+# case -> (the input, whether read_only keeps it as it is)
+SHARING = {
+    "read-only": (lambda: frozen(owned_array()), True),
+    "read-only view of read-only": (lambda: frozen(frozen(owned_array())[1:]), True),
+    "writable": (owned_array, False),
+    "read-only view of writable": (lambda: frozen(owned_array()[1:]), False),
+    "read-only float32": (lambda: frozen(owned_array().astype(np.float32)), False),
+    "list": (lambda: [[0.0, 1.0], [2.0, 3.0]], False),
+}
+SHARING_CASES = [(case, kept) for case, (_, kept) in SHARING.items()]
+
+
+def check_sharing(freeze, case, kept):
+    array = SHARING[case][0]()
+    out = freeze(array)
+    assert (out is array) == kept
+    assert out.dtype == np.float64 and not out.flags.writeable
+    np.testing.assert_array_equal(out, array)
+    if not kept and isinstance(array, np.ndarray):
+        assert not np.shares_memory(out, array)
+
+
+@pytest.mark.parametrize("case, kept", SHARING_CASES)
+def test_read_only_copies_unless_nothing_can_write(case, kept):
+    check_sharing(read_only, case, kept)
+
+
+@pytest.mark.parametrize("case, kept", SHARING_CASES)
+def test_numeric_is_read_only(case, kept):
+    check_sharing(lambda array: numeric(array, "x"), case, kept)
+
+
+def test_every_container_array_is_read_only(bench_cfg, certified,
+                                            benchmark_controller):
+    """Every array held by a config built from the shipped file (its model
+    set, penalties, x0 and each kind of validated disturbance) or by its
+    certificate is frozen, so a new array field that skips `read_only`
+    fails here."""
+    specs = [mc.DisturbanceSpec(kind="external", sequence=np.zeros((100, 3))),
+             mc.DisturbanceSpec(kind="sinusoid", direction=np.ones(3)),
+             mc.DisturbanceSpec(kind="hinf_worst_case", L=benchmark_controller.L)]
+    todo = [dataclasses.replace(bench_cfg, disturbance=spec) for spec in specs]
+    todo.append(certified[1])
+    arrays = []
+    while todo:
+        obj = todo.pop()
+        for field in dataclasses.fields(obj):
+            value = getattr(obj, field.name)
+            name = f"{type(obj).__name__}.{field.name}"
+            if isinstance(value, np.ndarray):
+                arrays.append((name, value.flags.writeable))
+            elif dataclasses.is_dataclass(value):
+                todo.append(value)
+    assert {name for name, _ in arrays} >= {
+        "ModelSet.A", "ModelSet.B", "Penalties.Q", "Penalties.R",
+        "ExperimentConfig.x0", "DisturbanceSpec.sequence",
+        "DisturbanceSpec.direction", "DisturbanceSpec.L",
+        "MinimaxCertificate.gains", "MinimaxCertificate.P"}
+    assert [name for name, writeable in arrays if writeable] == []

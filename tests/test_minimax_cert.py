@@ -50,6 +50,17 @@ def test_shrunk_certificate_fails_verification(models, penalties, certified):
     assert 1 <= i <= 4 and 1 <= j <= 4 and 1 <= l <= 4
 
 
+def test_verified_certificate_cannot_change(models, penalties, certified):
+    """Scaling P after verification raises, so the verdict still holds."""
+    _, cert = certified
+    own = mc.MinimaxCertificate(gamma_bar=cert.gamma_bar, gains=cert.gains.copy(),
+                                P=cert.P.copy())
+    assert mc.verify_certificate(models, penalties, own).feasible
+    with pytest.raises(ValueError, match="read-only"):
+        own.P[...] *= 0.5
+    assert mc.verify_certificate(models, penalties, own).feasible
+
+
 def test_asymmetric_certificate_rejected(models, penalties, certified):
     _, cert = certified
     P = cert.P.copy()

@@ -519,6 +519,20 @@ def test_external_sequence_is_the_config_s_own_copy(bench_cfg, certified):
     assert not cfg.disturbance.sequence.flags.writeable
 
 
+def test_x0_is_the_config_s_own_copy(bench_cfg, certified):
+    """A NaN written into the caller's x0 after the config is built does
+    not reach the rollout."""
+    _, cert = certified
+    x0 = np.full(3, 0.5)
+    cfg = dataclasses.replace(
+        scenario_cfg(bench_cfg, certified, mc.DisturbanceSpec(kind="zero")), x0=x0)
+    untouched = mc.rollout(cfg, cert)
+    x0[0] = np.nan
+    again = mc.rollout(cfg, cert)
+    np.testing.assert_array_equal(again.x, untouched.x)
+    np.testing.assert_array_equal(again.step_cost, untouched.step_cost)
+
+
 @pytest.mark.parametrize("kind", ["hinf_worst_case", "confusing", "sinusoid",
                                   "external", "zero"])
 def test_pair_shares_one_read_only_disturbance(bench_cfg, certified,
