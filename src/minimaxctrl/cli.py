@@ -188,7 +188,8 @@ def cmd_reproduce(args):
     lap("rollouts")
 
     report = regret_report(traj_mm, traj_h, p, spec.kind)
-    diag = sublinearity_diagnostic(report.R)
+    R, ratio = report.R, report.R_over_T  # each read recomputes the series
+    diag = sublinearity_diagnostic(R)
     stars = gamma_stars(ms.A, ms.B, p)
     bound = value_bound(cert, rcfg.x0)
     cost_mm = accumulated_cost(traj_mm, gbar)
@@ -214,7 +215,7 @@ def cmd_reproduce(args):
         "hinf_traj.csv": ("trajectory", write_trajectory_csv(traj_h, at("hinf_traj.csv"))),
         "regret.csv": ("regret", write_csv(
             at("regret.csv"), ["T", "d_T", "R_T", "R_over_T", "cost_diff_T"],
-            np.column_stack([ks, report.d, report.R, report.R_over_T, report.cost_diff]))),
+            np.column_stack([ks, report.d, R, ratio, report.cost_diff]))),
         "gaps.csv": ("gaps", write_csv(
             at("gaps.csv"), ["model", "gamma_star", "gap"],
             np.column_stack([np.arange(1, ms.size + 1), stars,
@@ -226,8 +227,8 @@ def cmd_reproduce(args):
             "states.svg": ({"adaptive |x|": (ks, np.linalg.norm(traj_mm.x, axis=1)),
                             "benchmark |x|": (ks, np.linalg.norm(traj_h.x, axis=1))},
                            "state norms"),
-            "regret.svg": ({"R": (ks, report.R)}, "cumulative regret"),
-            "ratio.svg": ({"R/T": (ks[1:], report.R_over_T[1:])}, "regret per step"),
+            "regret.svg": ({"R": (ks, R)}, "cumulative regret"),
+            "ratio.svg": ({"R/T": (ks[1:], ratio[1:])}, "regret per step"),
         }
         for name, (series, title) in charts.items():
             files[name] = ("chart", atomic_write_text(
@@ -251,7 +252,7 @@ def cmd_reproduce(args):
 
     print(f"{args.scenario}: gamma_bar={gbar:.6g}  value_bound={bound:.6g}")
     print(f"accumulated cost: adaptive={cost_mm:.6g}  benchmark={cost_h:.6g}")
-    print(f"final regret R(T)={report.R[-1]:.6g}  verdict={diag.verdict}")
+    print(f"final regret R(T)={R[-1]:.6g}  verdict={diag.verdict}")
     print(f"wrote {len(files) + 1} files to {out_dir}")
     return EXIT_OK
 

@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .fileio import read_only
+
 RATIO_SLACK = 1e-12
 DECAY_FACTOR = 0.5
 MIN_DIAGNOSTIC_STEPS = 4
@@ -23,11 +25,40 @@ MIN_DIAGNOSTIC_STEPS = 4
 
 @dataclass(eq=False)
 class RegretReport:
+    """Regret of one trajectory pair, stored as the per-step distance d.
+
+    d: (T+1,) read-only.  step_costs: the two trajectories' step_cost
+    arrays (a first, b second), kept through `fileio.read_only`, so a
+    rollout's are shared and a writable one is copied once.  R, R_over_T
+    and cost_diff are computed from them on every read: read each once.
+    """
+
     d: np.ndarray
-    R: np.ndarray
-    R_over_T: np.ndarray
-    cost_diff: np.ndarray
+    step_costs: tuple
     kind: str
+
+    def __post_init__(self):
+        self.d = read_only(self.d)
+        self.step_costs = tuple(map(read_only, self.step_costs))
+
+    @property
+    def R(self):
+        """Cumulative regret, R[k] = d[0] + ... + d[k]."""
+        return np.cumsum(self.d)
+
+    @property
+    def R_over_T(self):
+        """R[k] / k, NaN at k = 0."""
+        R = self.R
+        steps = np.arange(len(R), dtype=float)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return np.where(steps > 0, R / steps, np.nan)
+
+    @property
+    def cost_diff(self):
+        """Running sum of the realized step-cost difference, a minus b."""
+        cost_a, cost_b = self.step_costs
+        return np.cumsum(cost_a - cost_b)
 
 
 @dataclass
@@ -52,9 +83,14 @@ def regret_report(traj_a, traj_b, penalties, kind):
     terminal state distance at k = T, and R is its running sum.  cost_diff
     is the running sum of the realized cost difference; it may be negative,
     and its last entry is the difference of the gamma = 0 accumulated
-    costs.  Raises ValueError unless the two disturbance sequences are
-    identical: the same shape and every entry equal (a NaN equals nothing).
+    costs.  Raises ValueError unless the two trajectories have the same
+    shapes (a horizon mismatch is named as such) and their disturbance
+    sequences are identical: every entry equal (a NaN equals nothing).
     """
+    a, b = ((t.horizon, t.x.shape, t.u.shape) for t in (traj_a, traj_b))
+    if a != b:
+        raise ValueError("trajectories do not align: horizon {} with x {} and u {}, "
+                         "against horizon {} with x {} and u {}".format(*a, *b))
     if not np.array_equal(traj_a.w, traj_b.w):
         raise ValueError("trajectories answer different disturbances; replay the "
                          "recorded sequence on both loops (simulate.paired_rollouts)")
@@ -62,18 +98,9 @@ def regret_report(traj_a, traj_b, penalties, kind):
     du = traj_a.u - traj_b.u
     d = np.einsum("ki,ij,kj->k", dx, penalties.Q, dx)
     d[:-1] += np.einsum("ki,ij,kj->k", du, penalties.R, du)
-    del dx, du  # freed before the running sums, so they add nothing to peak memory
-    R = np.cumsum(d)
-    steps = np.arange(len(R), dtype=float)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        r_over_t = np.where(steps > 0, R / steps, np.nan)
-    return RegretReport(
-        d=d,
-        R=R,
-        R_over_T=r_over_t,
-        cost_diff=np.cumsum(traj_a.step_cost - traj_b.step_cost),
-        kind=kind,
-    )
+    d.flags.writeable = False  # so the report keeps it without a copy
+    return RegretReport(d=d, step_costs=(traj_a.step_cost, traj_b.step_cost),
+                        kind=kind)
 
 
 def total_regret(reports):

@@ -42,13 +42,14 @@ class DivergedRollout(RuntimeError):
 class Trajectory:
     """One rollout.
 
-    x: (T+1, n) states, u: (T, m) inputs, w: (T, n) disturbances, read-only
-    when made by `rollout` (it may be shared with the other rollout of a
-    pair and with the config's external sequence).
+    x: (T+1, n) states, u: (T, m) inputs, w: (T, n) disturbances (w may
+    be shared with the other rollout of a pair and with the config's
+    external sequence).
     l: (T,) selected model indices (1-based), None for fixed-gain runs.
     alpha_hist: (T+1, F) residuals after k updates, None for fixed-gain.
     step_cost: (T+1,), x_k'Q x_k + u_k'R u_k for k < T and the terminal
-    x_T'Q x_T at k = T.
+    x_T'Q x_T at k = T (shared with the pair's RegretReport).
+    Every array `rollout` returns is read-only.
     """
 
     x: np.ndarray
@@ -71,9 +72,9 @@ def rollout(cfg, controller, disturbance=None):
     sequence from cfg's spec (resolved once, by `disturbance.emit`), or a
     recorded (T, n) array to replay: used as it is when
     `fileio.read_only` keeps it (another rollout's w, say), else copied
-    once, so a writable caller array is never aliased.  The returned w is
-    read-only.  For n > 1 the result is the one-step-at-a-time loop's, bit
-    for bit (see `_play_block` for n = 1).
+    once, so a writable caller array is never aliased.  Every array of the
+    returned Trajectory is read-only.  For n > 1 the result is the
+    one-step-at-a-time loop's, bit for bit (see `_play_block` for n = 1).
     A switch discards the rest of its block, never longer than the steps
     kept since the block sizes restarted, so at most 2T steps are computed,
     and at most T + BLOCK_CAP * (number of switches).
@@ -156,7 +157,11 @@ def rollout(cfg, controller, disturbance=None):
     step_cost = (x[:, None] @ Q @ x[:, :, None])[:, 0, 0]
     step_cost[:T] += (u[:, None] @ R @ u[:, :, None])[:, 0, 0]
 
-    w.flags.writeable = False
+    # step_cost is a view of the (T+1, 1, 1) product; freezing that too lets
+    # `fileio.read_only` share it (the pair's RegretReport keeps it)
+    for array in (x, u, w, step_cost, step_cost.base, l, alpha_hist):
+        if array is not None:
+            array.flags.writeable = False
     return Trajectory(x=x, u=u, w=w, step_cost=step_cost, l=l,
                       alpha_hist=alpha_hist)
 

@@ -19,6 +19,7 @@ from minimaxctrl.fileio import (
     svg_line_chart,
     write_csv,
 )
+from minimaxctrl.simulate import paired_rollouts
 
 
 def test_fmt_twelve_significant_digits():
@@ -184,27 +185,36 @@ def test_numeric_is_read_only(case, kept):
 def test_every_container_array_is_read_only(bench_cfg, certified,
                                             benchmark_controller):
     """Every array held by a config built from the shipped file (its model
-    set, penalties, x0 and each kind of validated disturbance) or by its
-    certificate is frozen, so a new array field that skips `read_only`
-    fails here."""
+    set, penalties, x0 and each kind of validated disturbance), by its
+    certificate, or by the results of a paired rollout (both trajectories
+    and their regret report, the step-cost references included) is frozen,
+    so a new array field that skips the rule fails here."""
     specs = [mc.DisturbanceSpec(kind="external", sequence=np.zeros((100, 3))),
              mc.DisturbanceSpec(kind="sinusoid", direction=np.ones(3)),
              mc.DisturbanceSpec(kind="hinf_worst_case", L=benchmark_controller.L)]
     todo = [dataclasses.replace(bench_cfg, disturbance=spec) for spec in specs]
-    todo.append(certified[1])
+    pair = paired_rollouts(todo[-1], certified[1], benchmark_controller.K)
+    todo += [certified[1], *pair,
+             mc.regret_report(*pair, bench_cfg.penalties, "hinf_worst_case")]
     arrays = []
     while todo:
         obj = todo.pop()
         for field in dataclasses.fields(obj):
             value = getattr(obj, field.name)
             name = f"{type(obj).__name__}.{field.name}"
-            if isinstance(value, np.ndarray):
-                arrays.append((name, value.flags.writeable))
-            elif dataclasses.is_dataclass(value):
-                todo.append(value)
+            items = enumerate(value) if isinstance(value, tuple) else [(None, value)]
+            for i, item in items:
+                if isinstance(item, np.ndarray):
+                    label = name if i is None else f"{name}[{i}]"
+                    arrays.append((label, item.flags.writeable))
+                elif dataclasses.is_dataclass(item):
+                    todo.append(item)
     assert {name for name, _ in arrays} >= {
         "ModelSet.A", "ModelSet.B", "Penalties.Q", "Penalties.R",
         "ExperimentConfig.x0", "DisturbanceSpec.sequence",
         "DisturbanceSpec.direction", "DisturbanceSpec.L",
-        "MinimaxCertificate.gains", "MinimaxCertificate.P"}
+        "MinimaxCertificate.gains", "MinimaxCertificate.P",
+        "Trajectory.x", "Trajectory.u", "Trajectory.w", "Trajectory.step_cost",
+        "Trajectory.l", "Trajectory.alpha_hist", "RegretReport.d",
+        "RegretReport.step_costs[0]", "RegretReport.step_costs[1]"}
     assert [name for name, writeable in arrays if writeable] == []

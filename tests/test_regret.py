@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minimaxctrl as mc
-from minimaxctrl.simulate import Trajectory
+from minimaxctrl.simulate import Trajectory, paired_rollouts
 
 
 def tiny_trajectory(x_rows, u_rows, step_costs):
@@ -157,6 +157,63 @@ def test_stepwise_regret_checks_alignment(bench_cfg, certified):
     traj_short = mc.rollout(short, cert)
     with pytest.raises(ValueError):
         mc.regret_report(traj, traj_short, p, "zero")
+
+
+def test_horizon_mismatch_is_named(bench_cfg, certified, benchmark_controller):
+    """Two rollouts of one external sequence at horizons 100 and 50 differ
+    in shape, not in disturbance, and the error says so."""
+    sequence = np.random.default_rng(5).standard_normal((100, 3))
+    spec = mc.DisturbanceSpec(kind="external", sequence=sequence)
+    long, short = (mc.rollout(dataclasses.replace(bench_cfg, gamma=certified[0],
+                                                  horizon=T, disturbance=spec),
+                              benchmark_controller.K) for T in (100, 50))
+    with pytest.raises(ValueError, match=r"horizon 100 .* horizon 50"):
+        mc.regret_report(long, short, bench_cfg.penalties, "external")
+
+
+def test_report_derives_every_series_from_d(bench_cfg, certified,
+                                            benchmark_controller):
+    """A T = 1e4 report owns one (T+1) float64 array, d: it shares the
+    rollouts' step costs, and R, R/T and the cost difference are computed
+    from them with the same bits as the running sums they replace."""
+    T = 10_000
+    sequence = np.random.default_rng(7).standard_normal((T, 3))
+    cfg = dataclasses.replace(
+        bench_cfg, gamma=certified[0], horizon=T,
+        disturbance=mc.DisturbanceSpec(kind="external", sequence=sequence))
+    a, b = paired_rollouts(cfg, certified[1], benchmark_controller.K)
+    rep = mc.regret_report(a, b, bench_cfg.penalties, "external")
+
+    rollout_arrays = [v for t in (a, b) for v in vars(t).values()
+                      if isinstance(v, np.ndarray)]
+    held = [item for v in vars(rep).values()
+            for item in (v if isinstance(v, tuple) else (v,))
+            if isinstance(item, np.ndarray)]
+    owned = [v for v in held
+             if not any(np.shares_memory(v, r) for r in rollout_arrays)]
+    assert sum(v.nbytes for v in owned) == (T + 1) * 8
+    assert rep.step_costs[0] is a.step_cost and rep.step_costs[1] is b.step_cost
+
+    R = np.cumsum(rep.d)
+    steps = np.arange(len(R), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        ratio = np.where(steps > 0, R / steps, np.nan)
+    assert rep.R.tobytes() == R.tobytes()
+    assert rep.R_over_T.tobytes() == ratio.tobytes()
+    assert rep.cost_diff.tobytes() == np.cumsum(a.step_cost - b.step_cost).tobytes()
+
+
+def test_writable_step_costs_are_copied_once():
+    """A hand-built trajectory's writable step costs are copied into the
+    report, so a later write to them does not change its cost difference."""
+    p = mc.Penalties(Q=np.eye(1), R=np.eye(1))
+    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], [2.0, 4.0])
+    b = tiny_trajectory([[1.0], [0.5]], [[0.0]], [1.0, 0.25])
+    report = mc.regret_report(a, b, p, "zero")
+    a.step_cost[:] = np.nan
+    np.testing.assert_array_equal(report.cost_diff, [1.0, 4.75])
+    with pytest.raises(ValueError, match="read-only"):
+        report.d[0] = 0.0
 
 
 def test_mismatched_disturbances_rejected(bench_cfg, certified,
