@@ -48,6 +48,7 @@ BISECT_REL_TOL = 1e-5
 SEARCH_DEPTH = 3  # rounds of the sequential level search probed per call
 GAMMA_MAX = 1e6
 GRID_SIZE = 4096
+SCAN_BLOCK = 256  # frequencies per response evaluation of the grid scan
 
 
 class BracketError(RuntimeError):
@@ -457,6 +458,16 @@ def _frequency_response(A, B, K, penalties):
     return response
 
 
+def _top_singular_values(response, omegas):
+    """Largest singular value of response(omega) for each omega, SCAN_BLOCK
+    frequencies at a time.  Each frequency is its own solve and SVD item,
+    so the blocks give the whole grid's values bit for bit with a working
+    set that does not grow with the grid."""
+    return np.concatenate([
+        np.linalg.svd(response(omegas[i:i + SCAN_BLOCK]), compute_uv=False)[:, 0]
+        for i in range(0, len(omegas), SCAN_BLOCK)])
+
+
 def closed_loop_scan(A, B, K, penalties):
     """Peak frequency response norm of the closed loop u = -Kx.
 
@@ -481,7 +492,7 @@ def closed_loop_scan(A, B, K, penalties):
     response = _frequency_response(A, B, K, penalties)
 
     omegas = np.linspace(0.0, np.pi, GRID_SIZE)
-    norms = np.linalg.svd(response(omegas), compute_uv=False)[:, 0]
+    norms = _top_singular_values(response, omegas)
 
     ipk = int(np.argmax(norms))
     peak_omega = float(omegas[ipk])

@@ -13,8 +13,10 @@ It plays a block of steps on the current selection, writing per step only
 the input, a feedback disturbance and the successor state into their rows;
 then it folds the block into every model's residual in one stacked product
 and keeps the block up to the first step whose selection differs.  Blocks
-double from 1 step up to BLOCK_CAP and restart at 1 after a switch.  Step
-costs are computed after the loop.  A rollout diverges at the first kept
+double from 1 step up to BLOCK_CAP and restart at 1 after a switch.  Only
+the block's residuals are held; a Trajectory derives the whole residual
+history and the selections from its x and u when asked.  Step costs are
+computed after the loop, BLOCK_CAP steps at a time.  A rollout diverges at the first kept
 state whose squared norm is above DIVERGENCE_LIMIT**2 or that is not
 finite; a state that overflows is such a state, not a numpy warning.
 """
@@ -27,6 +29,7 @@ import numpy as np
 from . import disturbance as _dist
 from .fileio import read_only, write_csv
 from .minimax_cert import MinimaxCertificate, check_gains_shape
+from .model_set import ModelSet
 from .policies import hinf_step, minimax_step, update_residuals
 
 DIVERGENCE_LIMIT = 1e12
@@ -45,23 +48,50 @@ class Trajectory:
     x: (T+1, n) states, u: (T, m) inputs, w: (T, n) disturbances (w may
     be shared with the other rollout of a pair and with the config's
     external sequence).
-    l: (T,) selected model indices (1-based), None for fixed-gain runs.
-    alpha_hist: (T+1, F) residuals after k updates, None for fixed-gain.
     step_cost: (T+1,), x_k'Q x_k + u_k'R u_k for k < T and the terminal
     x_T'Q x_T at k = T (shared with the pair's RegretReport).
-    Every array `rollout` returns is read-only.
+    model_set: the candidate models an adaptive rollout switched among,
+    None for a fixed gain.  Every array `rollout` returns is read-only.
+
+    alpha_hist and l are not stored: each read computes them from x and u
+    with the switching loop's own fold and tie rule, so they have its bits
+    and are read-only, and each read allocates and folds again: read each
+    once and keep it.  An adaptive T = 10^4 trajectory on the shipped set
+    holds x (240,024 B), u (80,000 B) and step_cost (80,008 B) of its own
+    and a shared w, not a (T+1, F) residual history or (T,) selections.
     """
 
     x: np.ndarray
     u: np.ndarray
     w: np.ndarray
     step_cost: np.ndarray
-    l: np.ndarray | None = None
-    alpha_hist: np.ndarray | None = None
+    model_set: ModelSet | None = None
 
     @property
     def horizon(self):
         return self.u.shape[0]
+
+    @property
+    def alpha_hist(self):
+        """(T+1, F) read-only residuals after k updates, None for a fixed gain."""
+        if self.model_set is None:
+            return None
+        zero = np.zeros(self.model_set.size)
+        alphas = np.vstack([zero, update_residuals(self.model_set, zero,
+                                                   self.x, self.u)])
+        alphas.flags.writeable = False
+        return alphas
+
+    @property
+    def l(self):
+        """(T,) read-only selected model indices (1-based), None for a
+        fixed gain: the least residual before each step, lowest index on ties."""
+        alphas = self.alpha_hist
+        if alphas is None:
+            return None
+        l = alphas[:-1].argmin(axis=1) + 1
+        l.flags.writeable = False
+        return l
 
 
 def rollout(cfg, controller, disturbance=None):
@@ -118,8 +148,8 @@ def rollout(cfg, controller, disturbance=None):
     # a fixed gain is a one-gain stack whose selection never moves
     neg_gains = -(controller.gains if adaptive else controller[None])
 
-    l = np.zeros(T, dtype=int) if adaptive else None
-    alpha_hist = np.zeros((T + 1, ms.size)) if adaptive else None
+    # residuals of the block being played; row 0 is the last kept step's
+    alpha = np.zeros((BLOCK_CAP + 1, ms.size)) if adaptive else None
 
     # overflow and NaN are left to the divergence test, which fails on both;
     # a speculative tail past a switch may overflow and is then discarded
@@ -129,19 +159,19 @@ def rollout(cfg, controller, disturbance=None):
         while k < T:
             end = min(k + size, T)
             if adaptive:
-                u[k], sel = minimax_step(controller, alpha_hist[k], x[k])
+                u[k], sel = minimax_step(controller, alpha[0], x[k])
             else:
                 u[k], sel = hinf_step(controller, x[k]), 1
             _play_block(A, B, neg_gains[sel - 1], law, x, u, w, k, end)
             stop = end
             if adaptive:
-                alpha_hist[k + 1:end + 1] = update_residuals(
-                    ms, alpha_hist[k], x[k:end + 1], u[k:end])
+                alpha[1:end - k + 1] = update_residuals(
+                    ms, alpha[0], x[k:end + 1], u[k:end])
                 # minimax_step's rule, row by row: keep up to the first move
                 moved = np.flatnonzero(
-                    alpha_hist[k + 1:end].argmin(axis=1) != sel - 1)
+                    alpha[1:end - k].argmin(axis=1) != sel - 1)
                 stop = k + 1 + int(moved[0]) if moved.size else end
-                l[k:stop] = sel
+                alpha[0] = alpha[stop - k]
             xs = x[k + 1:stop + 1]
             bad = np.flatnonzero(~((xs * xs).sum(axis=1) <= limit_sq))
             if bad.size:
@@ -152,18 +182,21 @@ def rollout(cfg, controller, disturbance=None):
             size = min(2 * size, BLOCK_CAP) if stop == end else 1
             k = stop
 
-    # stacked products: bit-identical to the per-step x_k @ Q @ x_k (einsum is not)
+    # stacked products, bit-identical to the per-step x_k @ Q @ x_k +
+    # u_k @ R @ u_k (einsum is not); BLOCK_CAP steps at a time, so no
+    # (T+1, 1, n) temporary is made
     Q, R = cfg.penalties.Q, cfg.penalties.R
-    step_cost = (x[:, None] @ Q @ x[:, :, None])[:, 0, 0]
-    step_cost[:T] += (u[:, None] @ R @ u[:, :, None])[:, 0, 0]
+    step_cost = np.empty(T + 1)
+    for i in range(0, T + 1, BLOCK_CAP):
+        xs, us = x[i:i + BLOCK_CAP], u[i:i + BLOCK_CAP]
+        cost = step_cost[i:i + BLOCK_CAP]
+        cost[:] = (xs[:, None] @ Q @ xs[:, :, None])[:, 0, 0]
+        cost[:len(us)] += (us[:, None] @ R @ us[:, :, None])[:, 0, 0]
 
-    # step_cost is a view of the (T+1, 1, 1) product; freezing that too lets
-    # `fileio.read_only` share it (the pair's RegretReport keeps it)
-    for array in (x, u, w, step_cost, step_cost.base, l, alpha_hist):
-        if array is not None:
-            array.flags.writeable = False
-    return Trajectory(x=x, u=u, w=w, step_cost=step_cost, l=l,
-                      alpha_hist=alpha_hist)
+    for array in (x, u, w, step_cost):
+        array.flags.writeable = False
+    return Trajectory(x=x, u=u, w=w, step_cost=step_cost,
+                      model_set=ms if adaptive else None)
 
 
 def paired_rollouts(cfg, cert, gain):

@@ -186,9 +186,10 @@ def test_every_container_array_is_read_only(bench_cfg, certified,
                                             benchmark_controller):
     """Every array held by a config built from the shipped file (its model
     set, penalties, x0 and each kind of validated disturbance), by its
-    certificate, or by the results of a paired rollout (both trajectories
-    and their regret report, the step-cost references included) is frozen,
-    so a new array field that skips the rule fails here."""
+    certificate, or by the results of a paired rollout (both trajectories,
+    the adaptive one's derived `l` and `alpha_hist` included, and their
+    regret report with its step-cost references) is frozen, so a new array
+    field that skips the rule fails here."""
     specs = [mc.DisturbanceSpec(kind="external", sequence=np.zeros((100, 3))),
              mc.DisturbanceSpec(kind="sinusoid", direction=np.ones(3)),
              mc.DisturbanceSpec(kind="hinf_worst_case", L=benchmark_controller.L)]
@@ -209,6 +210,11 @@ def test_every_container_array_is_read_only(bench_cfg, certified,
                     arrays.append((label, item.flags.writeable))
                 elif dataclasses.is_dataclass(item):
                     todo.append(item)
+    for traj in pair:
+        for name in ("l", "alpha_hist"):
+            value = getattr(traj, name)
+            if value is not None:
+                arrays.append((f"Trajectory.{name}", value.flags.writeable))
     assert {name for name, _ in arrays} >= {
         "ModelSet.A", "ModelSet.B", "Penalties.Q", "Penalties.R",
         "ExperimentConfig.x0", "DisturbanceSpec.sequence",

@@ -184,6 +184,21 @@ def test_scan_grid_properties(models, penalties, gamma_stars):
     assert scan.peak_norm >= max(coarse) * (1.0 - 1e-12)
 
 
+@pytest.mark.parametrize("size", [hinf.GRID_SIZE, 1000])
+def test_blocked_scan_equals_whole_grid(models, penalties, gamma_stars, size):
+    """The scan's blocks of SCAN_BLOCK frequencies give the top singular
+    values of one whole-grid evaluation bit for bit, a partial last block
+    included, for every shipped model's gain."""
+    omegas = np.linspace(0.0, np.pi, size)
+    for j in range(1, models.size + 1):
+        A, B = models.pair(j)
+        K = mc.solve_riccati(A, B, penalties, 1.1 * gamma_stars[j - 1]).K
+        response = hinf._frequency_response(A, B, K, penalties)
+        whole = np.linalg.svd(response(omegas), compute_uv=False)[:, 0]
+        blocked = hinf._top_singular_values(response, omegas)
+        assert blocked.tobytes() == whole.tobytes()
+
+
 def test_scan_refines_a_peak_between_grid_points():
     """A = 0.97 rot(0.7), K = 0: the response (zI - A)^-1 of a normal A peaks
     at 1/(1 - 0.97) exactly at omega = 0.7.  The nearest grid point is

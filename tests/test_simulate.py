@@ -2,13 +2,15 @@ import csv
 import dataclasses
 import itertools
 import re
+import tracemalloc
+import types
 
 import numpy as np
 import pytest
 
 import minimaxctrl as mc
 from minimaxctrl import simulate
-from minimaxctrl.simulate import BLOCK_CAP, Trajectory, write_trajectory_csv
+from minimaxctrl.simulate import BLOCK_CAP, write_trajectory_csv
 
 
 def scenario_cfg(bench_cfg, certified, spec):
@@ -31,12 +33,62 @@ def test_adaptive_rollout_shapes(bench_cfg, certified):
     assert traj.l.shape == (T,)
     assert traj.alpha_hist.shape == (T + 1, 4)
     assert traj.horizon == T
+    assert traj.model_set is cfg.model_set
+
+
+def rollout_peak_bytes(cfg, controller):
+    """tracemalloc peak of one rollout, after a warm-up rollout."""
+    mc.rollout(cfg, controller)
+    tracemalloc.start()
+    try:
+        mc.rollout(cfg, controller)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_long_adaptive_rollout_keeps_no_residual_history(bench_cfg, certified):
+    """An adaptive T = 10^4 rollout on the shipped set (F = 4) peaks at least
+    400,032 B, a (T+1, F) float64 residual history and (T,) int64
+    selections, below 1,042,989 B, the least of its tracemalloc peaks
+    measured when the trajectory stored both (Python 3.11.7, numpy 2.4.6)."""
+    T = 10_000
+    spec = mc.DisturbanceSpec(
+        kind="external", sequence=np.random.default_rng(0).standard_normal((T, 3)))
+    cfg = dataclasses.replace(scenario_cfg(bench_cfg, certified, spec), horizon=T)
+    history = 8 * (cfg.horizon + 1) * 4 + 8 * cfg.horizon
+    assert history == 400_032
+    assert rollout_peak_bytes(cfg, certified[1]) <= 1_042_989 - history
+
+
+def test_trajectory_fields_do_not_grow_with_model_count(bench_cfg, certified):
+    """The shipped set and the same four models listed twice (F = 8) give
+    trajectories whose array fields have the same sizes."""
+    _, cert = certified
+    ms = bench_cfg.model_set
+    doubled = mc.ModelSet.from_pairs([ms.pair(i % 4 + 1) for i in range(8)])
+    cert8 = mc.MinimaxCertificate(gamma_bar=cert.gamma_bar,
+                                  gains=np.concatenate([cert.gains, cert.gains]),
+                                  P=np.zeros((8, 8, 3, 3)))
+    sizes = []
+    for model_set, controller in ((ms, cert), (doubled, cert8)):
+        cfg = dataclasses.replace(
+            scenario_cfg(bench_cfg, certified, mc.DisturbanceSpec(kind="zero")),
+            model_set=model_set)
+        traj = mc.rollout(cfg, controller)
+        assert traj.alpha_hist.shape == (101, model_set.size)
+        sizes.append({f.name: getattr(traj, f.name).nbytes
+                      for f in dataclasses.fields(traj)
+                      if isinstance(getattr(traj, f.name), np.ndarray)})
+    assert sizes[0] == sizes[1]
+    assert set(sizes[0]) == {"x", "u", "w", "step_cost"}
 
 
 def test_fixed_gain_rollout_has_no_switching_columns(bench_cfg, certified,
                                                      benchmark_controller):
     cfg = scenario_cfg(bench_cfg, certified, mc.DisturbanceSpec(kind="zero"))
     traj = mc.rollout(cfg, benchmark_controller.K)
+    assert traj.model_set is None
     assert traj.l is None
     assert traj.alpha_hist is None
 
@@ -215,7 +267,8 @@ def reference_rollout(cfg, controller, disturbance=None):
     """The per-step rollout loop, written out in full: costs inside the loop,
     `np.isfinite` plus `np.linalg.norm` as the divergence test, and the
     switching law, residual update and disturbance laws inlined, each law
-    evaluated at its step."""
+    evaluated at its step.  Returns a namespace whose `l` and `alpha_hist`
+    are the loop's own arrays, so the derived ones are checked against them."""
     ms = cfg.model_set
     T, n = cfg.horizon, ms.n
     A, B = ms.pair(cfg.true_index)
@@ -256,8 +309,8 @@ def reference_rollout(cfg, controller, disturbance=None):
             alpha_hist[k + 1] = alpha_hist[k] + np.sum(r * r, axis=1)
         step_cost[k] = x[k] @ Q @ x[k] + u[k] @ R @ u[k]
     step_cost[T] = x[T] @ Q @ x[T]
-    return Trajectory(x=x, u=u, w=w, step_cost=step_cost, l=l,
-                      alpha_hist=alpha_hist)
+    return types.SimpleNamespace(x=x, u=u, w=w, step_cost=step_cost, l=l,
+                                 alpha_hist=alpha_hist)
 
 
 def outcome(run):
