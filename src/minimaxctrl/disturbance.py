@@ -110,10 +110,12 @@ def emit(cfg):
     if spec.kind == "confusing":
         (Aj, Bj), (Ai, Bi) = ms.pair(cfg.true_index), ms.pair(spec.target)
         dA, dB = Ai - Aj, Bi - Bj
+        dBu = np.empty(ms.n)
 
         def law(x_k, u_k, w_k):
             dA.dot(x_k, out=w_k)
-            w_k += dB.dot(u_k)
+            dB.dot(u_k, out=dBu)
+            w_k += dBu
         return w, law
     return w, None
 

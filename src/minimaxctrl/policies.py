@@ -29,7 +29,8 @@ def update_residuals(ms, alpha, x, u):
     seeded with `alpha`, added in step order, so it equals folding one step
     at a time.  `alpha` is not modified.
     """
-    r = x[1:, None] - (ms.A @ x[:-1, None, :, None])[..., 0]
+    r = (ms.A @ x[:-1, None, :, None])[..., 0]
+    np.subtract(x[1:, None], r, out=r)
     r -= (ms.B @ u[:, None, :, None])[..., 0]
     r *= r
     return np.cumsum(np.vstack([alpha, r.sum(axis=2)]), axis=0)[1:]

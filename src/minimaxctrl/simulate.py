@@ -9,16 +9,18 @@ the same w, not the same disturbance law.  A trajectory's w is read-only,
 so the replay shares it instead of copying it: a pair keeps one buffer.
 
 One kernel serves both controllers (a fixed gain is a one-gain stack).
-It plays a block of steps on the current selection, writing per step only
-the input, a feedback disturbance and the successor state into their rows;
-then it folds the block into every model's residual in one stacked product
-and keeps the block up to the first step whose selection differs.  Blocks
-double from 1 step up to BLOCK_CAP and restart at 1 after a switch.  Only
-the block's residuals are held; a Trajectory derives the whole residual
-history and the selections from its x and u when asked.  Step costs are
-computed after the loop, BLOCK_CAP steps at a time.  A rollout diverges at the first kept
-state whose squared norm is above DIVERGENCE_LIMIT**2 or that is not
-finite; a state that overflows is such a state, not a numpy warning.
+It plays a block of steps on the current selection in one scratch of rows
+[x_k | u_k | w_k], advancing each step with one product of the true
+model's [A B I] and the row, and copies the block out to x and u (and w
+for a feedback law); then it folds the block into every model's residual
+in one stacked product and keeps the block up to the first step whose
+selection differs.  Blocks double from 1 step up to BLOCK_CAP and restart
+at 1 after a switch.  Only the block's residuals are held; a Trajectory
+derives the whole residual history and the selections from its x and u
+when asked.  Step costs are computed after the loop, BLOCK_CAP steps at a
+time.  A rollout diverges at the first kept state whose squared norm is
+above DIVERGENCE_LIMIT**2 or that is not finite; a state that overflows is
+such a state, not a numpy warning.
 """
 from __future__ import annotations
 
@@ -55,10 +57,11 @@ class Trajectory:
 
     alpha_hist and l are not stored: each read computes them from x and u
     with the switching loop's own fold and tie rule, so they have its bits
-    and are read-only, and each read allocates and folds again: read each
-    once and keep it.  An adaptive T = 10^4 trajectory on the shipped set
-    holds x (240,024 B), u (80,000 B) and step_cost (80,008 B) of its own
-    and a shared w, not a (T+1, F) residual history or (T,) selections.
+    and are read-only, and each read allocates and folds again, BLOCK_CAP
+    steps at a time: read each once and keep it.  An adaptive T = 10^4
+    trajectory on the shipped set holds x (240,024 B), u (80,000 B) and
+    step_cost (80,008 B) of its own and a shared w, not a (T+1, F)
+    residual history or (T,) selections.
     """
 
     x: np.ndarray
@@ -74,24 +77,38 @@ class Trajectory:
     @property
     def alpha_hist(self):
         """(T+1, F) read-only residuals after k updates, None for a fixed gain."""
-        if self.model_set is None:
-            return None
-        zero = np.zeros(self.model_set.size)
-        alphas = np.vstack([zero, update_residuals(self.model_set, zero,
-                                                   self.x, self.u)])
-        alphas.flags.writeable = False
+        alphas = self._fold()
+        if alphas is not None:
+            alphas.flags.writeable = False
         return alphas
 
     @property
     def l(self):
         """(T,) read-only selected model indices (1-based), None for a
         fixed gain: the least residual before each step, lowest index on ties."""
-        alphas = self.alpha_hist
+        alphas = self._fold()
         if alphas is None:
             return None
-        l = alphas[:-1].argmin(axis=1) + 1
+        # argmin of a read-only array copies it; this history is writable
+        l = alphas[:-1].argmin(axis=1)
+        l += 1
         l.flags.writeable = False
         return l
+
+    def _fold(self):
+        """The writable (T+1, F) residual history, None for a fixed gain.
+
+        BLOCK_CAP steps at a time, each seeded with the row before it: the
+        running sum adds in step order, so the bits are one fold's.
+        """
+        if self.model_set is None:
+            return None
+        alphas = np.zeros((self.horizon + 1, self.model_set.size))
+        for k in range(0, self.horizon, BLOCK_CAP):
+            end = min(k + BLOCK_CAP, self.horizon)
+            alphas[k + 1:end + 1] = update_residuals(
+                self.model_set, alphas[k], self.x[k:end + 1], self.u[k:end])
+        return alphas
 
 
 def rollout(cfg, controller, disturbance=None):
@@ -103,8 +120,12 @@ def rollout(cfg, controller, disturbance=None):
     recorded (T, n) array to replay: used as it is when
     `fileio.read_only` keeps it (another rollout's w, say), else copied
     once, so a writable caller array is never aliased.  Every array of the
-    returned Trajectory is read-only.  For n > 1 the result is the
-    one-step-at-a-time loop's, bit for bit (see `_play_block` for n = 1).
+    returned Trajectory is read-only.  Each state is x_{k+1} =
+    [A B I] @ [x_k; u_k; w_k], one sum of 2n + m products: for n > 1 the
+    result is the one-step-at-a-time loop of that product's, bit for bit
+    (see `_play_block` for n = 1), and each state is within
+    2 (2n + m) 2^-53 (|A||x_k| + |B||u_k| + |w_k|) of A x_k + B u_k + w_k,
+    componentwise.
     A switch discards the rest of its block, never longer than the steps
     kept since the block sizes restarted, so at most 2T steps are computed,
     and at most T + BLOCK_CAP * (number of switches).
@@ -147,6 +168,9 @@ def rollout(cfg, controller, disturbance=None):
     x[0] = cfg.x0
     # a fixed gain is a one-gain stack whose selection never moves
     neg_gains = -(controller.gains if adaptive else controller[None])
+    # x_{k+1} = Z [x_k; u_k; w_k], played in rows [x_j | u_j | w_j]
+    Z = np.hstack([A, B, np.eye(n)])
+    rows = np.empty((BLOCK_CAP + 1, Z.shape[1]))
 
     # residuals of the block being played; row 0 is the last kept step's
     alpha = np.zeros((BLOCK_CAP + 1, ms.size)) if adaptive else None
@@ -162,7 +186,7 @@ def rollout(cfg, controller, disturbance=None):
                 u[k], sel = minimax_step(controller, alpha[0], x[k])
             else:
                 u[k], sel = hinf_step(controller, x[k]), 1
-            _play_block(A, B, neg_gains[sel - 1], law, x, u, w, k, end)
+            _play_block(Z, neg_gains[sel - 1], law, rows, x, u, w, k, end)
             stop = end
             if adaptive:
                 alpha[1:end - k + 1] = update_residuals(
@@ -214,26 +238,38 @@ def paired_rollouts(cfg, cert, gain):
     return rollout(cfg, cert, disturbance=fixed.w), fixed
 
 
-def _play_block(A, B, neg_gain, law, x, u, w, k, end):
-    """Steps k .. end-1 of x+ = A x + B u + w under u = neg_gain x, in place.
+def _play_block(Z, neg_gain, law, rows, x, u, w, k, end):
+    """Steps k .. end-1 of x+ = Z [x; u; w], Z = [A B I], under u = neg_gain x.
 
-    u[k] is already set; a feedback law writes each w row.  Products go into
-    their rows (B u into one scratch row), so the loop allocates nothing
-    and each step is A x + B u + w bit for bit.  ndarray.dot is @ at half the dispatch cost;
-    for n = 1 it multiplies directly, which can flip an exact zero's sign.
+    u[k] is already set.  The block is played in `rows`, one contiguous row
+    [x_j | u_j | w_j] per step: a step is one product into the next row's x
+    part, Z.dot(row_j, out=row_{j+1}[:n]), u_{j+1} is its own product into
+    its part, and a feedback law writes each w part.  The loop allocates
+    nothing, and it is a step-at-a-time loop of Z @ [x; u; w] bit for bit.
+    ndarray.dot is @ at half the dispatch cost; for n = 1 the gain product
+    multiplies directly, which can flip an exact zero's sign.  The block's
+    states and inputs (and w for a feedback law) are copied out after it.
     """
-    a_dot, b_dot, k_dot = A.dot, B.dot, neg_gain.dot
-    bu = np.empty(len(A))
-    rows = zip(x[k:end], x[k + 1:end + 1], u[k:end], w[k:end])
-    for j, (xj, xn, uj, wj) in enumerate(rows):
+    n, m, s = x.shape[1], u.shape[1], end - k
+    block = rows[:s + 1]
+    block[0, :n] = x[k]
+    block[0, n:n + m] = u[k]
+    if law is None:
+        block[:s, n + m:] = w[k:end]
+    z_dot, k_dot = Z.dot, neg_gain.dot
+    xj = block[0, :n]
+    steps = zip(block[:s], block[1:, :n], block[:s, n:n + m], block[:s, n + m:])
+    for j, (row, xn, uj, wj) in enumerate(steps):
         if j:
             k_dot(xj, out=uj)
         if law is not None:
             law(xj, uj, wj)
-        a_dot(xj, out=xn)
-        b_dot(uj, out=bu)
-        xn += bu
-        xn += wj
+        z_dot(row, out=xn)
+        xj = xn
+    x[k + 1:end + 1] = block[1:, :n]
+    u[k + 1:end] = block[1:s, n:n + m]
+    if law is not None:
+        w[k:end] = block[:s, n + m:]
 
 
 def accumulated_cost(traj, gamma):

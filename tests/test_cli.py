@@ -285,19 +285,19 @@ SHIPPED_GAPS = "372bd68c4deee6dc7d8a0c43739da3b4ef363250c3768f64997f7cb2fd170445
 SHIPPED_CERTIFICATE = "c123fddb6de4170feb99b683db8fef198c2c0024a5ff0ddab13a8da036a70785"
 SHIPPED_BUNDLES = {
     "fig1": {
-        "minimax_traj.csv": "21cf411a91b2af1c5ae884694275adad978b07c16a7371634e1137b29512783e",
+        "minimax_traj.csv": "636c53a1cb521dff8c3ceec610e9ae9d803b4773e5216dff619f54bdab88fd05",
         "hinf_traj.csv": "ccd12e60d0cd253c33d9dd0400a5d964f08511d540317610d7e854f5e58ef207",
         "regret.csv": "6a5dfb1810034f3915aa22f630976c732ae298c1e8ad3c3133ca29a65f7ab1ed",
     },
     "fig2": {
         "minimax_traj.csv": "938385e756bae7a2d2a49d14a316ed78855dd26e4d42ceb79ff9dc30bcedb393",
         "hinf_traj.csv": "6a74332bc7336e0c97285edc5ca57184c009ef8ce63149a3ba3d79e289e8e139",
-        "regret.csv": "4ccc0acc7dfb20300889089dea656355c92e5520ddf68c72e4f122a69805fe09",
+        "regret.csv": "4eaf692db3420578fed96ab385cd6529c9828909c683e4f682b7936a24c890ab",
     },
     "fig3": {
-        "minimax_traj.csv": "b521ecc84e17b50e0c108ddb8e2e7a6d5080d25b70d1c91618d1655fb239d17f",
-        "hinf_traj.csv": "52de2044dfef2863e3f8820bc0f744bd88f0a56167cb4571a78e2b3c5e1d50e7",
-        "regret.csv": "511a5626f537dd37796c17af84424f0db54f6bc59cc57451fe6a4fb075f595ef",
+        "minimax_traj.csv": "7d7e6d74009775b158edb2d07c211e9342442d60e914cf92bc996fad75347eb4",
+        "hinf_traj.csv": "d5861e5cdd03553fc68ae60c177bb6937c4724f80d837d94ed85d487180c9497",
+        "regret.csv": "c61a1ee5d731e299a8249d76e3b35ed127c31d6012f07f3df5459aa70314b58e",
     },
 }
 

@@ -61,6 +61,30 @@ def test_long_adaptive_rollout_keeps_no_residual_history(bench_cfg, certified):
     assert rollout_peak_bytes(cfg, certified[1]) <= 1_042_989 - history
 
 
+@pytest.mark.parametrize("name", ["alpha_hist", "l"])
+def test_long_trajectory_history_read_is_folded_in_blocks(bench_cfg, certified,
+                                                          name):
+    """One read of `alpha_hist` or `l` of an adaptive T = 10^4 trajectory on
+    the shipped set peaks at most at twice the arrays it makes (the (T+1, F)
+    history, and the (T,) selections for `l`): the fold's temporaries are
+    one BLOCK_CAP-step block's.  One fold of all T steps peaked at
+    1,987,192 B for either read (Python 3.11.7, numpy 2.4.6)."""
+    T = 10_000
+    spec = mc.DisturbanceSpec(
+        kind="external", sequence=np.random.default_rng(0).standard_normal((T, 3)))
+    cfg = dataclasses.replace(scenario_cfg(bench_cfg, certified, spec), horizon=T)
+    traj = mc.rollout(cfg, certified[1])
+    made = 8 * (T + 1) * 4 + (8 * T if name == "l" else 0)
+    getattr(traj, name)
+    tracemalloc.start()
+    try:
+        getattr(traj, name)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * made
+
+
 def test_trajectory_fields_do_not_grow_with_model_count(bench_cfg, certified):
     """The shipped set and the same four models listed twice (F = 8) give
     trajectories whose array fields have the same sizes."""
@@ -93,17 +117,44 @@ def test_fixed_gain_rollout_has_no_switching_columns(bench_cfg, certified,
     assert traj.alpha_hist is None
 
 
+def assert_steps_near_textbook(traj, A, B):
+    """Every transition is within 2(2n+m) 2^-53 (|A||x| + |B||u| + |w|) of
+    A x + B u + w, componentwise: twice the rounding bound of one sum of
+    2n + m products, so room for both evaluations of the step."""
+    x, u, w = traj.x[:-1], traj.u, traj.w
+    n, m = B.shape
+    textbook = x @ A.T + u @ B.T + w
+    scale = np.abs(x) @ np.abs(A).T + np.abs(u) @ np.abs(B).T + np.abs(w)
+    bound = 2 * (2 * n + m) * 2.0 ** -53 * scale
+    assert np.all(np.abs(traj.x[1:] - textbook) <= bound)
+
+
 def test_dynamics_consistency(bench_cfg, certified):
-    """Every stored transition satisfies the true model's update exactly."""
+    """Every stored transition is the true model's fused product
+    [A B I] [x; u; w] exactly, and A x + B u + w to rounding."""
     _, cert = certified
     cfg = scenario_cfg(bench_cfg, certified,
                        mc.DisturbanceSpec(kind="confusing", target=3))
     traj = mc.rollout(cfg, cert)
     A, B = cfg.model_set.pair(cfg.true_index)
+    Z = np.hstack([A, B, np.eye(3)])
     for k in range(traj.horizon):
         np.testing.assert_array_equal(
-            traj.x[k + 1], A @ traj.x[k] + B @ traj.u[k] + traj.w[k]
+            traj.x[k + 1], Z @ np.concatenate([traj.x[k], traj.u[k], traj.w[k]])
         )
+    assert_steps_near_textbook(traj, A, B)
+
+
+def test_long_gaussian_rollout_steps_near_textbook(bench_cfg, certified,
+                                                   benchmark_controller):
+    """T = 10^4 under Gaussian w on the shipped set, both loops."""
+    T = 10_000
+    spec = mc.DisturbanceSpec(
+        kind="external", sequence=np.random.default_rng(2).standard_normal((T, 3)))
+    cfg = dataclasses.replace(scenario_cfg(bench_cfg, certified, spec), horizon=T)
+    A, B = cfg.model_set.pair(cfg.true_index)
+    for traj in simulate.paired_rollouts(cfg, certified[1], benchmark_controller.K):
+        assert_steps_near_textbook(traj, A, B)
 
 
 def test_replay_is_bit_identical(bench_cfg, certified):
@@ -264,11 +315,12 @@ def test_csv_newlines_are_unix(bench_cfg, certified, tmp_path):
 
 
 def reference_rollout(cfg, controller, disturbance=None):
-    """The per-step rollout loop, written out in full: costs inside the loop,
-    `np.isfinite` plus `np.linalg.norm` as the divergence test, and the
-    switching law, residual update and disturbance laws inlined, each law
-    evaluated at its step.  Returns a namespace whose `l` and `alpha_hist`
-    are the loop's own arrays, so the derived ones are checked against them."""
+    """The per-step rollout loop, written out in full: each state the one
+    product [A B I] @ [x; u; w], costs inside the loop, `np.isfinite` plus
+    `np.linalg.norm` as the divergence test, and the switching law, residual
+    update and disturbance laws inlined, each law evaluated at its step.
+    Returns a namespace whose `l` and `alpha_hist` are the loop's own
+    arrays, so the derived ones are checked against them."""
     ms = cfg.model_set
     T, n = cfg.horizon, ms.n
     A, B = ms.pair(cfg.true_index)
@@ -282,6 +334,7 @@ def reference_rollout(cfg, controller, disturbance=None):
     alpha_hist = np.zeros((T + 1, ms.size)) if adaptive else None
     Q, R = cfg.penalties.Q, cfg.penalties.R
     spec = cfg.disturbance
+    Z = np.hstack([A, B, np.eye(n)])
     for k in range(T):
         if adaptive:
             l[k] = int(np.argmin(alpha_hist[k])) + 1
@@ -301,7 +354,7 @@ def reference_rollout(cfg, controller, disturbance=None):
             w[k] = (Ai - A) @ x[k] + (Bi - B) @ u[k]
         else:
             assert spec.kind == "zero"
-        x[k + 1] = A @ x[k] + B @ u[k] + w[k]
+        x[k + 1] = Z @ np.concatenate([x[k], u[k], w[k]])
         if not np.all(np.isfinite(x[k + 1])) or np.linalg.norm(x[k + 1]) > 1e12:
             raise mc.DivergedRollout(f"step {k + 1}")
         if adaptive:
@@ -495,8 +548,8 @@ def record_blocks(monkeypatch):
     blocks = []
     play = simulate._play_block
 
-    def recorded(A, B, neg_gain, law, x, u, w, k, end):
-        play(A, B, neg_gain, law, x, u, w, k, end)
+    def recorded(Z, neg_gain, law, rows, x, u, w, k, end):
+        play(Z, neg_gain, law, rows, x, u, w, k, end)
         blocks.append((k, end, float(np.max(np.abs(x[k + 1:end + 1])))))
 
     monkeypatch.setattr(simulate, "_play_block", recorded)
@@ -685,6 +738,15 @@ def random_experiments(seed, T=200):
 def test_block_kernel_matches_reference_on_random_sets(seed):
     for cfg, cert, K in random_experiments(seed):
         assert_loops_match_reference(cfg, cert, K)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_steps_near_textbook_on_random_sets(seed):
+    """n = 1-4, m = 1-2: every pair that does not diverge."""
+    for cfg, cert, K in random_experiments(seed):
+        status, pair = outcome(lambda: simulate.paired_rollouts(cfg, cert, K))
+        for traj in pair if status == "ok" else ():
+            assert_steps_near_textbook(traj, *cfg.model_set.pair(cfg.true_index))
 
 
 def switching_experiment(T=200):
