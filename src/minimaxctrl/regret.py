@@ -4,8 +4,12 @@
 must have answered the *same* disturbance sequence.  It gives two notions
 of regret: the model-based one accumulates the weighted distance between
 the trajectories; the cost-difference one subtracts realized costs, a
-signed number that says nothing about how far apart they are.
-`total_regret` takes the worst case over the true models, and
+signed number that says nothing about how far apart they are.  A report
+stores only the per-step distance, built BLOCK_CAP steps at a time, and
+a reference to the pair; cumulative regret and the cost difference (from
+the trajectories' derived step costs) are computed when read.
+`total_regret` takes the worst case over the true models, for reports of
+one horizon and one disturbance kind, and
 `sublinearity_diagnostic` checks whether the average regret per step is
 flattening out, the signature of the adaptive policy locking on to the
 true model.
@@ -17,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fileio import read_only
+from .simulate import BLOCK_CAP
 
 RATIO_SLACK = 1e-12
 DECAY_FACTOR = 0.5
@@ -27,19 +32,18 @@ MIN_DIAGNOSTIC_STEPS = 4
 class RegretReport:
     """Regret of one trajectory pair, stored as the per-step distance d.
 
-    d: (T+1,) read-only.  step_costs: the two trajectories' step_cost
-    arrays (a first, b second), kept through `fileio.read_only`, so a
-    rollout's are shared and a writable one is copied once.  R, R_over_T
-    and cost_diff are computed from them on every read: read each once.
+    d: (T+1,) read-only.  pair: the two trajectories (a first, b second),
+    kept by reference.  kind: the disturbance law they answered.  R,
+    R_over_T and cost_diff are computed from d and the pair on every read:
+    read each once.
     """
 
     d: np.ndarray
-    step_costs: tuple
+    pair: tuple
     kind: str
 
     def __post_init__(self):
         self.d = read_only(self.d)
-        self.step_costs = tuple(map(read_only, self.step_costs))
 
     @property
     def R(self):
@@ -57,8 +61,8 @@ class RegretReport:
     @property
     def cost_diff(self):
         """Running sum of the realized step-cost difference, a minus b."""
-        cost_a, cost_b = self.step_costs
-        return np.cumsum(cost_a - cost_b)
+        a, b = self.pair
+        return np.cumsum(a.step_cost - b.step_cost)
 
 
 @dataclass
@@ -94,13 +98,18 @@ def regret_report(traj_a, traj_b, penalties, kind):
     if not np.array_equal(traj_a.w, traj_b.w):
         raise ValueError("trajectories answer different disturbances; replay the "
                          "recorded sequence on both loops (simulate.paired_rollouts)")
-    dx = traj_a.x - traj_b.x
-    du = traj_a.u - traj_b.u
-    d = np.einsum("ki,ij,kj->k", dx, penalties.Q, dx)
-    d[:-1] += np.einsum("ki,ij,kj->k", du, penalties.R, du)
+    # BLOCK_CAP steps at a time: einsum sums each step alone, so the bits
+    # are one call's, and no (T+1, n) difference is made
+    Q, R = penalties.Q, penalties.R
+    d = np.empty(traj_a.horizon + 1)
+    for k in range(0, len(d), BLOCK_CAP):
+        dx = traj_a.x[k:k + BLOCK_CAP] - traj_b.x[k:k + BLOCK_CAP]
+        du = traj_a.u[k:k + BLOCK_CAP] - traj_b.u[k:k + BLOCK_CAP]
+        dk = d[k:k + BLOCK_CAP]
+        np.einsum("ki,ij,kj->k", dx, Q, dx, out=dk)
+        dk[:len(du)] += np.einsum("ki,ij,kj->k", du, R, du)
     d.flags.writeable = False  # so the report keeps it without a copy
-    return RegretReport(d=d, step_costs=(traj_a.step_cost, traj_b.step_cost),
-                        kind=kind)
+    return RegretReport(d=d, pair=(traj_a, traj_b), kind=kind)
 
 
 def total_regret(reports):
@@ -109,9 +118,19 @@ def total_regret(reports):
     Given one report per model j of the set, each the regret when j is the
     true model under the same disturbance law, this is the paper's total
     regret: the worst case over which model the plant really is.
+    Raises ValueError unless every report has the first one's horizon and
+    disturbance kind.
     """
     if not reports:
         raise ValueError("no reports to aggregate")
+    first = reports[0]
+    for rep in reports[1:]:
+        if len(rep.d) != len(first.d):
+            raise ValueError(f"reports of horizon {len(first.d) - 1} and "
+                             f"{len(rep.d) - 1} cannot be aggregated")
+        if rep.kind != first.kind:
+            raise ValueError(f"reports under disturbance kinds {first.kind!r} and "
+                             f"{rep.kind!r} cannot be aggregated")
     stacked = np.stack([r.R for r in reports])
     return np.max(stacked, axis=0)
 

@@ -15,12 +15,12 @@ model's [A B I] and the row, and copies the block out to x and u (and w
 for a feedback law); then it folds the block into every model's residual
 in one stacked product and keeps the block up to the first step whose
 selection differs.  Blocks double from 1 step up to BLOCK_CAP and restart
-at 1 after a switch.  Only the block's residuals are held; a Trajectory
-derives the whole residual history and the selections from its x and u
-when asked.  Step costs are computed after the loop, BLOCK_CAP steps at a
-time.  A rollout diverges at the first kept state whose squared norm is
-above DIVERGENCE_LIMIT**2 or that is not finite; a state that overflows is
-such a state, not a numpy warning.
+at 1 after a switch.  Only the block's residuals are held.  A Trajectory
+keeps only what the loop produced, x, u and w, and derives the residual
+history, the selections and the step costs from them when asked,
+BLOCK_CAP steps at a time.  A rollout diverges at the first kept state
+whose squared norm is above DIVERGENCE_LIMIT**2 or that is not finite; a
+state that overflows is such a state, not a numpy warning.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import numpy as np
 from . import disturbance as _dist
 from .fileio import read_only, write_csv
 from .minimax_cert import MinimaxCertificate, check_gains_shape
-from .model_set import ModelSet
+from .model_set import ModelSet, Penalties
 from .policies import hinf_step, minimax_step, update_residuals
 
 DIVERGENCE_LIMIT = 1e12
@@ -49,30 +49,47 @@ class Trajectory:
 
     x: (T+1, n) states, u: (T, m) inputs, w: (T, n) disturbances (w may
     be shared with the other rollout of a pair and with the config's
-    external sequence).
-    step_cost: (T+1,), x_k'Q x_k + u_k'R u_k for k < T and the terminal
-    x_T'Q x_T at k = T (shared with the pair's RegretReport).
+    external sequence).  penalties: the Q and R of its step costs.
     model_set: the candidate models an adaptive rollout switched among,
     None for a fixed gain.  Every array `rollout` returns is read-only.
 
-    alpha_hist and l are not stored: each read computes them from x and u
-    with the switching loop's own fold and tie rule, so they have its bits
-    and are read-only, and each read allocates and folds again, BLOCK_CAP
-    steps at a time: read each once and keep it.  An adaptive T = 10^4
-    trajectory on the shipped set holds x (240,024 B), u (80,000 B) and
-    step_cost (80,008 B) of its own and a shared w, not a (T+1, F)
-    residual history or (T,) selections.
+    step_cost, alpha_hist and l are not stored: each read computes them
+    from x and u (alpha_hist and l with the switching loop's own fold and
+    tie rule, so they have its bits), read-only, and each read allocates
+    and computes again, BLOCK_CAP steps at a time: read each once and keep
+    it.  An adaptive T = 10^4 trajectory on the shipped set holds x
+    (240,024 B) and u (80,000 B) of its own and a shared w, not a (T+1,)
+    step cost, a (T+1, F) residual history or (T,) selections.
     """
 
     x: np.ndarray
     u: np.ndarray
     w: np.ndarray
-    step_cost: np.ndarray
+    penalties: Penalties
     model_set: ModelSet | None = None
 
     @property
     def horizon(self):
         return self.u.shape[0]
+
+    @property
+    def step_cost(self):
+        """(T+1,) read-only x_k'Q x_k + u_k'R u_k for k < T and the
+        terminal x_T'Q x_T at k = T.
+
+        Stacked products, bit-identical to the per-step x_k @ Q @ x_k +
+        u_k @ R @ u_k (einsum is not); BLOCK_CAP steps at a time, so no
+        (T+1, 1, n) temporary is made.
+        """
+        Q, R = self.penalties.Q, self.penalties.R
+        step_cost = np.empty(self.horizon + 1)
+        for i in range(0, self.horizon + 1, BLOCK_CAP):
+            xs, us = self.x[i:i + BLOCK_CAP], self.u[i:i + BLOCK_CAP]
+            cost = step_cost[i:i + BLOCK_CAP]
+            cost[:] = (xs[:, None] @ Q @ xs[:, :, None])[:, 0, 0]
+            cost[:len(us)] += (us[:, None] @ R @ us[:, :, None])[:, 0, 0]
+        step_cost.flags.writeable = False
+        return step_cost
 
     @property
     def alpha_hist(self):
@@ -206,20 +223,9 @@ def rollout(cfg, controller, disturbance=None):
             size = min(2 * size, BLOCK_CAP) if stop == end else 1
             k = stop
 
-    # stacked products, bit-identical to the per-step x_k @ Q @ x_k +
-    # u_k @ R @ u_k (einsum is not); BLOCK_CAP steps at a time, so no
-    # (T+1, 1, n) temporary is made
-    Q, R = cfg.penalties.Q, cfg.penalties.R
-    step_cost = np.empty(T + 1)
-    for i in range(0, T + 1, BLOCK_CAP):
-        xs, us = x[i:i + BLOCK_CAP], u[i:i + BLOCK_CAP]
-        cost = step_cost[i:i + BLOCK_CAP]
-        cost[:] = (xs[:, None] @ Q @ xs[:, :, None])[:, 0, 0]
-        cost[:len(us)] += (us[:, None] @ R @ us[:, :, None])[:, 0, 0]
-
-    for array in (x, u, w, step_cost):
+    for array in (x, u, w):
         array.flags.writeable = False
-    return Trajectory(x=x, u=u, w=w, step_cost=step_cost,
+    return Trajectory(x=x, u=u, w=w, penalties=cfg.penalties,
                       model_set=ms if adaptive else None)
 
 
@@ -298,7 +304,8 @@ def write_trajectory_csv(traj, path):
     )
     steps = np.full((T + 1, m + n + 1), np.nan)
     steps[:T, :m + n] = np.column_stack([traj.u, traj.w])
-    if traj.l is not None:
-        steps[:T, -1] = traj.l
+    l = traj.l  # each read refolds all T steps
+    if l is not None:
+        steps[:T, -1] = l
     table = np.column_stack([np.arange(T + 1), traj.x, steps, traj.step_cost])
     return write_csv(path, header, table)

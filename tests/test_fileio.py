@@ -187,9 +187,9 @@ def test_every_container_array_is_read_only(bench_cfg, certified,
     """Every array held by a config built from the shipped file (its model
     set, penalties, x0 and each kind of validated disturbance), by its
     certificate, or by the results of a paired rollout (both trajectories,
-    the adaptive one's derived `l` and `alpha_hist` included, and their
-    regret report with its step-cost references) is frozen, so a new array
-    field that skips the rule fails here."""
+    their derived `step_cost`, `l` and `alpha_hist` included, and their
+    regret report, which references them) is frozen, so a new array field
+    that skips the rule fails here."""
     specs = [mc.DisturbanceSpec(kind="external", sequence=np.zeros((100, 3))),
              mc.DisturbanceSpec(kind="sinusoid", direction=np.ones(3)),
              mc.DisturbanceSpec(kind="hinf_worst_case", L=benchmark_controller.L)]
@@ -211,7 +211,7 @@ def test_every_container_array_is_read_only(bench_cfg, certified,
                 elif dataclasses.is_dataclass(item):
                     todo.append(item)
     for traj in pair:
-        for name in ("l", "alpha_hist"):
+        for name in ("l", "alpha_hist", "step_cost"):
             value = getattr(traj, name)
             if value is not None:
                 arrays.append((f"Trajectory.{name}", value.flags.writeable))
@@ -221,6 +221,5 @@ def test_every_container_array_is_read_only(bench_cfg, certified,
         "DisturbanceSpec.direction", "DisturbanceSpec.L",
         "MinimaxCertificate.gains", "MinimaxCertificate.P",
         "Trajectory.x", "Trajectory.u", "Trajectory.w", "Trajectory.step_cost",
-        "Trajectory.l", "Trajectory.alpha_hist", "RegretReport.d",
-        "RegretReport.step_costs[0]", "RegretReport.step_costs[1]"}
+        "Trajectory.l", "Trajectory.alpha_hist", "RegretReport.d"}
     assert [name for name, writeable in arrays if writeable] == []

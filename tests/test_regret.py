@@ -5,28 +5,29 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import minimaxctrl as mc
-from minimaxctrl.simulate import Trajectory, paired_rollouts
+from minimaxctrl.simulate import BLOCK_CAP, Trajectory, paired_rollouts
 
 
-def tiny_trajectory(x_rows, u_rows, step_costs):
+def tiny_trajectory(x_rows, u_rows, penalties):
     x = np.asarray(x_rows, dtype=float)
     u = np.asarray(u_rows, dtype=float)
     T = u.shape[0]
-    return Trajectory(
-        x=x, u=u, w=np.zeros((T, x.shape[1])),
-        step_cost=np.asarray(step_costs, dtype=float),
-    )
+    return Trajectory(x=x, u=u, w=np.zeros((T, x.shape[1])), penalties=penalties)
 
 
 def test_stepwise_regret_by_hand():
     """One step, scalar state: check every term against pencil arithmetic."""
     p = mc.Penalties(Q=2.0 * np.eye(1), R=3.0 * np.eye(1))
-    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], [0.0, 0.0])
-    b = tiny_trajectory([[1.0], [0.5]], [[0.0]], [0.0, 0.0])
+    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], p)
+    b = tiny_trajectory([[1.0], [0.5]], [[0.0]], p)
     report = mc.regret_report(a, b, p, "zero")
     # d_0 = 3 (du=1)^2 = 3; d_1 = 2 (dx=1.5)^2 = 4.5 (terminal, state only)
     np.testing.assert_allclose(report.d, [3.0, 4.5])
     np.testing.assert_allclose(report.R, [3.0, 7.5])
+    # step costs: a = [2 + 3, 8], b = [2, 0.5]
+    np.testing.assert_array_equal(report.cost_diff, [3.0, 10.5])
+    with pytest.raises(ValueError, match="read-only"):
+        report.d[0] = 0.0
 
 
 def test_identical_trajectories_have_zero_regret(bench_cfg, certified):
@@ -92,6 +93,23 @@ def test_total_regret_is_pointwise_max(bench_cfg, certified, benchmark_controlle
         assert np.all(total >= rep.R - 1e-15)
     with pytest.raises(ValueError):
         mc.total_regret([])
+
+
+def test_total_regret_rejects_different_horizons():
+    p = mc.Penalties(Q=np.eye(1), R=np.eye(1))
+    one = tiny_trajectory([[1.0], [2.0]], [[1.0]], p)
+    two = tiny_trajectory([[1.0], [2.0], [3.0]], [[1.0], [0.0]], p)
+    reports = [mc.regret_report(t, t, p, "zero") for t in (one, two)]
+    with pytest.raises(ValueError, match="horizon 1 and 2"):
+        mc.total_regret(reports)
+
+
+def test_total_regret_rejects_different_kinds():
+    p = mc.Penalties(Q=np.eye(1), R=np.eye(1))
+    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], p)
+    reports = [mc.regret_report(a, a, p, kind) for kind in ("zero", "external")]
+    with pytest.raises(ValueError, match="'zero' and 'external'"):
+        mc.total_regret(reports)
 
 
 def test_gap_arithmetic_on_published_levels():
@@ -171,11 +189,19 @@ def test_horizon_mismatch_is_named(bench_cfg, certified, benchmark_controller):
         mc.regret_report(long, short, bench_cfg.penalties, "external")
 
 
+def owned_bytes(obj, shared):
+    """Bytes of obj's array attributes that share no memory with `shared`."""
+    return sum(v.nbytes for v in vars(obj).values() if isinstance(v, np.ndarray)
+               and not any(np.shares_memory(v, s) for s in shared))
+
+
 def test_report_derives_every_series_from_d(bench_cfg, certified,
                                             benchmark_controller):
-    """A T = 1e4 report owns one (T+1) float64 array, d: it shares the
-    rollouts' step costs, and R, R/T and the cost difference are computed
-    from them with the same bits as the running sums they replace."""
+    """At T = 1e4 on the shipped set each trajectory owns exactly x and u
+    (the pair shares the config's w) and the report one (T+1) float64
+    array, d; R, R/T and the cost difference are computed from d and the
+    pair's derived step costs with the same bits as the running sums they
+    replace."""
     T = 10_000
     sequence = np.random.default_rng(7).standard_normal((T, 3))
     cfg = dataclasses.replace(
@@ -184,15 +210,12 @@ def test_report_derives_every_series_from_d(bench_cfg, certified,
     a, b = paired_rollouts(cfg, certified[1], benchmark_controller.K)
     rep = mc.regret_report(a, b, bench_cfg.penalties, "external")
 
-    rollout_arrays = [v for t in (a, b) for v in vars(t).values()
-                      if isinstance(v, np.ndarray)]
-    held = [item for v in vars(rep).values()
-            for item in (v if isinstance(v, tuple) else (v,))
-            if isinstance(item, np.ndarray)]
-    owned = [v for v in held
-             if not any(np.shares_memory(v, r) for r in rollout_arrays)]
-    assert sum(v.nbytes for v in owned) == (T + 1) * 8
-    assert rep.step_costs[0] is a.step_cost and rep.step_costs[1] is b.step_cost
+    for traj in (a, b):
+        assert owned_bytes(traj, [cfg.disturbance.sequence]) == 320_024
+        assert traj.x.nbytes + traj.u.nbytes == 320_024
+    rollout_arrays = [getattr(t, name) for t in (a, b) for name in ("x", "u", "w")]
+    assert owned_bytes(rep, rollout_arrays) == 80_008
+    assert rep.pair[0] is a and rep.pair[1] is b
 
     R = np.cumsum(rep.d)
     steps = np.arange(len(R), dtype=float)
@@ -203,17 +226,20 @@ def test_report_derives_every_series_from_d(bench_cfg, certified,
     assert rep.cost_diff.tobytes() == np.cumsum(a.step_cost - b.step_cost).tobytes()
 
 
-def test_writable_step_costs_are_copied_once():
-    """A hand-built trajectory's writable step costs are copied into the
-    report, so a later write to them does not change its cost difference."""
-    p = mc.Penalties(Q=np.eye(1), R=np.eye(1))
-    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], [2.0, 4.0])
-    b = tiny_trajectory([[1.0], [0.5]], [[0.0]], [1.0, 0.25])
-    report = mc.regret_report(a, b, p, "zero")
-    a.step_cost[:] = np.nan
-    np.testing.assert_array_equal(report.cost_diff, [1.0, 4.75])
-    with pytest.raises(ValueError, match="read-only"):
-        report.d[0] = 0.0
+@pytest.mark.parametrize("n,m", [(1, 1), (3, 1), (4, 2)])
+def test_blocked_distance_matches_one_call(n, m):
+    """d built BLOCK_CAP steps at a time has the bits of one einsum over all
+    steps, at a horizon with two full blocks and a partial one."""
+    T = 2 * BLOCK_CAP + 500
+    rng = np.random.default_rng(n * 10 + m)
+    Xq, Xr = rng.standard_normal((n, n)), rng.standard_normal((m, m))
+    p = mc.Penalties(Q=Xq @ Xq.T + np.eye(n), R=Xr @ Xr.T + np.eye(m))
+    a, b = (tiny_trajectory(rng.standard_normal((T + 1, n)),
+                            rng.standard_normal((T, m)), p) for _ in range(2))
+    dx, du = a.x - b.x, a.u - b.u
+    d = np.einsum("ki,ij,kj->k", dx, p.Q, dx)
+    d[:-1] += np.einsum("ki,ij,kj->k", du, p.R, du)
+    assert mc.regret_report(a, b, p, "zero").d.tobytes() == d.tobytes()
 
 
 def test_mismatched_disturbances_rejected(bench_cfg, certified,
@@ -238,8 +264,8 @@ def test_mismatched_disturbances_rejected(bench_cfg, certified,
 def test_disturbances_apart_by_any_amount_are_rejected():
     """w = +4e-13 against w = -4e-13 are different sequences."""
     p = mc.Penalties(Q=np.eye(1), R=np.eye(1))
-    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], [0.0, 0.0])
-    b = tiny_trajectory([[1.0], [0.5]], [[0.0]], [0.0, 0.0])
+    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], p)
+    b = tiny_trajectory([[1.0], [0.5]], [[0.0]], p)
     a.w[0, 0], b.w[0, 0] = 4e-13, -4e-13
     with pytest.raises(ValueError, match="different disturbances"):
         mc.regret_report(a, b, p, "external")
@@ -249,7 +275,7 @@ def test_nan_disturbance_is_rejected():
     """A NaN entry equals nothing, so a trajectory carrying one is not
     paired even with itself."""
     p = mc.Penalties(Q=np.eye(1), R=np.eye(1))
-    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], [0.0, 0.0])
+    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], p)
     a.w[0, 0] = np.nan
     with pytest.raises(ValueError, match="different disturbances"):
         mc.regret_report(a, a, p, "external")

@@ -105,7 +105,7 @@ def test_trajectory_fields_do_not_grow_with_model_count(bench_cfg, certified):
                       for f in dataclasses.fields(traj)
                       if isinstance(getattr(traj, f.name), np.ndarray)})
     assert sizes[0] == sizes[1]
-    assert set(sizes[0]) == {"x", "u", "w", "step_cost"}
+    assert set(sizes[0]) == {"x", "u", "w"}
 
 
 def test_fixed_gain_rollout_has_no_switching_columns(bench_cfg, certified,
