@@ -1,11 +1,7 @@
-"""Batch command line front end.
-
-Four subcommands: per-model H-infinity design (synth-hinf), certificate
-synthesis for the whole set (synth-minimax), certificate verification
-(verify), and the paired-rollout experiment bundles (reproduce).  All
-outputs are plain files; CSVs are formatted to 12 significant digits with
-newline line endings and written atomically, so re-running a command on
-identical inputs yields byte-identical data files.
+"""Batch command line front end: synth-hinf, synth-minimax, verify and
+reproduce.  Every output is a plain file, and a command re-run on identical
+inputs writes byte-identical data files
+(test_acceptance.py::test_criterion_10_determinism).
 
 Exit codes: 0 success, 1 infeasible or failed verdict, 2 input error,
 3 numeric divergence.

@@ -11,14 +11,8 @@ Implemented kinds:
   the truth: w_k = (A_i - A_j) x_k + (B_i - B_j) u_k for target i, true j.
 * ``external``        -- a supplied (steps, n) sequence, replayed in order.
 
-A `DisturbanceSpec` is plain data; `emit` resolves it for one rollout.
-Each kind fixes its *generating loop* (which controller's closed loop
-produces the recorded sequence): the worst-case policy is generated along
-the H-infinity loop, the confusing one along the adaptive loop;
-zero/sinusoid/external sequences are open.  The recorded sequence is then
-replayed verbatim on the other controller so both see the same inputs.
-A validated spec's arrays follow `fileio.read_only`, so an external
-sequence is shared by every rollout, never copied per rollout.
+Each kind fixes its generating loop (KINDS), the controller whose closed
+loop produces the sequence that the other controller then replays.
 """
 from __future__ import annotations
 
@@ -63,17 +57,13 @@ class DisturbanceSpec:
 
 
 def peak_sinusoid_spec(A, B, K, penalties):
-    """Unit cosine at the closed loop's worst frequency.
+    """Unit cosine at the peak frequency of `hinf.closed_loop_scan`.
 
-    Scans the weighted closed-loop frequency response for u = -Kx (A, B
-    and K as 2-D arrays, see `hinf.closed_loop_scan`), places a
-    unit-amplitude sinusoid of phase pi/2 (a cosine) at the peak frequency,
-    and points it along the right singular vector of the response there.
-    The phase keeps every sample at unit norm when the peak is at omega = 0
-    or pi, where a zero-phase sine vanishes on the integers.  The singular
-    vector is complex in general; it is made real by rotating its largest
-    entry to the positive real axis, taking the real part, and
-    renormalizing.
+    The phase pi/2 keeps every sample at unit norm when the peak is at
+    omega = 0 or pi, where a sine vanishes on the integers.  The direction
+    is the right singular vector of the response there, made real by
+    rotating its largest entry to the positive real axis, taking the real
+    part and renormalizing.
     """
     scan = hinf.closed_loop_scan(A, B, K, penalties)
     tf = hinf._frequency_response(A, B, K, penalties)(scan.peak_omega)
@@ -121,14 +111,12 @@ def emit(cfg):
 
 
 def validate_spec(spec, ms, true_index):
-    """Check a spec against an experiment; return a normalized copy.
+    """A normalized copy of `spec` that passes the kind's checks against an
+    experiment (finite entries, unit direction, valid confusing target, a
+    (steps, n) sequence, an n x n worst-case gain L), else ConfigError.
 
-    The copy passes the kind-specific checks (finite entries, unit
-    direction, valid confusing target, a (steps, n) sequence, an n x n
-    worst-case gain L).  Its arrays pass `fileio.read_only`, so a later
-    change to the caller's arrays does not reach it.  Nothing about the
-    experiment is stored in it, and `spec` itself is not modified, so one
-    spec can serve several experiments.  Raises ConfigError.
+    Its arrays pass `fileio.read_only`.  `spec` itself is not modified, so
+    one spec can serve several experiments.
     """
     spec = replace(spec)
     n = ms.n

@@ -1,15 +1,8 @@
 """The file boundary: checked input, byte-stable output.
 
-The package reads only JSON: config and certificate files are read by
-`read_json_object`, and each value in them passes `numeric`, `number` or
-`integer`: finite JSON numbers only, never a string, boolean, null or
-truncated fraction, else a `ConfigError` naming the field.  Every array a
-container keeps passes `read_only`, so a caller's later write never
-reaches it and a write through the container raises.  Every CSV is a
-float table: writers print each cell with '%.12g' ('.' decimal
-separator), NaN as an empty cell, with '\\n' line ends, and write to a
-temp name renamed into place so readers never observe a partial file.
-Each writer returns the sha256 of the bytes it wrote.
+Every value read from a config or certificate passes `numeric`, `number`
+or `integer`, and every array a container keeps passes `read_only`.
+Every CSV is a float table written by `write_csv`.
 """
 from __future__ import annotations
 
@@ -28,7 +21,8 @@ class ConfigError(ValueError):
 
 
 def read_json_object(path, what, keys):
-    """The JSON object in `path`, which must have every key in `keys`."""
+    """The JSON object in `path`, which must have every key in `keys`, else
+    ConfigError."""
     try:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)

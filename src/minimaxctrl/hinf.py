@@ -8,30 +8,10 @@ for x+ = A x + B u + w.  Its value matrix solves the game Riccati equation
 
     M = Q + A' M Lambda^-1 A,    Lambda = I + G M,    G = B R^-1 B' - gamma^-2 I,
 
-which `_solve_stack` computes by structure-preserving doubling for a stack
-of models, each at its own level; `solve_riccati` is a stack of one, and at
-gamma = inf (G = B R^-1 B') it gives the LQR solution.  At a feasible level
-the solution is stabilizing with 0 < M < gamma^2 I, and the saddle-point
-strategies are u = -K x with K = R^-1 B' M Lambda^-1 A and w = L x with
-L = gamma^-2 M Lambda^-1 A.  `_level_search` finds the least feasible level
-of k brackets in lockstep, each call of its probe covering the levels the
-next SEARCH_DEPTH rounds of every bracket can reach, and replays the
-one-level-per-round search on them: `gamma_stars` one bracket per model of
-a stack, each call one stacked doubling of all planned levels
-(`optimal_attenuation`: a stack of one), and `minimax_cert` one for the
-certified level.  A frequency-domain oracle evaluates the closed-loop
-H-infinity norm on a grid.
-
-Each pass of the doubling loop tests I - gamma^-2 M > 1e-10 I on its
-iterate (H_0 = Q first, the converged limit last), lets the members that
-fail or converge leave, then doubles the rest; after the loop, one pass
-over the converged limits checks M > 0 and a Schur stable closed loop and
-forms the gains.
-
-All functions are pure and memoise nothing.  `_solve_stack` and
-`gamma_stars` take stacks of matrices, the others 2-D arrays (a 1-D B is a
-shape error).  A solve returns `Infeasible` (falsy, with the reason) rather
-than raising, since probing infeasible levels is what bisection does.
+and the saddle-point strategies are u = -K x with K = R^-1 B' M Lambda^-1 A
+and w = L x with L = gamma^-2 M Lambda^-1 A; gamma = inf is the LQR case.
+Matrices are 2-D arrays and stacks 3-D (a 1-D B is a shape error).  Nothing
+is memoised.
 """
 from __future__ import annotations
 
@@ -67,19 +47,10 @@ class Infeasible:
 
 @dataclass(eq=False)
 class HinfSolution:
-    """Converged game Riccati solution at attenuation level gamma.
-
-    Attributes
-    ----------
-    M : (n, n) ndarray
-        Stabilizing Riccati solution, Q <= M < gamma^2 I.
-    K : (m, n) ndarray
-        Control gain, u = -K x.
-    L : (n, n) ndarray
-        Worst-case disturbance gain, w = L x (zero at gamma = inf).
-    iterations : int
-        Doubling steps used.
-    """
+    """Converged game Riccati solution at level gamma: the stabilizing M
+    (n, n), Q <= M < gamma^2 I; the control gain K (m, n), u = -K x; the
+    worst-case disturbance gain L (n, n), w = L x (zero at gamma = inf);
+    and the doubling steps used."""
 
     M: np.ndarray
     K: np.ndarray
@@ -139,63 +110,35 @@ def _pd(S):
 
 
 def solve_riccati(A, B, penalties, gamma):
-    """Solve the game Riccati equation at level gamma by doubling.
+    """The game Riccati solution of A (n, n), B (n, m) at level gamma
+    (numpy.inf: the LQR case), a HinfSolution: `_solve_stack` of one model.
 
-    Parameters
-    ----------
-    A, B : ndarray
-        Model matrices, A (n,n) and B (n,m).
-    penalties : Penalties
-        Positive definite Q and R.
-    gamma : float
-        Attenuation level to attempt; ``numpy.inf`` solves the LQR case.
-
-    Returns
-    -------
-    HinfSolution or Infeasible
-        Infeasible (falsy, with reason) when an iterate escapes the
-        feasible region I - gamma^-2 M > 0, the iterates diverge or fall,
-        the doubling does not converge within RICCATI_BUDGET steps, or the
-        limit is not the stabilizing solution with 0 < M < gamma^2 I.
-        Structural problems (dimension mismatch, non-positive gamma)
-        raise ValueError instead.
-
-    Notes
-    -----
-    Structure-preserving doubling: from (A_0, G_0, H_0) = (A, G, Q), with
-    W = I + G_k H_k, A_k+1 = A_k W^-1 A_k, G_k+1 = G_k + A_k W^-1 G_k A_k'
-    and H_k+1 = H_k + A_k' H_k W^-1 A_k.  H_k is the (2^k - 1)-th iterate
-    of M <- Q + A' M Lambda^-1 A from M = Q, so convergence is quadratic
-    where that iteration crawls (near gamma*).  The iterates rise
-    monotonically while they stay in the feasible region, so checking
-    I - gamma^-2 H_k > 1e-10 I on every iterate, from H_0 = Q to the
-    converged limit, suffices; but doubling can pass over escaping
-    iterates.  A step H_k+1 - H_k with a diagonal entry below
-    -RICCATI_TOL max|H_k+1| proves that one escaped, and ends the solve
-    ("Riccati iterates fell at doubling k"); without that exit, levels
-    just below gamma* run all RICCATI_BUDGET doublings without
-    converging.  A feasible limit may still be a non-stabilizing or
-    indefinite solution, so the limit checks are M > 0 and
-    Lambda^-1 A (= A - B K + L) Schur stable, made once the doubling has
-    ended.  Positive definiteness is tested by one stacked eigvalsh.  The doubling itself is
-    `_solve_stack`'s, run on a stack of one.
+    Infeasible (falsy, with the reason; bisection probes such levels) when
+    an iterate leaves I - gamma^-2 M > 0, the iterates diverge or fall, the
+    doubling does not converge within RICCATI_BUDGET steps, or the limit is
+    not stabilizing with 0 < M < gamma^2 I.  ValueError on a shape mismatch
+    or gamma <= 0.
     """
     A, B = np.asarray(A, dtype=float), np.asarray(B, dtype=float)
     return _solve_stack(A[None], B[None], penalties, [float(gamma)])[0]
 
 
 def _solve_stack(A, B, penalties, gamma):
-    """`solve_riccati` for k models A (k, n, n), B (k, n, m) at k levels gamma:
-    entry i of the returned list is bit for bit solve_riccati(A[i], B[i],
-    penalties, gamma[i]).  Each numpy call of the doubling runs once on the
-    stack of members still iterating, gamma[i]^-2 stays beside member i like
-    its A_k, G_k and M, and a member leaves the stack at the doubling where
-    it converges or fails, so it sees the same iterates as when solved alone.
-    Each pass of the loop tests H_k, lets members leave at its one exit and
-    doubles the rest, so doubling 0 is the loop's first test.  After the
-    loop, one pass over the converged members gives each limit verdict by a
-    mask and forms the gains, all in stacked calls.  Shapes are checked on
-    the first member (ValueError, as is a level <= 0).
+    """`solve_riccati` for k models A (k, n, n), B (k, n, m) at k levels gamma,
+    as a list; shapes are checked on the first member.
+
+    Structure-preserving doubling: from (A_0, G_0, H_0) = (A, G, Q), with
+    W = I + G_k H_k, A_k+1 = A_k W^-1 A_k, G_k+1 = G_k + A_k W^-1 G_k A_k'
+    and H_k+1 = H_k + A_k' H_k W^-1 A_k, H_k is the (2^k - 1)-th iterate of
+    M <- Q + A' M Lambda^-1 A from M = Q, so convergence is quadratic where
+    that iteration crawls (near gamma*).  Each pass of the loop tests
+    I - gamma^-2 H_k > FEAS_MARGIN I, from H_0 = Q to the converged limit,
+    lets the members that fail or converge leave, and doubles the rest;
+    after the loop, one pass checks each limit for M > 0 and a Schur stable
+    Lambda^-1 A (= A - B K + L) and forms the gains.  Every numpy call runs
+    on the stack of members still iterating, each beside its own
+    gamma^-2, so entry i is bit for bit solve_riccati(A[i], B[i],
+    penalties, gamma[i]) (test_hinf.py::test_stacked_solve_matches_member_solves).
     """
     Q, R = penalties.Q, penalties.R
     n, _ = _check_shapes(A[0], B[0], Q, R)
@@ -223,7 +166,6 @@ def _solve_stack(A, B, penalties, gamma):
     # overflow and NaN are left to the divergence test
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
-            # the feasibility test of H_it, a converged limit included.
             # going implies that every member is finite; else a non-finite
             # one, which leaves as diverged, is tested as I, since eigvalsh
             # may raise on it
@@ -320,26 +262,22 @@ def _plan(lo, hi, bisecting, rel_tol, depth):
 
 
 def _level_search(probe, k, Q, rel_tol):
-    """Smallest level each of k brackets accepts, by doubling then bisection
-    in lockstep, SEARCH_DEPTH rounds of the sequential search per call
-    probe(levels, members).
+    """The smallest level each of k brackets accepts, by doubling then
+    bisection in lockstep, and the results there.
 
     Every bracket has lo = sqrt(max eig Q), never probed: below it no
     M >= Q has M < level^2 I.  Its hi starts at max(2 lo, 1), clamped to
     GAMMA_MAX, and doubles until accepted, the last probe being exactly
     GAMMA_MAX; then [lo, hi] is bisected to hi - lo <= rel_tol * hi.
-
-    Each call plans, for every unfinished bracket, all levels its search
-    can probe in the next SEARCH_DEPTH rounds (`_plan`); `members` names
-    the bracket of each of `levels`, brackets in order.  The probe returns
-    a function giving the result at a position of `levels`, truthy or falsy
-    with a `reason`.  The search then replays the sequential rule bracket by
-    bracket, asking only for the results on each bracket's path, each once
-    and in the order of that path.  So every probe consumed, result and
-    error is that of the search that probes one level per bracket a round.
-    Returns the k accepted levels and the results there.  BracketError with
-    the last reason of the first bracket whose GAMMA_MAX is rejected, and
-    without probing if lo >= GAMMA_MAX.
+    Each call probe(levels, members) gets every level the unfinished
+    brackets can reach in the next SEARCH_DEPTH rounds (`_plan`), `members`
+    naming each one's bracket, and returns a function giving the result at
+    a position, truthy or falsy with a `reason`.  The search reads only the
+    results on each bracket's path, once each and in path order, so every
+    result and error is that of the search that probes one level per
+    bracket a round (test_hinf.py::test_level_search_replays_the_sequential_search).
+    BracketError with the last reason of the first bracket whose GAMMA_MAX
+    is rejected, and without probing if lo >= GAMMA_MAX.
     """
     lo = float(np.sqrt(np.max(np.linalg.eigvalsh(Q))))
     if lo >= GAMMA_MAX:
@@ -381,11 +319,11 @@ def _level_search(probe, k, Q, rel_tol):
 
 def gamma_stars(A, B, penalties):
     """gamma*, the smallest feasible level, of each model of a stack A (k, n, n),
-    B (k, n, m) as a list: k bisections in lockstep (relative tolerance
-    BISECT_REL_TOL), each call of the probe one `_solve_stack` of every
-    planned level of the unfinished models, so each gamma* is bit for bit
-    its model's search alone.  BracketError if even GAMMA_MAX is infeasible
-    for one (e.g. an unstabilizable pair)."""
+    B (k, n, m) as a list: `_level_search` at BISECT_REL_TOL, each probe one
+    `_solve_stack` of every planned level, so each gamma* is bit for bit its
+    model's search alone (test_hinf.py::test_gamma_stars_match_one_model_searches).
+    BracketError if even GAMMA_MAX is infeasible for one (e.g. an
+    unstabilizable pair)."""
     def probe(levels, members):
         return _solve_stack(A[members], B[members], penalties, levels).__getitem__
 
@@ -461,27 +399,22 @@ def _frequency_response(A, B, K, penalties):
 def _top_singular_values(response, omegas):
     """Largest singular value of response(omega) for each omega, SCAN_BLOCK
     frequencies at a time.  Each frequency is its own solve and SVD item,
-    so the blocks give the whole grid's values bit for bit with a working
-    set that does not grow with the grid."""
+    so the blocks give the whole grid's values bit for bit
+    (test_hinf.py::test_blocked_scan_equals_whole_grid)."""
     return np.concatenate([
         np.linalg.svd(response(omegas[i:i + SCAN_BLOCK]), compute_uv=False)[:, 0]
         for i in range(0, len(omegas), SCAN_BLOCK)])
 
 
 def closed_loop_scan(A, B, K, penalties):
-    """Peak frequency response norm of the closed loop u = -Kx.
+    """Peak over [0, pi] of the largest singular value of the closed loop
+    u = -Kx, [Q^(1/2); R^(1/2) K] (e^(j w) I - A + B K)^-1, for A (n, n),
+    B (n, m) and K (m, n).
 
-    Evaluates the largest singular value of
-
-        [Q^(1/2); R^(1/2) K] (e^(j w) I - A + B K)^-1
-
-    for A (n, n), B (n, m) and K (m, n) on GRID_SIZE uniform frequencies
-    over [0, pi], then runs one golden-section refinement around the grid
-    peak and returns the peak only.  The refined sample replaces the grid
-    peak only when it strictly improves on it, so flat responses keep the
-    first-occurrence peak (e.g. an all-pass reports peak_omega = 0).
-    Raises ValueError on a shape mismatch or, via `_frequency_response`,
-    when A - BK is not Schur stable.
+    The peak of GRID_SIZE uniform frequencies is refined by golden section,
+    and the refined sample replaces it only when strictly larger, so a flat
+    response keeps the first grid peak (an all-pass reports peak_omega = 0).
+    ValueError on a shape mismatch or when A - BK is not Schur stable.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)

@@ -10,41 +10,9 @@ with Abar_il = A_i - B_i K_l, S- = (Abar_il - Abar_jl) / 2 and
 S+ = (Abar_il + Abar_jl) / 2.  When it holds, the switching policy that
 plays u = -K_l x for the model l of least accumulated residual keeps the
 soft-constrained cost below max_ij x0' P_ij x0 no matter which model in the
-set generates the data and no matter the disturbance.
-
-`verify_certificate` checks the full F^3 triple family by eigenvalue
-bounds.  `synthesize_certificate` builds a candidate in closed form,
-without an SDP solver.  The gains K_l and the matrices M_l come from the
-per-model H-infinity designs at the requested level, solved for all F
-members as one stacked doubling (`hinf._solve_stack`), and each block is the
-inequality taken with equality at j = i, the one instance whose S- term
-vanishes:
-
-    rhs_il = Q + K_l' R K_l + Abar_il' (M_i^-1 - gamma^-2 I)^-1 Abar_il.
-
-At l = i this is the game Riccati equation in closed-loop form, so
-rhs_ii = M_i, model i's own value matrix.  The triples (i, i, l) and
-(l, l, i) force any valid family to dominate both one-sided evaluations
-rhs_il and rhs_li, so P_il is the tight upper bound
-(rhs_il + rhs_li) / 2 + |rhs_il - rhs_li| / 2 rather than the plain average
-(which sits strictly below one side whenever they differ and can never
-verify).  An F = 1 set therefore reproduces the known-model design.  The
-heuristic can fail at levels where a certificate exists (the verifier has
-the final word; there are no false positives), so the level found by
-`minimal_feasible_gamma` is an upper bound on the best achievable one.
-Its feasible set need not be an interval either, so the doubling-then-
-bisect search (`hinf._level_search`, no fallback sweep) may miss the least.
-Its bracket is gamma*'s, from sqrt(max eig Q): the (i, i, i) slack forces
-P_ii >= Q while P < gamma^2 I.
-
-Once a full verification in that search has failed, each later family is
-first screened at the worst triple of the last failed one: one triple's
-slack, the same arithmetic as its entry in the F^3 table.  Below
--VERIFY_TOL it rejects the level, which the full check would reject too;
-otherwise the full check runs, and only it accepts a level, so gamma_bar
-and the certificate do not depend on the screen.  A screened rejection's
-reason names the screened triple's violation, not the worst one; it
-surfaces only as the last reason of a BracketError.
+set generates the data and no matter the disturbance.  Synthesis builds
+candidate families in closed form, without an SDP solver, and only
+`verify_certificate` accepts one.
 """
 from __future__ import annotations
 
@@ -154,7 +122,7 @@ def _pair_inverses(P, g2):
     eye = np.eye(n)
     P = P.reshape(-1, n, n)
     eyes = np.broadcast_to(eye, P.shape)
-    X, singular = _stacked_solve(P, eyes)  # bit for bit numpy.linalg.inv
+    X, singular = _stacked_solve(P, eyes)
     X -= eye / g2
     X = 0.5 * (X + X.transpose(0, 2, 1))
     X[singular] = eye  # their NaN rows would make eigvalsh raise
@@ -169,8 +137,7 @@ def _pair_inverses(P, g2):
 def _least_slacks(ms, penalties, cert, i, j, l):
     """Least eigenvalue of the slack matrix of the triples (i, j, l), given as
     0-based indices or as index arrays that broadcast together; -inf where
-    the pair (i, j) is singular.  One triple and the full F^3 table run the
-    same arithmetic, so a triple's entry is the same bit for bit."""
+    the pair (i, j) is singular."""
     g2 = cert.gamma_bar ** 2
     Abar, C = _closed_loops(ms, penalties, cert.gains)
     Z, singular = _pair_inverses(cert.P[i, j], g2)
@@ -189,16 +156,12 @@ def _least_slacks(ms, penalties, cert, i, j, l):
 def verify_certificate(ms, penalties, cert):
     """Eigenvalue check of the certificate inequality over all F^3 triples.
 
-    Returns a CertificateCheck whose `worst_violation` is the smallest
-    minimum eigenvalue of the F^3 slack matrices (negative means the
-    inequality fails by that amount at `worst_triple`, reported 1-based
-    as (i, j, l)).  Feasible iff every slack eigenvalue is >= -VERIFY_TOL.
-
-    Structural violations of the certificate's own invariants (asymmetry,
-    P outside (0, gamma_bar^2 I)) raise ValueError; a pair whose
-    P_ij^-1 - gamma_bar^-2 I is not positive definite, or whose P_ij or that
-    matrix numpy cannot invert, marks its triples as infeasible (-inf)
-    rather than raising.
+    `worst_violation` is the least eigenvalue of the F^3 slack matrices
+    (negative: the inequality fails by that much at `worst_triple`, 1-based
+    (i, j, l)), and the check is feasible iff it is >= -VERIFY_TOL.  A
+    singular pair (`_pair_inverses`) makes its triples -inf.  ValueError
+    when the certificate breaks its own invariants (gains' shape, asymmetry,
+    P outside (0, gamma_bar^2 I)).
     """
     _check_cert_invariants(cert, ms)
     F = ms.size
@@ -214,12 +177,12 @@ def verify_certificate(ms, penalties, cert):
 
 
 def synthesize_certificate(ms, penalties, gamma):
-    """Attempt a certificate at level gamma (see module docstring).
+    """The certificate `_family` builds at level gamma, if it verifies.
 
-    Returns the certificate, or Infeasible with the failing stage: a model
-    without an H-infinity design at gamma (the lowest-index one), a family
-    outside 0 < P < gamma^2 I, or a family that the full triple
-    verification rejects (its worst violation and triple).
+    Else Infeasible with the failing stage: a model without an H-infinity
+    design at gamma (the lowest-index one), a family outside
+    0 < P < gamma^2 I, or a family that `verify_certificate` rejects (its
+    worst violation and triple).
     """
     gamma = float(gamma)
     cert = _family(ms, penalties, gamma, _solve_stack(ms.A, ms.B, penalties, [gamma] * ms.size))
@@ -239,7 +202,19 @@ def _fails_verification(gamma, what, violation, triple):
 
 def _family(ms, penalties, gamma, designs):
     """The unverified certificate at level gamma from its F member designs
-    there, or Infeasible for a missing design or a family outside the box."""
+    there, or Infeasible for a missing design or a family outside the box.
+
+    K_l and M_l are model l's H-infinity design.  Each block is the
+    inequality taken with equality at j = i, where S- vanishes:
+
+        rhs_il = Q + K_l' R K_l + Abar_il' (M_i^-1 - gamma^-2 I)^-1 Abar_il,
+
+    so rhs_ii = M_i.  The triples (i, i, l) and (l, l, i) force any valid
+    family to dominate both rhs_il and rhs_li, so P_il is their tight upper
+    bound (rhs_il + rhs_li) / 2 + |rhs_il - rhs_li| / 2; their average sits
+    below one side whenever they differ and can never verify.  An F = 1 set
+    gives the known-model design.
+    """
     F, n = ms.size, ms.n
     for l, sol in enumerate(designs, start=1):
         if not sol:
@@ -262,8 +237,8 @@ def _family(ms, penalties, gamma, designs):
 
     if _box_violation(P, gamma):
         return Infeasible(f"P violates 0 < P < gamma^2 I at gamma={gamma:.6g}")
-    # canonicalize the residual pair asymmetry (sub-1e-12 arithmetic noise)
-    # so serialization round-trips are byte-stable
+    # canonicalize the residual pair asymmetry (sub-1e-12 arithmetic noise) so
+    # save/load round trips are byte-stable (test_save_load_round_trip)
     iu, ju = np.triu_indices(F)
     P[ju, iu] = P[iu, ju]
     return MinimaxCertificate(gamma_bar=gamma, gains=K, P=P)
@@ -272,18 +247,24 @@ def _family(ms, penalties, gamma, designs):
 def minimal_feasible_gamma(ms, penalties):
     """Smallest certifiable level found by bisection; returns (gamma_bar, cert).
 
-    Same bracket as gamma* (`hinf._level_search` with one bracket), and no
-    gamma* is computed: a probe below a member's true threshold fails at its
-    Riccati solve, so a gap gamma_bar - gamma*_i is negative only within
-    gamma*'s tolerance.  Relative tolerance on the level: GAMMA_BAR_REL_TOL.
-    Each call of the probe solves the F member designs at every planned
-    level as one `_solve_stack`; the family and its verification run only
-    at the levels the search's path reaches, which are the levels the
-    one-level-per-round bisection probes, so gamma_bar and the certificate
-    are that bisection's and `synthesize_certificate`'s there.
+    `hinf._level_search` with gamma*'s bracket, at GAMMA_BAR_REL_TOL, and
+    no gamma* is computed: a probe below a member's threshold fails at its
+    Riccati solve.  Each probe solves the F member designs at every planned
+    level as one `_solve_stack`.  gamma_bar and the certificate are those
+    of the bisection that probes one level per round with
+    `synthesize_certificate`
+    (test_minimax_cert.py::test_gamma_bar_is_the_sequential_bisection_over_synthesis).
+    Synthesis can fail where a certificate exists, and its feasible levels
+    need not be an interval, so gamma_bar bounds the least certifiable
+    level from above.
+
     Once a full verification has failed, each later family is first
-    screened at the worst triple of the last one that failed (module
-    docstring).
+    screened at the worst triple of the last failed one, whose slack has
+    the bits of its entry in the F^3 table
+    (test_minimax_cert.py::test_screen_matches_full_verification).  Below
+    -VERIFY_TOL it rejects the level, as the full check would; only the full
+    check accepts one.  A screened rejection's reason names the screened
+    triple's violation, and surfaces only as a BracketError's last reason.
     """
     F = ms.size
     failed_at = None  # worst triple (1-based) of the last failed full verification

@@ -1,9 +1,7 @@
 """Finite model sets, quadratic penalties, and experiment configuration.
 
-A plant is one pair (A, B) drawn from a finite family; the controller knows
-the family but not which member generates the data.  Everything downstream
-(synthesis, simulation, regret) consumes the containers defined here.
-Model indices are 1-based throughout, matching the convention used in the
+The controller knows the family of pairs (A, B) but not which member
+generates the data.  Model indices are 1-based throughout, as in the
 file formats and the CLI.
 """
 from __future__ import annotations

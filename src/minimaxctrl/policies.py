@@ -1,11 +1,7 @@
 """Online control laws: fixed-gain state feedback and adaptive switching.
 
-The adaptive law keeps one accumulated residual per candidate model and
-always plays the gain of the current best explainer (least residual,
-lowest index on ties).  The caller owns the residual history:
-`minimax_step` reads one residual vector, and `update_residuals` folds a
-block of observed transitions into it, returning the vector after each
-step, so the selection at step k uses data through step k.  All three
+The adaptive law plays the gain of the model with the least accumulated
+residual, lowest index on ties.  The caller owns the residuals; all three
 functions are pure and take float arrays.
 """
 from __future__ import annotations
@@ -26,8 +22,9 @@ def update_residuals(ms, alpha, x, u):
     At each step model i's residual grows by the squared size of the
     disturbance it would need to explain it: ||x_{j+1} - A_i x_j - B_i u_j||^2.
     Returns the (s, F) residual vectors after each step: a running sum
-    seeded with `alpha`, added in step order, so it equals folding one step
-    at a time.  `alpha` is not modified.
+    seeded with `alpha` (not modified), added in step order, so a block has
+    the bits of folding one step at a time
+    (test_policies.py::test_blocks_fold_like_single_steps).
     """
     r = (ms.A @ x[:-1, None, :, None])[..., 0]
     np.subtract(x[1:, None], r, out=r)

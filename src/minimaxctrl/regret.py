@@ -1,18 +1,9 @@
 """Regret of the adaptive policy against a full-information benchmark.
 
-`regret_report` is the one entry point for a pair of trajectories, which
-must have answered the *same* disturbance sequence.  It gives two notions
-of regret: the model-based one accumulates the weighted distance between
-the trajectories; the cost-difference one subtracts realized costs, a
-signed number that says nothing about how far apart they are.  A report
-stores only the per-step distance, built BLOCK_CAP steps at a time, and
-a reference to the pair; cumulative regret and the cost difference (from
-the trajectories' derived step costs) are computed when read.
-`total_regret` takes the worst case over the true models, for reports of
-one horizon and one disturbance kind, and
-`sublinearity_diagnostic` checks whether the average regret per step is
-flattening out, the signature of the adaptive policy locking on to the
-true model.
+Model-based regret accumulates the weighted distance between two
+trajectories that answered the same disturbance sequence; the cost
+difference subtracts their realized costs, a signed number that says
+nothing about how far apart they are.
 """
 from __future__ import annotations
 
@@ -28,14 +19,20 @@ DECAY_FACTOR = 0.5
 MIN_DIAGNOSTIC_STEPS = 4
 
 
+def _per_step(R):
+    """R[k] / k, NaN at k = 0."""
+    steps = np.arange(len(R), dtype=float)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(steps > 0, R / steps, np.nan)
+
+
 @dataclass(eq=False)
 class RegretReport:
     """Regret of one trajectory pair, stored as the per-step distance d.
 
-    d: (T+1,) read-only.  pair: the two trajectories (a first, b second),
-    kept by reference.  kind: the disturbance law they answered.  R,
-    R_over_T and cost_diff are computed from d and the pair on every read:
-    read each once.
+    d: (T+1,) read-only.  pair: the two trajectories (a, b), by reference.
+    kind: the disturbance law they answered.  R, R_over_T and cost_diff are
+    computed on every read: read each once.
     """
 
     d: np.ndarray
@@ -53,10 +50,7 @@ class RegretReport:
     @property
     def R_over_T(self):
         """R[k] / k, NaN at k = 0."""
-        R = self.R
-        steps = np.arange(len(R), dtype=float)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return np.where(steps > 0, R / steps, np.nan)
+        return _per_step(self.R)
 
     @property
     def cost_diff(self):
@@ -84,12 +78,14 @@ def regret_report(traj_a, traj_b, penalties, kind):
     """Regret of traj_a against traj_b, which answered the same disturbance.
 
     d_k = ||x^a_k - x^b_k||^2_Q + ||u^a_k - u^b_k||^2_R for k < T and the
-    terminal state distance at k = T, and R is its running sum.  cost_diff
-    is the running sum of the realized cost difference; it may be negative,
-    and its last entry is the difference of the gamma = 0 accumulated
-    costs.  Raises ValueError unless the two trajectories have the same
-    shapes (a horizon mismatch is named as such) and their disturbance
-    sequences are identical: every entry equal (a NaN equals nothing).
+    terminal state distance at k = T.  The last entry of cost_diff is the
+    difference of the gamma = 0 accumulated costs.  d is built BLOCK_CAP
+    steps at a time, so no (T+1, n) difference is made; einsum sums each
+    step alone, so the bits are one call's over all steps
+    (test_regret.py::test_blocked_distance_matches_one_call).
+    Raises ValueError unless the trajectories have the same shapes (a
+    horizon mismatch is named as such), identical disturbances (every entry
+    equal, so a NaN entry fails) and the Q and R of `penalties`.
     """
     a, b = ((t.horizon, t.x.shape, t.u.shape) for t in (traj_a, traj_b))
     if a != b:
@@ -98,8 +94,12 @@ def regret_report(traj_a, traj_b, penalties, kind):
     if not np.array_equal(traj_a.w, traj_b.w):
         raise ValueError("trajectories answer different disturbances; replay the "
                          "recorded sequence on both loops (simulate.paired_rollouts)")
-    # BLOCK_CAP steps at a time: einsum sums each step alone, so the bits
-    # are one call's, and no (T+1, n) difference is made
+    for name, own in (("traj_a", traj_a.penalties), ("traj_b", traj_b.penalties)):
+        for weight in ("Q", "R"):
+            if own is not penalties and not np.array_equal(getattr(own, weight),
+                                                           getattr(penalties, weight)):
+                raise ValueError(f"penalties {weight} differs from {name}'s own, so d and "
+                                 f"cost_diff would use different weights")
     Q, R = penalties.Q, penalties.R
     d = np.empty(traj_a.horizon + 1)
     for k in range(0, len(d), BLOCK_CAP):
@@ -156,26 +156,24 @@ def suboptimality_gaps(gamma_bar, gamma_stars):
 def sublinearity_diagnostic(R):
     """Check whether cumulative regret is flattening out.
 
-    Computes the per-step average ratio[k] = R[k] / k (undefined at
-    k = 0) and its least-squares slope over the last quarter of the run.
-    Verdict is "consistent-with-sublinear" when the ratio is nonincreasing
-    across that tail (up to RATIO_SLACK) and the final ratio has fallen to
-    at most DECAY_FACTOR times its peak; otherwise "inconclusive".  A
-    finite run can never prove sublinearity, hence the hedged wording.
+    Takes the per-step average ratio[k] = R[k] / k and its least-squares
+    slope over the last quarter of the run.  Verdict is
+    "consistent-with-sublinear" when the ratio is nonincreasing across that
+    tail (up to RATIO_SLACK) and the final ratio has fallen to at most
+    DECAY_FACTOR times its peak; otherwise "inconclusive".  A finite run
+    can never prove sublinearity, hence the hedged wording.  ValueError for
+    fewer than MIN_DIAGNOSTIC_STEPS steps.
     """
     R = np.asarray(R, dtype=float)
     T = len(R) - 1
     if T < MIN_DIAGNOSTIC_STEPS:
         raise ValueError(
             f"diagnostic needs at least {MIN_DIAGNOSTIC_STEPS} steps of regret")
-    steps = np.arange(T + 1, dtype=float)
-    ratio = np.empty(T + 1)
-    ratio[0] = np.nan
-    ratio[1:] = R[1:] / steps[1:]
+    ratio = _per_step(R)
 
     q = max(2, T // 4)
     tail = ratio[T - q + 1:]
-    tail_k = steps[T - q + 1:]
+    tail_k = np.arange(T - q + 1, T + 1, dtype=float)
     tail_slope = float(np.polyfit(tail_k, tail, 1)[0])
 
     nonincreasing = bool(np.all(np.diff(tail) <= RATIO_SLACK))

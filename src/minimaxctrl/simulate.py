@@ -1,26 +1,9 @@
 """Closed-loop rollouts of the true model against a controller.
 
-Feedback-type disturbances (worst-case linear, confusing) are only ever
-generated along the loop their kind fixes.  `paired_rollouts` exposes a
-second controller to the identical input: it rolls out the generating loop
-first and replays the recorded sequence, which `rollout` accepts in place
-of the config's spec.  This keeps comparisons honest: both controllers see
-the same w, not the same disturbance law.  A trajectory's w is read-only,
-so the replay shares it instead of copying it: a pair keeps one buffer.
-
-One kernel serves both controllers (a fixed gain is a one-gain stack).
-It plays a block of steps on the current selection in one scratch of rows
-[x_k | u_k | w_k], advancing each step with one product of the true
-model's [A B I] and the row, and copies the block out to x and u (and w
-for a feedback law); then it folds the block into every model's residual
-in one stacked product and keeps the block up to the first step whose
-selection differs.  Blocks double from 1 step up to BLOCK_CAP and restart
-at 1 after a switch.  Only the block's residuals are held.  A Trajectory
-keeps only what the loop produced, x, u and w, and derives the residual
-history, the selections and the step costs from them when asked,
-BLOCK_CAP steps at a time.  A rollout diverges at the first kept state
-whose squared norm is above DIVERGENCE_LIMIT**2 or that is not finite; a
-state that overflows is such a state, not a numpy warning.
+A feedback-type disturbance (worst-case linear, confusing) exists only
+along the loop its kind fixes, so a pair of rollouts records it there and
+replays the sequence on the other controller: both see the same w, not the
+same disturbance law.
 """
 from __future__ import annotations
 
@@ -45,21 +28,17 @@ class DivergedRollout(RuntimeError):
 
 @dataclass(eq=False)
 class Trajectory:
-    """One rollout.
+    """One rollout: x (T+1, n) states, u (T, m) inputs and w (T, n)
+    disturbances, read-only (w may be shared with the other rollout of a
+    pair and with the config's external sequence).  penalties: the Q and R
+    of its step costs.  model_set: the models an adaptive rollout switched
+    among, None for a fixed gain.
 
-    x: (T+1, n) states, u: (T, m) inputs, w: (T, n) disturbances (w may
-    be shared with the other rollout of a pair and with the config's
-    external sequence).  penalties: the Q and R of its step costs.
-    model_set: the candidate models an adaptive rollout switched among,
-    None for a fixed gain.  Every array `rollout` returns is read-only.
-
-    step_cost, alpha_hist and l are not stored: each read computes them
-    from x and u (alpha_hist and l with the switching loop's own fold and
-    tie rule, so they have its bits), read-only, and each read allocates
-    and computes again, BLOCK_CAP steps at a time: read each once and keep
-    it.  An adaptive T = 10^4 trajectory on the shipped set holds x
-    (240,024 B) and u (80,000 B) of its own and a shared w, not a (T+1,)
-    step cost, a (T+1, F) residual history or (T,) selections.
+    step_cost, alpha_hist and l are computed from x and u on every read,
+    BLOCK_CAP steps at a time, read-only: read each once.  Each has the
+    bits of the step-at-a-time loop
+    (test_simulate.py::test_rollout_matches_reference_loop and
+    test_simulate.py::test_full_cap_blocks_match_reference_loop).
     """
 
     x: np.ndarray
@@ -74,13 +53,8 @@ class Trajectory:
 
     @property
     def step_cost(self):
-        """(T+1,) read-only x_k'Q x_k + u_k'R u_k for k < T and the
-        terminal x_T'Q x_T at k = T.
-
-        Stacked products, bit-identical to the per-step x_k @ Q @ x_k +
-        u_k @ R @ u_k (einsum is not); BLOCK_CAP steps at a time, so no
-        (T+1, 1, n) temporary is made.
-        """
+        """(T+1,) x_k'Q x_k + u_k'R u_k for k < T and the terminal x_T'Q x_T,
+        by stacked products: einsum would not have x_k @ Q @ x_k's bits."""
         Q, R = self.penalties.Q, self.penalties.R
         step_cost = np.empty(self.horizon + 1)
         for i in range(0, self.horizon + 1, BLOCK_CAP):
@@ -93,7 +67,7 @@ class Trajectory:
 
     @property
     def alpha_hist(self):
-        """(T+1, F) read-only residuals after k updates, None for a fixed gain."""
+        """(T+1, F) residuals after k updates, None for a fixed gain."""
         alphas = self._fold()
         if alphas is not None:
             alphas.flags.writeable = False
@@ -101,8 +75,8 @@ class Trajectory:
 
     @property
     def l(self):
-        """(T,) read-only selected model indices (1-based), None for a
-        fixed gain: the least residual before each step, lowest index on ties."""
+        """(T,) selected model indices (1-based), None for a fixed gain: the
+        least residual before each step, lowest index on ties."""
         alphas = self._fold()
         if alphas is None:
             return None
@@ -113,11 +87,8 @@ class Trajectory:
         return l
 
     def _fold(self):
-        """The writable (T+1, F) residual history, None for a fixed gain.
-
-        BLOCK_CAP steps at a time, each seeded with the row before it: the
-        running sum adds in step order, so the bits are one fold's.
-        """
+        """The writable (T+1, F) residual history, None for a fixed gain: each
+        block is seeded with the row before it, so the sum adds in step order."""
         if self.model_set is None:
             return None
         alphas = np.zeros((self.horizon + 1, self.model_set.size))
@@ -132,23 +103,20 @@ def rollout(cfg, controller, disturbance=None):
     """Simulate cfg.horizon steps of the true model under `controller`.
 
     controller: a MinimaxCertificate (adaptive switching) or an (m, n) gain
-    matrix K for fixed feedback u = -K x.  disturbance: None to generate the
-    sequence from cfg's spec (resolved once, by `disturbance.emit`), or a
-    recorded (T, n) array to replay: used as it is when
-    `fileio.read_only` keeps it (another rollout's w, say), else copied
-    once, so a writable caller array is never aliased.  Every array of the
-    returned Trajectory is read-only.  Each state is x_{k+1} =
-    [A B I] @ [x_k; u_k; w_k], one sum of 2n + m products: for n > 1 the
-    result is the one-step-at-a-time loop of that product's, bit for bit
-    (see `_play_block` for n = 1), and each state is within
-    2 (2n + m) 2^-53 (|A||x_k| + |B||u_k| + |w_k|) of A x_k + B u_k + w_k,
-    componentwise.
-    A switch discards the rest of its block, never longer than the steps
-    kept since the block sizes restarted, so at most 2T steps are computed,
-    and at most T + BLOCK_CAP * (number of switches).
-    Raises DivergedRollout at the first kept state whose squared norm is
-    above DIVERGENCE_LIMIT**2 or that has a non-finite entry (an overflow
-    included).
+    K (u = -K x).  disturbance: None to generate cfg's spec
+    (`disturbance.emit`), or a recorded (T, n) array to replay, kept as
+    `fileio.read_only` keeps it.  x_{k+1} = [A B I] @ [x_k; u_k; w_k]:
+    for n > 1 bit for bit the step-at-a-time loop of that product
+    (test_simulate.py::test_rollout_matches_reference_loop; `_play_block`
+    for n = 1), and within 2 (2n + m) 2^-53 (|A||x_k| + |B||u_k| + |w_k|)
+    of A x_k + B u_k + w_k componentwise
+    (test_simulate.py::test_long_gaussian_rollout_steps_near_textbook).
+    Blocks of steps double up to BLOCK_CAP and restart at 1 after a switch,
+    which discards the rest of its block, so at most 2T steps are computed
+    (test_simulate.py::test_block_work_is_bounded).  ValueError on a shape
+    mismatch or a feedback disturbance of the other loop; DivergedRollout
+    at the first kept state whose squared norm exceeds DIVERGENCE_LIMIT**2
+    or that is not finite.
     """
     ms = cfg.model_set
     T, n = cfg.horizon, ms.n
@@ -185,7 +153,6 @@ def rollout(cfg, controller, disturbance=None):
     x[0] = cfg.x0
     # a fixed gain is a one-gain stack whose selection never moves
     neg_gains = -(controller.gains if adaptive else controller[None])
-    # x_{k+1} = Z [x_k; u_k; w_k], played in rows [x_j | u_j | w_j]
     Z = np.hstack([A, B, np.eye(n)])
     rows = np.empty((BLOCK_CAP + 1, Z.shape[1]))
 
@@ -233,9 +200,8 @@ def paired_rollouts(cfg, cert, gain):
     """(adaptive, fixed): `cert` and the fixed `gain` under one disturbance.
 
     The loop along which cfg's disturbance is generated runs first (the
-    fixed-gain loop for open-loop kinds) and its read-only w is replayed on
-    the other, so both trajectories share one w array (for an external
-    kind, a view of the config's sequence).
+    fixed-gain loop for open-loop kinds) and its w is replayed on the other,
+    so both trajectories share one w array.
     """
     if cfg.disturbance.generating_loop == "minimax":
         adaptive = rollout(cfg, cert)
@@ -245,16 +211,14 @@ def paired_rollouts(cfg, cert, gain):
 
 
 def _play_block(Z, neg_gain, law, rows, x, u, w, k, end):
-    """Steps k .. end-1 of x+ = Z [x; u; w], Z = [A B I], under u = neg_gain x.
+    """Steps k .. end-1 of x+ = Z [x; u; w], Z = [A B I], under u = neg_gain x,
+    u[k] already set, then copied out to x and u (and w for a feedback law).
 
-    u[k] is already set.  The block is played in `rows`, one contiguous row
-    [x_j | u_j | w_j] per step: a step is one product into the next row's x
-    part, Z.dot(row_j, out=row_{j+1}[:n]), u_{j+1} is its own product into
-    its part, and a feedback law writes each w part.  The loop allocates
-    nothing, and it is a step-at-a-time loop of Z @ [x; u; w] bit for bit.
-    ndarray.dot is @ at half the dispatch cost; for n = 1 the gain product
-    multiplies directly, which can flip an exact zero's sign.  The block's
-    states and inputs (and w for a feedback law) are copied out after it.
+    Step j is played in row j of `rows`, [x_j | u_j | w_j]: the gain product
+    and a feedback law write its u and w parts, and Z.dot(row_j,
+    out=row_{j+1}[:n]) the next state, so the loop allocates nothing.
+    ndarray.dot is @ with less dispatch; for n = 1 the gain product
+    multiplies directly, which can flip an exact zero's sign.
     """
     n, m, s = x.shape[1], u.shape[1], end - k
     block = rows[:s + 1]

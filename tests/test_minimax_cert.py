@@ -229,6 +229,28 @@ def test_minimal_feasible_gamma_is_deterministic(models, penalties, certified,
     np.testing.assert_array_equal(cert.P, certified[1].P)
 
 
+def test_gamma_bar_is_the_sequential_bisection_over_synthesis(models, penalties,
+                                                               certified):
+    """gamma_bar is the doubling-then-bisection that probes one level per
+    round with `synthesize_certificate`, and the certificate is that
+    function's at gamma_bar, bit for bit."""
+    lo = float(np.sqrt(np.max(np.linalg.eigvalsh(penalties.Q))))
+    hi = min(max(2.0 * lo, 1.0), mc.hinf.GAMMA_MAX)
+    while not (cert := mc.synthesize_certificate(models, penalties, hi)):
+        assert hi < mc.hinf.GAMMA_MAX
+        hi = min(2.0 * hi, mc.hinf.GAMMA_MAX)
+    while hi - lo > minimax_cert.GAMMA_BAR_REL_TOL * hi:
+        mid = 0.5 * (lo + hi)
+        found = mc.synthesize_certificate(models, penalties, mid)
+        if found:
+            hi, cert = mid, found
+        else:
+            lo = mid
+    assert hi == certified[0]
+    assert cert.gains.tobytes() == certified[1].gains.tobytes()
+    assert cert.P.tobytes() == certified[1].P.tobytes()
+
+
 def search_records(monkeypatch, ms, penalties):
     """Run `minimal_feasible_gamma` and record its families (every certificate
     that reaches verification), its full verifications and its screens

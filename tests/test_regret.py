@@ -279,3 +279,26 @@ def test_nan_disturbance_is_rejected():
     a.w[0, 0] = np.nan
     with pytest.raises(ValueError, match="different disturbances"):
         mc.regret_report(a, a, p, "external")
+
+
+@pytest.mark.parametrize("weights_a,weights_b,report,reason", [
+    ((1.0, 1.0), (1.0, 1.0), (100.0, 1.0), "penalties Q differs from traj_a"),
+    ((1.0, 1.0), (1.0, 1.0), (1.0, 5.0), "penalties R differs from traj_a"),
+    ((1.0, 1.0), (100.0, 1.0), (100.0, 1.0), "penalties Q differs from traj_a"),
+    ((100.0, 1.0), (1.0, 1.0), (100.0, 1.0), "penalties Q differs from traj_b"),
+    ((2.0, 3.0), (2.0, 3.0), (2.0, 3.0), None),
+], ids=["Q", "R", "pair-differs-a", "pair-differs-b", "equal-values"])
+def test_report_weights_must_be_the_trajectories_own(weights_a, weights_b, report,
+                                                     reason):
+    """d and cost_diff use one set of weights: the report's penalties must
+    have the Q and R of both trajectories, which an equal object has."""
+    def penalties(q, r):
+        return mc.Penalties(Q=q * np.eye(1), R=r * np.eye(1))
+
+    a = tiny_trajectory([[1.0], [2.0]], [[1.0]], penalties(*weights_a))
+    b = tiny_trajectory([[1.0], [0.5]], [[0.0]], penalties(*weights_b))
+    if reason is None:
+        assert mc.regret_report(a, b, penalties(*report), "zero").d.tolist() == [3.0, 4.5]
+    else:
+        with pytest.raises(ValueError, match=reason):
+            mc.regret_report(a, b, penalties(*report), "zero")
