@@ -102,11 +102,18 @@ def _stacked_solve(a, b):
 
 
 def _pd(S):
-    """Mask of the members of a stack of finite symmetric matrices whose least
-    eigenvalue is positive: one stacked eigvalsh, which unlike a Cholesky
-    factorization does not raise on the failing ones.  On a non-finite
-    member it may give any eigenvalues or raise LinAlgError."""
-    return np.linalg.eigvalsh(S)[:, 0] > 0.0
+    """Whether each member of a stack of finite symmetric matrices is positive
+    definite: numpy's True when one stacked Cholesky factorization succeeds,
+    else (it raises if any member fails) the mask of the members whose least
+    eigenvalue from one stacked eigvalsh is positive.  Either form
+    broadcasts against a mask of the stack.  A NaN member can pass the
+    factorization, so callers test non-finite members apart
+    (test_hinf.py::test_pd_is_one_cholesky_unless_a_member_fails)."""
+    try:
+        np.linalg.cholesky(S)
+    except np.linalg.LinAlgError:
+        return np.linalg.eigvalsh(S)[:, 0] > 0.0
+    return np.True_
 
 
 def solve_riccati(A, B, penalties, gamma):
@@ -132,12 +139,16 @@ def _solve_stack(A, B, penalties, gamma):
     and H_k+1 = H_k + A_k' H_k W^-1 A_k, H_k is the (2^k - 1)-th iterate of
     M <- Q + A' M Lambda^-1 A from M = Q, so convergence is quadratic where
     that iteration crawls (near gamma*).  Each pass of the loop tests
-    I - gamma^-2 H_k > FEAS_MARGIN I, from H_0 = Q to the converged limit,
-    lets the members that fail or converge leave, and doubles the rest;
-    after the loop, one pass checks each limit for M > 0 and a Schur stable
-    Lambda^-1 A (= A - B K + L) and forms the gains.  Every numpy call runs
-    on the stack of members still iterating, each beside its own
-    gamma^-2, so entry i is bit for bit solve_riccati(A[i], B[i],
+    I - gamma^-2 H_k > FEAS_MARGIN I with `_pd`, from H_0 = Q to the
+    converged limit, and doubles the stack.  Only a pass after which a
+    member must leave (it fails that test, its step is singular, or its
+    iterate diverged, fell or converged) forms the exit masks; its
+    accepting verdicts are a Cholesky's and an eigvalsh's alike
+    (test_hinf.py::test_fall_exit_changes_no_verdict).  After the loop, one
+    pass, skipped when none converged, checks each limit for M > 0 and a
+    Schur stable Lambda^-1 A (= A - B K + L) and forms the gains.  Every
+    numpy call runs on the stack of members still iterating, each beside
+    its own gamma^-2, so entry i is bit for bit solve_riccati(A[i], B[i],
     penalties, gamma[i]) (test_hinf.py::test_stacked_solve_matches_member_solves).
     """
     Q, R = penalties.Q, penalties.R
@@ -156,28 +167,31 @@ def _solve_stack(A, B, penalties, gamma):
 
     # live: the members still iterating; iters[i]: the doubling at which
     # member i converged (0 if it has not), Mlim[i] its limit.  Before the
-    # first doubling no member is singular, diverged, fallen or converged
+    # first doubling no member is singular or fallen, and delta = 1 > tol = 0
+    # reads as finite and not converged
     live, Ak, Gk, M, g2 = np.arange(len(A)), A, G, Q[None].repeat(len(A), axis=0), ginv2
     iters = np.zeros(len(A), dtype=int)
     Mlim = np.empty(A.shape)
-    singular = fell = converged = np.zeros(len(A), dtype=bool)
-    finite, going, it = ~singular, True, 0
+    singular = fell = np.zeros(len(A), dtype=bool)
+    delta, tol, going, it = np.ones(len(A)), np.zeros(len(A)), True, 0
     # an unstabilizable pair at gamma = inf overflows within ~10 doublings;
     # overflow and NaN are left to the divergence test
     with np.errstate(over="ignore", invalid="ignore"):
         while True:
             # going implies that every member is finite; else a non-finite
-            # one, which leaves as diverged, is tested as I, since eigvalsh
-            # may raise on it
+            # one, which leaves as diverged, is tested as I, since `_pd`
+            # needs finite matrices
             k = live.size  # every member's I and margin are alike: eyes[:k]
             S = eyes[:k] - g2 * M - margins[:k]
             if not going:
-                S[~finite] = eye
+                S[~np.isfinite(delta)] = eye
             feasible = _pd(S)
-            if not (going and feasible.all() and it < RICCATI_BUDGET):
+            if not (going and feasible is np.True_ and it < RICCATI_BUDGET):
                 # the one exit: every member that fails leaves with the first
                 # of the verdicts below that holds for it, every converged one
-                # with its limit, and at doubling RICCATI_BUDGET all leave
+                # with its limit, and at doubling RICCATI_BUDGET all leave.
+                # While going, delta > tol for all: none diverged or converged
+                converged, finite = delta <= tol, np.isfinite(delta)
                 failed = singular | ~finite | fell | ~feasible
                 if it == RICCATI_BUDGET:
                     failed |= ~converged
@@ -219,15 +233,16 @@ def _solve_stack(A, B, penalties, gamma):
             delta = np.abs(step).max(axis=(1, 2))
             tol = RICCATI_TOL * np.abs(M).max(axis=(1, 2), initial=1.0)
             fell = np.diagonal(step, axis1=1, axis2=2).min(axis=1) < -tol
-            converged, finite = delta <= tol, np.isfinite(delta)
             going = (delta > tol).all() and not fell.any()
 
         # the converged limits in one pass, each verdict a mask.  A limit
         # that is not positive definite is replaced by Q, which passed
         # doubling 0, so that I + G M stays nonsingular; its gains are unused
         idx = np.flatnonzero(iters)
+        if not idx.size:
+            return results
         A, B, G, M, ginv2 = (x.take(idx, axis=0) for x in (A, B, G, Mlim, ginv2))
-        pd = _pd(M)
+        pd = np.broadcast_to(_pd(M), idx.shape)
         M[~pd] = Q
         X = np.linalg.solve(eye + G @ M, A)
         stable = np.abs(np.linalg.eigvals(X)).max(axis=1) < 1.0

@@ -81,13 +81,6 @@ def _box_violation(P, gamma):
     return None
 
 
-def _closed_loops(ms, penalties, K):
-    """Abar[i, l] = A_i - B_i K_l and the stage weights C_l = Q + K_l' R K_l."""
-    Abar = ms.A[:, None] - np.matmul(ms.B[:, None], K[None, :])
-    C = penalties.Q + np.einsum("lai,ab,lbj->lij", K, penalties.R, K)
-    return Abar, C
-
-
 def check_gains_shape(cert, ms):
     """ValueError unless the certificate's gains are (F, m, n) for model set ms."""
     shape = (ms.size, ms.m, ms.n)
@@ -137,15 +130,21 @@ def _pair_inverses(P, g2):
 def _least_slacks(ms, penalties, cert, i, j, l):
     """Least eigenvalue of the slack matrix of the triples (i, j, l), given as
     0-based indices or as index arrays that broadcast together; -inf where
-    the pair (i, j) is singular."""
+    the pair (i, j) is singular.  Only the given triples' closed loops are
+    formed, so one triple builds two, and its slack has the bits of its
+    entry in the F^3 table
+    (test_minimax_cert.py::test_screen_matches_full_verification)."""
     g2 = cert.gamma_bar ** 2
-    Abar, C = _closed_loops(ms, penalties, cert.gains)
+    K = cert.gains[l]
+    Abar_il = ms.A[i] - np.matmul(ms.B[i], K)
+    Abar_jl = ms.A[j] - np.matmul(ms.B[j], K)
+    C = penalties.Q + np.einsum("...ai,ab,...bj->...ij", K, penalties.R, K)
     Z, singular = _pair_inverses(cert.P[i, j], g2)
-    Sm = 0.5 * (Abar[i, l] - Abar[j, l])
-    Sp = 0.5 * (Abar[i, l] + Abar[j, l])
+    Sm = 0.5 * (Abar_il - Abar_jl)
+    Sp = 0.5 * (Abar_il + Abar_jl)
     slack = (
         cert.P[i, l]
-        - C[l]
+        - C
         + g2 * np.matmul(np.swapaxes(Sm, -1, -2), Sm)
         - np.matmul(np.swapaxes(Sp, -1, -2), np.matmul(Z, Sp))
     )
@@ -212,8 +211,12 @@ def _family(ms, penalties, gamma, designs):
     so rhs_ii = M_i.  The triples (i, i, l) and (l, l, i) force any valid
     family to dominate both rhs_il and rhs_li, so P_il is their tight upper
     bound (rhs_il + rhs_li) / 2 + |rhs_il - rhs_li| / 2; their average sits
-    below one side whenever they differ and can never verify.  An F = 1 set
-    gives the known-model design.
+    below one side whenever they differ and can never verify.  It is
+    formed and box-checked for i <= l only and mirrored, so P[l, i] is
+    P[i, l] byte for byte and the box check sees the blocks
+    `verify_certificate` checks
+    (test_minimax_cert.py::test_search_families_are_mirrored_and_valid).
+    An F = 1 set gives the known-model design.
     """
     F, n = ms.size, ms.n
     for l, sol in enumerate(designs, start=1):
@@ -225,22 +228,22 @@ def _family(ms, penalties, gamma, designs):
     K = np.stack([sol.K for sol in designs])
     M = np.stack([sol.M for sol in designs])
 
-    Abar, C = _closed_loops(ms, penalties, K)
+    Abar = ms.A[:, None] - np.matmul(ms.B[:, None], K[None, :])  # [i, l]
+    C = penalties.Q + np.einsum("lai,ab,lbj->lij", K, penalties.R, K)
     Z = np.linalg.inv(np.linalg.inv(M) - np.eye(n) / gamma ** 2)  # per model i
     rhs = C[None, :] + np.matmul(Abar.transpose(0, 1, 3, 2), np.matmul(Z[:, None], Abar))
-    gap = rhs - rhs.transpose(1, 0, 2, 3)
-    gap = 0.5 * (gap + gap.transpose(0, 1, 3, 2))
-    lam, V = np.linalg.eigh(gap)
-    abs_gap = np.matmul(V * np.abs(lam)[..., None, :], V.transpose(0, 1, 3, 2))
-    P = 0.5 * (rhs + rhs.transpose(1, 0, 2, 3)) + 0.5 * abs_gap
-    P = 0.5 * (P + P.transpose(0, 1, 3, 2))
-
-    if _box_violation(P, gamma):
-        return Infeasible(f"P violates 0 < P < gamma^2 I at gamma={gamma:.6g}")
-    # canonicalize the residual pair asymmetry (sub-1e-12 arithmetic noise) so
-    # save/load round trips are byte-stable (test_save_load_round_trip)
     iu, ju = np.triu_indices(F)
-    P[ju, iu] = P[iu, ju]
+    upper, lower = rhs[iu, ju], rhs[ju, iu]
+    gap = upper - lower
+    gap = 0.5 * (gap + gap.swapaxes(1, 2))
+    lam, V = np.linalg.eigh(gap)
+    abs_gap = np.matmul(V * np.abs(lam)[..., None, :], V.swapaxes(1, 2))
+    Pu = 0.5 * (upper + lower) + 0.5 * abs_gap
+    Pu = 0.5 * (Pu + Pu.swapaxes(1, 2))
+    if _box_violation(Pu, gamma):
+        return Infeasible(f"P violates 0 < P < gamma^2 I at gamma={gamma:.6g}")
+    P = np.empty((F, F, n, n))
+    P[iu, ju] = P[ju, iu] = Pu
     return MinimaxCertificate(gamma_bar=gamma, gains=K, P=P)
 
 
@@ -259,12 +262,11 @@ def minimal_feasible_gamma(ms, penalties):
     level from above.
 
     Once a full verification has failed, each later family is first
-    screened at the worst triple of the last failed one, whose slack has
-    the bits of its entry in the F^3 table
-    (test_minimax_cert.py::test_screen_matches_full_verification).  Below
-    -VERIFY_TOL it rejects the level, as the full check would; only the full
-    check accepts one.  A screened rejection's reason names the screened
-    triple's violation, and surfaces only as a BracketError's last reason.
+    screened at the worst triple of the last failed one, by `_least_slacks`
+    of that triple alone.  Below -VERIFY_TOL it rejects the level, as the
+    full check would; only the full check accepts one.  A screened
+    rejection's reason names the screened triple's violation, and surfaces
+    only as a BracketError's last reason.
     """
     F = ms.size
     failed_at = None  # worst triple (1-based) of the last failed full verification

@@ -452,11 +452,13 @@ def stack_of(pairs):
     return (np.stack([A for A, _ in pairs]), np.stack([B for _, B in pairs]))
 
 
-def doubling_reference(A, B, penalties, gamma, fall_exit=True):
+def doubling_reference(A, B, penalties, gamma, fall_exit=True, pd_test="cholesky"):
     """The doubling for one model in 2-D arrays, as `solve_riccati` ran
     before it took stacks: the reference for bit-for-bit equality.  With
     fall_exit=False it runs without the exit on a falling iterate, as
-    `solve_riccati` ran before it had one.
+    `solve_riccati` ran before it had one.  Each positive definiteness test
+    is a Cholesky factorization, or with pd_test="eigvalsh" a positive
+    least eigenvalue.
 
     Returns (M, K, L, iterations) as bytes and int, or the failure reason
     without its level.
@@ -467,6 +469,8 @@ def doubling_reference(A, B, penalties, gamma, fall_exit=True):
     ginv2 = gamma ** -2
 
     def pd(S, margin):
+        if pd_test == "eigvalsh":
+            return bool(np.linalg.eigvalsh(S - margin * eye)[0] > 0.0)
         try:
             np.linalg.cholesky(S - margin * eye)
             return True
@@ -634,6 +638,34 @@ def test_stacked_linalg_retests_members_one_by_one():
     assert not singular.any() and X.tobytes() == np.linalg.solve(S[:2], rhs[:2]).tobytes()
 
 
+def test_pd_is_one_cholesky_unless_a_member_fails(monkeypatch):
+    """Every member positive definite: one stacked Cholesky answers numpy's
+    True, and no eigvalsh runs.  One member fails: the mask is the stacked
+    eigvalsh's.  A member that went non-finite, replaced by I as
+    `_solve_stack` does, passes beside the others."""
+    eigvalsh, calls = np.linalg.eigvalsh, []
+
+    def counted(S):
+        calls.append(len(S))
+        return eigvalsh(S)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+    X = np.random.default_rng(0).standard_normal((5, 3, 3))
+    S = X @ X.swapaxes(1, 2) + 1e-3 * np.eye(3)
+    assert hinf._pd(S) is np.True_ and calls == []
+
+    S[3] = np.diag([1.0, -1e-12, 2.0])
+    mask = hinf._pd(S)
+    assert calls == [5]
+    assert mask.tolist() == (eigvalsh(S)[:, 0] > 0.0).tolist() == [True, True, True, False, True]
+
+    S[1] = np.nan
+    S[~np.isfinite(S).all(axis=(1, 2))] = np.eye(3)
+    assert hinf._pd(S).tolist() == [True, True, True, False, True]
+    S[3] = np.eye(3)
+    assert hinf._pd(S) is np.True_
+
+
 def test_each_exit_of_the_doubling_in_one_stack(models, penalties):
     """At gamma = (1 - 1e-10 - 1e-12)^-1/2, M = Q = I passes
     I - gamma^-2 M > 1e-10 I by 1e-12, and A = diag(a, 0, 0), B = 0 raise
@@ -720,7 +752,7 @@ def test_fall_exit_changes_no_verdict(models, penalties, draw):
     """Each model at 140 levels: within 1e-8 to 1e-1 (relative) on either
     side of its gamma*, and geometric from 1.0001 to 1e4.  `_solve_stack`
     accepts exactly where the reference without the exit on a falling
-    iterate (and with Cholesky tests) accepts."""
+    iterate accepts, with Cholesky tests and with eigvalsh tests alike."""
     if draw is None:
         A, B, p = models.A, models.B, penalties
     else:
@@ -734,8 +766,10 @@ def test_fall_exit_changes_no_verdict(models, penalties, draw):
         members = [i] * len(grid)
         got = hinf._solve_stack(A[members], B[members], p, grid)
         for g, result in zip(grid, got):
-            ref = doubling_reference(A[i], B[i], p, g, fall_exit=False)
-            assert bool(result) == (not isinstance(ref, str)), (i, g, verdict(result), ref)
+            for pd_test in ("cholesky", "eigvalsh"):
+                ref = doubling_reference(A[i], B[i], p, g, fall_exit=False, pd_test=pd_test)
+                assert bool(result) == (not isinstance(ref, str)), \
+                    (i, g, pd_test, verdict(result), ref)
 
 
 def test_probes_below_gamma_star_stop_before_the_budget(models, penalties):

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 
 import numpy as np
 import pytest
@@ -218,6 +219,93 @@ DRAW_1001_GAMMA_BAR_PIN = 157808.3980102539
 def test_benchmark_levels_are_pinned(gamma_stars, certified):
     assert gamma_stars == GAMMA_STAR_PIN
     assert certified[0] == GAMMA_BAR_PIN
+
+
+# gamma* per model, gamma_bar and the sha256 of gains.tobytes() + P.tobytes()
+# of the shipped set and of every draw, bit for bit.  A change that moves
+# them on purpose updates this table and records the old and new values.
+SEARCH_PINS = {
+    "shipped": ([2.000476837158203, 9.437843322753906, 2.9125823974609375, 2.83526611328125],
+                143.15347290039062,
+                "506fda7b74d1dfa30dbb61b153bd1d59dcf40f8ff5e6128658f8a0f15df5196c"),
+    "draw1000": ([2.242382049560547, 2.0528564453125],
+                 4.63287353515625,
+                 "6439e9ffe5ecbd7e51ecb1b21a7b290d999b50c16195fec096a988bba04d7d07"),
+    "draw1001": ([136.73333740234375, 11.512313842773438, 54.47540283203125, 11.776901245117188,
+                  127.37019348144531, 29.278228759765625, 30.478050231933594, 22.021591186523438],
+                 157808.3980102539,
+                 "70a17cdbb5f3587aeae7030029ef01fddc882664c777577fde1fa478f6e22638"),
+    "draw1002": ([2.9751815795898438, 2.7898788452148438, 3.4630661010742188, 3.3358535766601562],
+                 57.16705322265625,
+                 "3367bf558a89818290cc4ec587f254a722c9001b6d84b4ade27993ba20a6cd29"),
+    "draw1003": ([3.8306503295898438, 3.1748580932617188, 3.9756240844726562,
+                  3.6421432495117188, 4.250675201416016, 3.779632568359375],
+                 384.0628662109375,
+                 "a68eb05c05f2b740ad60cdb54075911dc06d91e3e240fa3b78716418888e4d17"),
+    "draw1004": ([3.5108108520507812, 3.9400558471679688, 3.4729080200195312,
+                  3.3146133422851562, 3.6450958251953125, 3.2455368041992188, 4.156681060791016,
+                  3.39447021484375],
+                 1279.875244140625,
+                 "5a06426400ad91c64f1c9db19921b064ccab0f4f935c997c9eaca7234b56b129"),
+    "draw1005": ([1.8665924072265625, 1.7529754638671875, 1.9054718017578125],
+                 8.7069091796875,
+                 "0360b203ccc9ae4d12c72ad27a44ea7e9f193d6bbeefb1f73473a0654bf58478"),
+    "draw1006": ([5.813941955566406, 8.484321594238281, 7.528961181640625, 26.348800659179688,
+                  41.34351348876953],
+                 779.1143798828125,
+                 "86e72b5b67b2329f6427f368adeca9e1f1e5d7d561a5e9a823003a5827bb0bec"),
+    "draw1007": ([2.9482879638671875, 2.6500091552734375, 2.6055831909179688, 2.733551025390625,
+                  3.0471878051757812, 2.5851898193359375, 2.5074844360351562],
+                 3668.8543090820312,
+                 "0f9ecebed8e6878aacea131fed0af7b19e61db0e49fb91c8917b024fc49ac5c8"),
+    "draw1008": ([1.8098907470703125, 1.90899658203125, 2.159160614013672, 1.949249267578125,
+                  1.9534912109375, 1.8292999267578125, 2.0213165283203125, 1.783538818359375],
+                 2051.9991455078125,
+                 "7ae28bc916fd0ebb871a6e2833c59e242d8df1b8a6b8a50ab30f5950b9895237"),
+    "draw1009": ([4.263679504394531, 3.341827392578125, 2.935882568359375, 5.049945831298828,
+                  3.5526275634765625, 3.0665054321289062, 3.9289779663085938, 4.102100372314453],
+                 8483.482238769531,
+                 "45e87e8c6d10124baefb86aad44fe93d69d41d556b4fe2ca98f9db93a20339a4"),
+}
+
+
+@pytest.fixture(scope="session")
+def searched(models, penalties):
+    """name -> (model set, gamma*, gamma_bar, certificate, the families the
+    gamma_bar search built) for the shipped set and every draw."""
+    runs = {}
+    for draw in [None] + DRAWS:
+        if draw is None:
+            name, ms, p = "shipped", models, penalties
+        else:
+            seed, n, m, F = draw
+            name = f"draw{seed}"
+            ms = mc.ModelSet.from_pairs(seeded_model_set(seed, n, m, F))
+            p = mc.Penalties(Q=np.eye(n), R=np.eye(m))
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            (gamma_bar, cert), families, _, _ = search_records(monkeypatch, ms, p)
+        runs[name] = (ms, mc.hinf.gamma_stars(ms.A, ms.B, p), gamma_bar, cert, families)
+    return runs
+
+
+@pytest.mark.parametrize("name", list(SEARCH_PINS))
+def test_every_search_is_pinned(searched, name):
+    _, stars, gamma_bar, cert, _ = searched[name]
+    assert (stars, gamma_bar) == SEARCH_PINS[name][:2]
+    assert cert.gamma_bar == gamma_bar
+    digest = hashlib.sha256(cert.gains.tobytes() + cert.P.tobytes()).hexdigest()
+    assert digest == SEARCH_PINS[name][2]
+
+
+@pytest.mark.parametrize("name", list(SEARCH_PINS))
+def test_search_families_are_mirrored_and_valid(searched, name):
+    """Every family the search built has P[j, i] byte-equal to P[i, j] and
+    meets the certificate invariants that `verify_certificate` checks."""
+    ms, _, _, _, families = searched[name]
+    assert families
+    for cert in families:
+        assert cert.P.tobytes() == cert.P.transpose(1, 0, 2, 3).tobytes()
+        minimax_cert._check_cert_invariants(cert, ms)
 
 
 def test_minimal_feasible_gamma_is_deterministic(models, penalties, certified,

@@ -5,7 +5,9 @@ class or function docstring (found with `ast`); a comment line is any other
 line whose first non-blank character is `#`; a blank line is any other empty
 line; every remaining line is code.
 
-    python3 tools/src_lines.py [DIR]    # DIR defaults to src/minimaxctrl
+    python3 tools/src_lines.py [DIR]    # DIR defaults to the repo's src/minimaxctrl
+
+It exits 1 with a message when DIR holds no .py file.
 """
 import ast
 import pathlib
@@ -38,8 +40,11 @@ def count(path):
 
 
 def main(argv):
-    root = pathlib.Path(argv[1] if len(argv) > 1 else "src/minimaxctrl")
+    default = pathlib.Path(__file__).resolve().parents[1] / "src" / "minimaxctrl"
+    root = pathlib.Path(argv[1]) if len(argv) > 1 else default
     rows = {path.name: count(path) for path in sorted(root.glob("*.py"))}
+    if not rows:
+        sys.exit(f"src_lines.py: no .py file in {root}")
     rows["total"] = {k: sum(r[k] for r in rows.values()) for k in KINDS}
     print(f"{'file':18}" + "".join(f"{k:>10}" for k in KINDS))
     for name, counts in rows.items():
