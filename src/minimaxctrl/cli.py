@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import gc
 import json
 import os
 import sys
@@ -307,5 +308,15 @@ def main(argv=None):
         return EXIT_INPUT
 
 
-if __name__ == "__main__":
+def run():
+    """The console entry point: `main` on sys.argv, exiting with its code.
+
+    gc.freeze() first moves everything import made to the permanent
+    generation, which no later collection, the exit's included, scans.
+    `main` leaves the collector as it is for callers that run it in process."""
+    gc.freeze()
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    run()

@@ -104,23 +104,25 @@ def fmt(value):
 def atomic_write_text(path, text):
     """Write text to path via temp-file-plus-rename in the same directory.
 
-    Returns the sha256 of the bytes written: text in UTF-8, line ends
-    untranslated.  ConfigError if the file cannot be written.
+    Returns the sha256 of the bytes written, which are the text encoded
+    once in UTF-8, line ends untranslated.  ConfigError if the file cannot
+    be written.
     """
     directory = os.path.dirname(os.path.abspath(path))
     tmp = None
     try:
         os.makedirs(directory, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
-        with os.fdopen(fd, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        with os.fdopen(fd, "wb") as fh:
+            data = str.encode(text, "utf-8")  # TypeError unless text is a str
+            fh.write(data)
         os.replace(tmp, path)
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
     finally:
         if tmp is not None and os.path.exists(tmp):
             os.unlink(tmp)
-    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+    return hashlib.sha256(data).hexdigest()
 
 
 def write_csv(path, header, table):

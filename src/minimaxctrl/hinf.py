@@ -412,13 +412,31 @@ def _frequency_response(A, B, K, penalties):
 
 
 def _top_singular_values(response, omegas):
-    """Largest singular value of response(omega) for each omega, SCAN_BLOCK
-    frequencies at a time.  Each frequency is its own solve and SVD item,
-    so the blocks give the whole grid's values bit for bit
-    (test_hinf.py::test_blocked_scan_equals_whole_grid)."""
-    return np.concatenate([
-        np.linalg.svd(response(omegas[i:i + SCAN_BLOCK]), compute_uv=False)[:, 0]
-        for i in range(0, len(omegas), SCAN_BLOCK)])
+    """Largest singular value of response(omega) for each omega that can be
+    the peak, -inf for the others; SCAN_BLOCK frequencies at a time.
+
+    sigma_max <= |H|_F, so only a point whose Frobenius norm, times
+    1 + 1e-9 for rounding, reaches `best` gets an exact SVD: `best` is the
+    largest exact value so far, seeded with the first block's Frobenius
+    argmax.  Every other point lies strictly below the peak, so the first
+    argmax and its value are the whole grid's.  Each frequency is its own
+    solve and SVD item, so every exact value is the whole grid's bit for bit
+    (test_hinf.py::test_blocked_scan_equals_whole_grid), and a flat response
+    gets an SVD at every point.
+    """
+    values = np.full(len(omegas), -np.inf)
+    for i in range(0, len(omegas), SCAN_BLOCK):
+        H = response(omegas[i:i + SCAN_BLOCK])
+        fro = np.linalg.norm(H, axis=(1, 2))
+        if i == 0:
+            j = int(np.argmax(fro))
+            best = np.linalg.svd(H[j:j + 1], compute_uv=False)[0, 0]
+        keep = np.flatnonzero(fro * (1.0 + 1e-9) >= best)
+        if keep.size:
+            top = np.linalg.svd(H[keep], compute_uv=False)[:, 0]
+            values[i + keep] = top
+            best = max(best, top.max())
+    return values
 
 
 def closed_loop_scan(A, B, K, penalties):
@@ -429,6 +447,9 @@ def closed_loop_scan(A, B, K, penalties):
     The peak of GRID_SIZE uniform frequencies is refined by golden section,
     and the refined sample replaces it only when strictly larger, so a flat
     response keeps the first grid peak (an all-pass reports peak_omega = 0).
+    Only grid points whose Frobenius norm can reach the peak get an exact
+    SVD (`_top_singular_values`); the result is bit for bit that of SVDs at
+    every point (test_hinf.py::test_scan_matches_whole_grid_reference).
     ValueError on a shape mismatch or when A - BK is not Schur stable.
     """
     A = np.asarray(A, dtype=float)

@@ -1,5 +1,9 @@
+import gc
 import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -471,3 +475,47 @@ def test_version_flag(capsys):
         run(["--version"])
     assert exc.value.code == 0
     assert capsys.readouterr().out.strip() == mc.__version__
+
+
+def module_command(argv):
+    """`python -m minimaxctrl.cli ARGV` in a fresh interpreter, the exact
+    command a user or the benchmark spawns, with this checkout's package."""
+    src = str(pathlib.Path(cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return subprocess.run([sys.executable, "-m", "minimaxctrl.cli", *argv],
+                          env={**os.environ, "PYTHONPATH": path},
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_module_entry_point_writes_the_pinned_bundle(tmp_path):
+    """The `__main__` path (`cli.run`) exits 0 with fig1's pinned bytes, and
+    a missing config exits 2 with an input error."""
+    done = module_command(["reproduce", CFG, "--scenario", "fig1", "--out-dir", str(tmp_path)])
+    assert done.returncode == 0, done.stderr
+    pinned = {**SHIPPED_BUNDLES["fig1"], "gaps.csv": SHIPPED_GAPS,
+              "certificate.json": SHIPPED_CERTIFICATE}
+    assert {name: sha256_of(tmp_path / name) for name in pinned} == pinned
+
+    done = module_command(["reproduce", str(tmp_path / "nope.json"), "--scenario", "fig1",
+                           "--out-dir", str(tmp_path / "missing")])
+    assert done.returncode == 2
+    assert done.stderr.startswith("input error:")
+
+
+def test_run_freezes_the_collector_and_exits_with_main_code(monkeypatch):
+    """`run` freezes the collector before `main` and exits with its code."""
+    calls = []
+    monkeypatch.setattr(cli.gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 3)
+    with pytest.raises(SystemExit) as exc:
+        cli.run()
+    assert exc.value.code == 3
+    assert calls == ["freeze", "main"]
+
+
+def test_main_leaves_the_collector_unfrozen(tmp_path):
+    """`main` run in process, as tests and the benchmark's traced children
+    do, moves nothing into the permanent generation."""
+    frozen = gc.get_freeze_count()
+    assert run(["reproduce", CFG, "--scenario", "fig1", "--out-dir", str(tmp_path)]) == 0
+    assert gc.get_freeze_count() == frozen

@@ -186,9 +186,11 @@ def test_scan_grid_properties(models, penalties, gamma_stars):
 
 @pytest.mark.parametrize("size", [hinf.GRID_SIZE, 1000])
 def test_blocked_scan_equals_whole_grid(models, penalties, gamma_stars, size):
-    """The scan's blocks of SCAN_BLOCK frequencies give the top singular
-    values of one whole-grid evaluation bit for bit, a partial last block
-    included, for every shipped model's gain."""
+    """For every shipped model's gain, the scan's blocks of SCAN_BLOCK
+    frequencies, a partial last block included, give the top singular value
+    of one whole-grid evaluation bit for bit wherever they compute one; every
+    point they prune (-inf) lies strictly below the whole grid's peak, and
+    the first argmax is the whole grid's."""
     omegas = np.linspace(0.0, np.pi, size)
     for j in range(1, models.size + 1):
         A, B = models.pair(j)
@@ -196,7 +198,87 @@ def test_blocked_scan_equals_whole_grid(models, penalties, gamma_stars, size):
         response = hinf._frequency_response(A, B, K, penalties)
         whole = np.linalg.svd(response(omegas), compute_uv=False)[:, 0]
         blocked = hinf._top_singular_values(response, omegas)
-        assert blocked.tobytes() == whole.tobytes()
+        exact = np.isfinite(blocked)
+        assert blocked[exact].tobytes() == whole[exact].tobytes()
+        assert np.all(blocked[~exact] == -np.inf)
+        assert np.all(whole[~exact] < whole.max())
+        assert np.argmax(blocked) == np.argmax(whole)
+
+
+def whole_grid_scan(response):
+    """closed_loop_scan's peak with an SVD at every grid point: the
+    reference that the pruned scan must match bit for bit."""
+    omegas = np.linspace(0.0, np.pi, hinf.GRID_SIZE)
+    norms = np.linalg.svd(response(omegas), compute_uv=False)[:, 0]
+    ipk = int(np.argmax(norms))
+    peak_omega, peak_norm = float(omegas[ipk]), float(norms[ipk])
+    lo = float(omegas[max(ipk - 1, 0)])
+    hi = float(omegas[min(ipk + 1, hinf.GRID_SIZE - 1)])
+    w_ref, s_ref = hinf._golden_max(
+        lambda w: float(np.linalg.svd(response(w), compute_uv=False)[0]), lo, hi)
+    if s_ref > peak_norm * (1.0 + 1e-12):
+        peak_omega, peak_norm = float(w_ref), float(s_ref)
+    return peak_omega, peak_norm
+
+
+def scan_families(models, penalties):
+    """(A, B, K, penalties) of every system the scan is checked on: each
+    shipped model's design at gamma_bar, 2 gamma_bar, 1e3 and inf (LQR),
+    each draw's models at inf and 50 where feasible, a flat response
+    (A = 0), a normal A peaking between grid points, and A = diag(0.6, -0.6),
+    which peaks at both ends of the grid."""
+    gamma_bar = 143.15347290039062  # test_minimax_cert.py::GAMMA_BAR_PIN
+    cases = [(A, B, sol.K, penalties)
+             for level in (gamma_bar, 2.0 * gamma_bar, 1e3, np.inf)
+             for A, B in (models.pair(j) for j in range(1, models.size + 1))
+             if (sol := mc.solve_riccati(A, B, penalties, level))]
+    for seed, n, m, F in DRAWS:
+        p = mc.Penalties(Q=np.eye(n), R=np.eye(m))
+        cases += [(A, B, sol.K, p) for A, B in seeded_model_set(seed, n, m, F)
+                  for level in (np.inf, 50.0) if (sol := mc.solve_riccati(A, B, p, level))]
+    c, s = np.cos(0.7), np.sin(0.7)
+    p = mc.Penalties(Q=np.eye(2), R=np.eye(1))
+    B, K = np.array([[0.0], [1.0]]), np.zeros((1, 2))
+    cases += [(np.zeros((2, 2)), B, K, p),
+              (0.97 * np.array([[c, -s], [s, c]]), B, K, p),
+              (np.diag([0.6, -0.6]), B, K, p)]
+    return cases
+
+
+def test_scan_matches_whole_grid_reference(models, penalties, monkeypatch):
+    """closed_loop_scan's (peak_omega, peak_norm) is bit for bit that of an
+    SVD at every grid point, on every family of `scan_families`, and on two
+    stand-in responses: two bit-equal grid peaks in different blocks (the
+    first is reported), and a rank-one response, whose Frobenius norms are
+    its singular values, rising by 1e-4 over the grid, so that each block
+    peaks barely above the last (the last grid point is reported)."""
+    cases = scan_families(models, penalties)
+    assert len(cases) > 100
+    for A, B, K, p in cases:
+        scan = mc.closed_loop_scan(A, B, K, p)
+        reference = whole_grid_scan(hinf._frequency_response(A, B, K, p))
+        assert (scan.peak_omega, scan.peak_norm) == reference
+
+    omegas = np.linspace(0.0, np.pi, hinf.GRID_SIZE)
+    first, second = 300, 3000
+    M = np.array([[1.0 + 2.0j, 0.5], [0.25j, -1.0], [0.0, 0.75]])
+    rank_one = np.outer([1.0, 2.0j, -0.5], [0.5 - 1.0j, 1.0])
+
+    def two_peaks(omega):
+        omega = np.asarray(omega)
+        near = lambda k: np.abs(omega - omegas[k]) < 0.5 * (omegas[1] - omegas[0])
+        gain = np.where(near(first) | near(second), 2.0, 1.0 + 0.5 * np.sin(omega))
+        return gain[..., None, None] * M
+
+    def rising(omega):
+        return (1.0 + 1e-4 * np.asarray(omega))[..., None, None] * rank_one
+
+    A, B, p = np.zeros((2, 2)), np.zeros((2, 1)), mc.Penalties(Q=np.eye(2), R=np.eye(1))
+    for response, peak_omega in ((two_peaks, omegas[first]), (rising, np.pi)):
+        monkeypatch.setattr(hinf, "_frequency_response", lambda *args: response)
+        scan = mc.closed_loop_scan(A, B, np.zeros((1, 2)), p)
+        assert (scan.peak_omega, scan.peak_norm) == whole_grid_scan(response)
+        assert scan.peak_omega == peak_omega
 
 
 def test_scan_refines_a_peak_between_grid_points():
