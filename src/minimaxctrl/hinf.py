@@ -276,7 +276,7 @@ def _plan(lo, hi, bisecting, rel_tol, depth):
             + _plan(mid, hi, True, rel_tol, depth - 1))
 
 
-def _level_search(probe, k, Q, rel_tol):
+def _level_search(probe, k, Q, rel_tol, first=None):
     """The smallest level each of k brackets accepts, by doubling then
     bisection in lockstep, and the results there.
 
@@ -287,12 +287,17 @@ def _level_search(probe, k, Q, rel_tol):
     Each call probe(levels, members) gets every level the unfinished
     brackets can reach in the next SEARCH_DEPTH rounds (`_plan`), `members`
     naming each one's bracket, and returns a function giving the result at
-    a position, truthy or falsy with a `reason`.  The search reads only the
+    a position, truthy or falsy with a `reason`.  A non-empty first[i]
+    replaces bracket i's plan in the first call only, so a plan that holds
+    its whole path finishes it in one call.  The search reads only the
     results on each bracket's path, once each and in path order, so every
     result and error is that of the search that probes one level per
-    bracket a round (test_hinf.py::test_level_search_replays_the_sequential_search).
+    bracket a round, whatever the first plans hold
+    (test_hinf.py::test_level_search_replays_the_sequential_search).
     BracketError with the last reason of the first bracket whose GAMMA_MAX
-    is rejected, and without probing if lo >= GAMMA_MAX.
+    is rejected, raised once every bracket before it has accepted a level
+    (so a first plan cannot change which), and without probing if
+    lo >= GAMMA_MAX.
     """
     lo = float(np.sqrt(np.max(np.linalg.eigvalsh(Q))))
     if lo >= GAMMA_MAX:
@@ -300,9 +305,12 @@ def _level_search(probe, k, Q, rel_tol):
                            f"{lo:.6g} is not below it")
     los, his = [lo] * k, [min(max(2.0 * lo, 1.0), GAMMA_MAX)] * k
     found = [None] * k  # the result at his[i] once bracket i has one
+    failed = {}  # bracket -> its BracketError message
 
     def next_level(i):
         """The level bracket i's sequential search probes next; None once done."""
+        if i in failed:
+            return None
         if found[i] is None:
             return his[i]
         return 0.5 * (los[i] + his[i]) if his[i] - los[i] > rel_tol * his[i] else None
@@ -311,11 +319,12 @@ def _level_search(probe, k, Q, rel_tol):
     while members:
         levels, owners, planned = [], [], {}  # planned[i]: level -> position
         for i in members:
-            plan = _plan(los[i], his[i], found[i] is not None, rel_tol, SEARCH_DEPTH)
+            plan = ((first and first[i])
+                    or _plan(los[i], his[i], found[i] is not None, rel_tol, SEARCH_DEPTH))
             planned[i] = {level: len(levels) + j for j, level in enumerate(plan)}
             levels += plan
             owners += [i] * len(plan)
-        result_at = probe(levels, owners)
+        result_at, first = probe(levels, owners), None
         for i in members:
             while (level := next_level(i)) in planned[i]:
                 result = result_at(planned[i].pop(level))
@@ -324,12 +333,59 @@ def _level_search(probe, k, Q, rel_tol):
                 elif found[i] is not None:
                     los[i] = level
                 elif level >= GAMMA_MAX:
-                    raise BracketError(f"no feasible level up to {GAMMA_MAX:.3g} "
-                                       f"(last reason: {result.reason})")
+                    failed[i] = (f"no feasible level up to {GAMMA_MAX:.3g} "
+                                 f"(last reason: {result.reason})")
                 else:
                     his[i] = min(2.0 * level, GAMMA_MAX)
+            if failed and all(found[h] is not None for h in range(min(failed))):
+                raise BracketError(failed[min(failed)])
         members = [i for i in members if next_level(i) is not None]
     return his, found
+
+
+def _symplectic_probe(A, B, penalties):
+    """A `_level_search` probe that predicts `_solve_stack`'s verdicts for a
+    stack A (k, n, n), B (k, n, m); None when some A is singular.
+
+    The stabilizing solution of the game Riccati equation spans the stable
+    invariant subspace [U1; U2] of the symplectic matrix
+    Z = [[A + G A^-T Q, -G A^-T], [-A^-T Q, A^-T]] as M = U2 U1^-1
+    (Pappas, Laub & Sandell, IEEE TAC 1980).  Z is affine in gamma^-2, so
+    each call is one stacked eig of every level: a level is predicted
+    feasible when n eigenvalues lie inside the unit circle and n outside,
+    each 1e-9 clear of it, and M is finite with M > 0 and I - gamma^-2 M > 0.
+    Falsy predictions are Infeasible.  The probe raises LinAlgError when
+    eig or the solve for M does.
+    """
+    Q = penalties.Q
+    n, _ = _check_shapes(A[0], B[0], Q, penalties.R)
+    with np.errstate(all="ignore"):
+        try:
+            AiT = np.linalg.inv(A).swapaxes(1, 2)
+        except np.linalg.LinAlgError:
+            return None
+        G = B @ np.linalg.solve(penalties.R, B.swapaxes(1, 2))
+        AiTQ, zero = AiT @ Q, np.zeros(A.shape)
+        Z0 = np.block([[A + G @ AiTQ, -G @ AiT], [-AiTQ, AiT]])
+        Z1 = np.block([[-AiTQ, AiT], [zero, zero]])  # Z = Z0 + gamma^-2 Z1
+
+    def probe(levels, members):
+        ginv2 = np.array([g ** -2 for g in levels])
+        with np.errstate(all="ignore"):
+            lam, V = np.linalg.eig(Z0[members] + ginv2[:, None, None] * Z1[members])
+            radius = np.abs(lam)
+            inner, outer = np.sort(radius, axis=1)[:, n - 1:n + 1].T
+            split = (inner < 1.0 - 1e-9) & (outer > 1.0 + 1e-9)
+            U = np.take_along_axis(V, np.argsort(radius, axis=1)[:, None, :n], axis=2)
+            MT = np.linalg.solve(U[:, :n].swapaxes(1, 2), U[:, n:].swapaxes(1, 2))
+            M = 0.5 * (MT.real + MT.real.swapaxes(1, 2))
+            ok = split & np.isfinite(M).all(axis=(1, 2))
+            M[~ok] = 0.0
+            w = np.linalg.eigvalsh(M)  # M > 0 and I - gamma^-2 M > 0 from its extremes
+            ok &= (w[:, 0] > 0.0) & (ginv2 * w[:, -1] < 1.0)
+        return lambda j: True if ok[j] else Infeasible("predicted infeasible by the symplectic test")
+
+    return probe
 
 
 def gamma_stars(A, B, penalties):
@@ -337,12 +393,36 @@ def gamma_stars(A, B, penalties):
     B (k, n, m) as a list: `_level_search` at BISECT_REL_TOL, each probe one
     `_solve_stack` of every planned level, so each gamma* is bit for bit its
     model's search alone (test_hinf.py::test_gamma_stars_match_one_model_searches).
+    The first call probes the paths that `_level_search` takes on
+    `_symplectic_probe`'s predictions (none when it is None or raises
+    LinAlgError): a right prediction ends each search in one `_solve_stack`, and
+    a wrong one costs calls, never a bit
+    (test_hinf.py::test_gamma_stars_plan_one_call_per_model and
+    test_hinf.py::test_gamma_stars_without_or_against_the_plan).
     BracketError if even GAMMA_MAX is infeasible for one (e.g. an
     unstabilizable pair)."""
+    paths = [[] for _ in A]
+    planner = _symplectic_probe(A, B, penalties) if len(A) else None
+
+    def plan(levels, members):
+        predicted = planner(levels, members)
+
+        def result_at(j):
+            paths[members[j]].append(levels[j])
+            return predicted(j)
+        return result_at
+
     def probe(levels, members):
         return _solve_stack(A[members], B[members], penalties, levels).__getitem__
 
-    return _level_search(probe, len(A), penalties.Q, BISECT_REL_TOL)[0]
+    if planner is not None:
+        try:
+            _level_search(plan, len(A), penalties.Q, BISECT_REL_TOL)
+        except BracketError:
+            pass  # the paths up to GAMMA_MAX are kept
+        except np.linalg.LinAlgError:
+            paths = None
+    return _level_search(probe, len(A), penalties.Q, BISECT_REL_TOL, paths)[0]
 
 
 def optimal_attenuation(A, B, penalties):

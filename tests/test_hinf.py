@@ -503,31 +503,81 @@ def brackets(draw):
     return lo, draw(st.lists(threshold, min_size=1, max_size=4))
 
 
+def sequential_path(lo, threshold, rel_tol, flip=None):
+    """The levels one bracket's search alone probes, from lo against
+    `threshold`, with the verdict at position `flip` of its path inverted."""
+    probed = []
+
+    def probe(levels, members):
+        def result_at(j):
+            probed.append(levels[0])
+            if (levels[0] >= threshold) != (len(probed) - 1 == flip):
+                return True
+            return hinf.Infeasible("rejected")
+        return result_at
+
+    level_search_reference(probe, 1, np.array([[lo ** 2]]), rel_tol)
+    return probed
+
+
+@st.composite
+def first_plan(draw, lo, threshold, rel_tol):
+    """A first-round plan for one bracket: none, its exact path, the path
+    after one flipped verdict, levels of its doubling ladder and bisection
+    tree, or levels that no search probes (lo, below lo, above GAMMA_MAX)."""
+    path = sequential_path(lo, threshold, rel_tol)
+    kind = draw(st.sampled_from(["none", "exact", "flipped", "tree", "off-path"]))
+    if kind == "none":
+        return []
+    if kind == "exact":
+        return path
+    if kind == "flipped":
+        return sequential_path(lo, threshold, rel_tol, draw(st.integers(0, len(path) - 1)))
+    if kind == "tree":
+        hi = min(max(2.0 * lo, 1.0), hinf.GAMMA_MAX)
+        tree = hinf._plan(lo, hi, False, rel_tol, 20) + hinf._plan(lo, path[-1], True, rel_tol, 5)
+        return draw(st.lists(st.sampled_from(tree), min_size=1, max_size=20))
+    return draw(st.lists(st.sampled_from([0.5 * lo, lo, 2.0 * hinf.GAMMA_MAX]), min_size=1))
+
+
+def search_outcome(probe, k, Q, rel_tol, first=None):
+    """`_level_search`'s (level, result) per bracket, or its error text."""
+    try:
+        return list(zip(*hinf._level_search(probe, k, Q, rel_tol, first)))
+    except mc.BracketError as error:
+        return str(error)
+
+
 @settings(max_examples=100, deadline=None)
-@given(case=brackets(), rel_tol=st.sampled_from([1e-4, 1e-5]))
-def test_level_search_replays_the_sequential_search(case, rel_tol):
+@given(case=brackets(), rel_tol=st.sampled_from([1e-4, 1e-5]), data=st.data())
+def test_level_search_replays_the_sequential_search(case, rel_tol, data):
     """Same levels, results and error text as each bracket's search alone,
-    with every probe call covering up to SEARCH_DEPTH rounds."""
+    with every probe call covering up to SEARCH_DEPTH rounds, whatever first
+    round plan each bracket has (`first_plan`); with every bracket's exact
+    path as its plan, in one probe call."""
     lo, thresholds = case
     k, Q = len(thresholds), np.array([[lo ** 2]])
-    alone, probe = Probe(*thresholds), Probe(*thresholds)
+    alone = Probe(*thresholds)
     outcomes = level_search_reference(alone, k, Q, rel_tol)
     errors = [i for i, outcome in enumerate(outcomes) if isinstance(outcome, str)]
-    if errors:
-        with pytest.raises(mc.BracketError) as info:
-            hinf._level_search(probe, k, Q, rel_tol)
-        assert str(info.value) == outcomes[errors[0]]
-        assert probe.levels_of(errors[0]) == alone.levels_of(errors[0])
-    else:
-        levels, results = hinf._level_search(probe, k, Q, rel_tol)
-        assert list(zip(levels, results)) == outcomes
-    for i in range(k):
-        consumed = probe.levels_of(i)
-        assert consumed == alone.levels_of(i)[:len(consumed)]
-        if not errors:
-            assert consumed == alone.levels_of(i)
-    rounds = max(len(alone.levels_of(i)) for i in range(k))
-    assert len(probe.calls) <= rounds
+    plans = [data.draw(first_plan(lo, t, rel_tol)) for t in thresholds]
+    exact = [alone.levels_of(i) for i in range(k)]
+    rounds = max(len(path) for path in exact)
+    for first in (None, plans, exact):
+        probe = Probe(*thresholds)
+        outcome = search_outcome(probe, k, Q, rel_tol, first)
+        if errors:
+            assert outcome == outcomes[errors[0]]
+            assert probe.levels_of(errors[0]) == alone.levels_of(errors[0])
+        else:
+            assert outcome == outcomes
+        for i in range(k):
+            consumed = probe.levels_of(i)
+            assert consumed == alone.levels_of(i)[:len(consumed)]
+            if not errors:
+                assert consumed == alone.levels_of(i)
+        assert len(probe.calls) <= rounds + (first is not None)  # a first plan may miss
+    assert len(probe.calls) == 1
 
 
 def stack_of(pairs):
@@ -887,3 +937,115 @@ def test_gamma_star_search_call_budget(models, penalties, monkeypatch):
             assert result.iterations < hinf.RICCATI_BUDGET
         else:
             assert "did not converge" not in result.reason
+
+
+def counted_solves(monkeypatch):
+    """List that grows by one entry, the levels, per `_solve_stack` call."""
+    calls, original = [], hinf._solve_stack
+
+    def counted(A, B, penalties, levels):
+        calls.append(list(levels))
+        return original(A, B, penalties, levels)
+
+    monkeypatch.setattr(hinf, "_solve_stack", counted)
+    return calls
+
+
+@pytest.mark.parametrize("draw", [None] + DRAWS,
+                         ids=["shipped"] + [f"draw{d[0]}" for d in DRAWS])
+def test_gamma_stars_plan_one_call_per_model(models, penalties, draw, monkeypatch):
+    """The symplectic planner predicts every verdict on each model's path:
+    `optimal_attenuation` makes one `_solve_stack` call per model, and on
+    the shipped set `gamma_stars` makes one for the whole stack."""
+    if draw is None:
+        A, B, p = models.A, models.B, penalties
+    else:
+        seed, n, m, F = draw
+        A, B = stack_of(seeded_model_set(seed, n, m, F))
+        p = mc.Penalties(Q=np.eye(n), R=np.eye(m))
+    calls = counted_solves(monkeypatch)
+    for i in range(len(A)):
+        mc.optimal_attenuation(A[i], B[i], p)
+        assert len(calls) == i + 1, i
+    if draw is None:
+        calls.clear()
+        hinf.gamma_stars(A, B, p)
+        assert len(calls) == 1
+
+
+def flipping_planner(at):
+    """`_symplectic_probe` with the verdict of the `at`-th result that the
+    planning search reads inverted."""
+    original, read = hinf._symplectic_probe, []
+
+    def planner(A, B, penalties):
+        predict = original(A, B, penalties)
+
+        def probe(levels, members):
+            predicted = predict(levels, members)
+
+            def result_at(j):
+                read.append(j)
+                verdict = predicted(j)
+                if len(read) - 1 != at:
+                    return verdict
+                return hinf.Infeasible("flipped") if verdict else True
+            return result_at
+        return probe
+    return planner
+
+
+def stars_or_error(A, B, p):
+    """gamma_stars' levels as hex, or its BracketError text."""
+    try:
+        return [star.hex() for star in hinf.gamma_stars(A, B, p)]
+    except mc.BracketError as error:
+        return str(error)
+
+
+def test_gamma_stars_without_or_against_the_plan(models, penalties, monkeypatch):
+    """No plan (a singular A, or a planner that returns None or whose eig
+    raises) and a plan with one wrong verdict give the levels and errors,
+    bit for bit, of the search planned without prediction; a wrong verdict
+    costs a `_solve_stack` call.  An unstabilizable pair's ladder to
+    GAMMA_MAX is planned and takes one call."""
+    c, s = np.cos(0.7), np.sin(0.7)
+    p1, p2 = scalar_penalties(), mc.Penalties(Q=np.eye(2), R=np.eye(1))
+    b2 = np.array([[0.0], [1.0]])
+    unstabilizable = (np.stack([models.A[0], 2.0 * np.eye(3)]),
+                      np.stack([models.B[0], np.zeros((3, 1))]), penalties)
+    cases = [(np.zeros((1, 2, 2)), b2[None], p2),
+             (np.outer([1.0, 2.0], [0.5, -1.0])[None], b2[None], p2),
+             (np.array([[[0.5]]]), np.zeros((1, 1, 1)), p1),
+             ((0.97 * np.array([[c, -s], [s, c]]))[None], b2[None], p2),
+             (2.0 * np.eye(3)[None], np.zeros((1, 3, 1)), penalties),
+             unstabilizable,
+             (models.A, models.B, penalties)]
+    calls, planned, counts = counted_solves(monkeypatch), [], []
+    for case in cases:
+        calls.clear()
+        planned.append(stars_or_error(*case))
+        counts.append(len(calls))
+    assert planned[2] == [(2.0).hex()]
+    assert planned[5] == ("no feasible level up to 1e+06 (last reason: "
+                          "Riccati iterates fell at doubling 5 (gamma=1e+06))")
+    # a BracketError of the planning search keeps the ladder to GAMMA_MAX
+    assert counts[3:] == [1, 1, 1, 1]
+
+    for case, flip in ((6, 3), (6, 40), (5, 0)):  # the shipped set, the unstabilizable pair
+        with monkeypatch.context() as patched:
+            patched.setattr(hinf, "_symplectic_probe", flipping_planner(flip))
+            calls.clear()
+            assert stars_or_error(*cases[case]) == planned[case]
+            assert len(calls) >= 2
+
+    def eig_fails(Z):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    with monkeypatch.context() as patched:
+        patched.setattr(np.linalg, "eig", eig_fails)
+        assert [stars_or_error(*case) for case in cases] == planned
+    monkeypatch.setattr(hinf, "_symplectic_probe", lambda *args: None)
+    assert [stars_or_error(*case) for case in cases] == planned
+    monkeypatch.undo()
+    assert hinf.gamma_stars(np.empty((0, 2, 2)), np.empty((0, 2, 1)), p2) == []

@@ -1,4 +1,5 @@
-"""The repository tools: line counts of src/ and the paired benchmark record."""
+"""The repository tools: line counts of src/ and the paired benchmark record,
+and the pytest configuration that tier-1 runs under."""
 import importlib.util
 import pathlib
 import subprocess
@@ -6,7 +7,8 @@ import sys
 
 import pytest
 
-TOOLS = pathlib.Path(__file__).resolve().parents[1] / "tools"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TOOLS = ROOT / "tools"
 
 
 def load(name):
@@ -44,3 +46,27 @@ def test_bench_claim_needs_nine_of_ten_pairs_and_a_gap_above_the_iqr():
     assert not bench.verdict(record(faster[:8] + parent[8:]), "wall_ref", "lower")
     # lower in every pair, by less than the parent's IQR of 0.175
     assert not bench.verdict(record([p - 0.1 for p in parent]), "wall_ref", "lower")
+
+
+def test_a_failing_hypothesis_test_does_not_end_the_session(tmp_path):
+    """Under the repository's pytest configuration, which turns warnings into
+    errors, a failing @given test is reported as one failure and the tests
+    after it still run: Hypothesis's failure report raises a third-party
+    DeprecationWarning that would otherwise end the session as an
+    INTERNALERROR."""
+    (tmp_path / "test_module.py").write_text(
+        "from hypothesis import given, settings, strategies as st\n"
+        "\n"
+        "@settings(max_examples=5, database=None)\n"
+        "@given(st.integers())\n"
+        "def test_fails(x):\n"
+        "    assert x != x\n"
+        "\n"
+        "def test_passes():\n"
+        "    pass\n")
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_module.py"],
+        cwd=tmp_path, capture_output=True, text=True)
+    assert "INTERNALERROR" not in run.stdout + run.stderr
+    assert run.returncode == 1 and "1 failed, 1 passed" in run.stdout.splitlines()[-1]
