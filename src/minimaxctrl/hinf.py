@@ -27,8 +27,7 @@ FEAS_MARGIN = 1e-10
 BISECT_REL_TOL = 1e-5
 SEARCH_DEPTH = 3  # rounds of the sequential level search probed per call
 GAMMA_MAX = 1e6
-GRID_SIZE = 4096
-SCAN_BLOCK = 256  # frequencies per response evaluation of the grid scan
+LEVEL_TOL = 1e-10  # closed_loop_scan: relative accuracy of the peak
 
 
 class BracketError(RuntimeError):
@@ -435,39 +434,22 @@ def optimal_attenuation(A, B, penalties):
 class FrequencyScan:
     """Peak of the weighted closed loop's largest singular value over [0, pi].
 
-    `peak_norm` is the largest value found and `peak_omega` the first
-    frequency attaining it.
+    `peak_norm` is the largest singular value of the response at
+    `peak_omega`, bit for bit as `_frequency_response` and an SVD give it,
+    and no frequency exceeds it by a factor 1 + 2 LEVEL_TOL (up to the
+    rounding of the Hamiltonian's eigenvalues).  Ties go to the earlier
+    candidate: the lowest seed frequency with the largest seed value, which
+    a midpoint replaces only when strictly larger, so a flat response (an
+    all-pass) reports peak_omega = 0.
     """
 
     peak_omega: float
     peak_norm: float
 
 
-def _golden_max(fun, lo, hi, tol=1e-12, max_iter=200):
-    """Golden-section maximization of a unimodal scalar function."""
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = fun(c), fun(d)
-    for _ in range(max_iter):
-        if b - a <= tol:
-            break
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = fun(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = fun(d)
-    if fc >= fd:
-        return c, fc
-    return d, fd
-
-
 def _frequency_response(A, B, K, penalties):
-    """The map omega -> [Q^(1/2); R^(1/2) K] (e^(j omega) I - A + B K)^-1.
+    """The map omega -> C (e^(j omega) I - Acl)^-1 with Acl = A - B K and
+    C = [Q^(1/2); R^(1/2) K]; the map carries Acl and C as attributes.
 
     omega may be a scalar or an array (one response per entry).  Raises
     ValueError if A - BK is not Schur stable (spectral radius must stay
@@ -488,48 +470,28 @@ def _frequency_response(A, B, K, penalties):
         z = np.exp(1j * np.asarray(omega))[..., None, None] * eye - Acl
         return C @ np.linalg.solve(z, np.broadcast_to(eye, z.shape))
 
+    response.Acl, response.C = Acl, C
     return response
 
 
-def _top_singular_values(response, omegas):
-    """Largest singular value of response(omega) for each omega that can be
-    the peak, -inf for the others; SCAN_BLOCK frequencies at a time.
-
-    sigma_max <= |H|_F, so only a point whose Frobenius norm, times
-    1 + 1e-9 for rounding, reaches `best` gets an exact SVD: `best` is the
-    largest exact value so far, seeded with the first block's Frobenius
-    argmax.  Every other point lies strictly below the peak, so the first
-    argmax and its value are the whole grid's.  Each frequency is its own
-    solve and SVD item, so every exact value is the whole grid's bit for bit
-    (test_hinf.py::test_blocked_scan_equals_whole_grid), and a flat response
-    gets an SVD at every point.
-    """
-    values = np.full(len(omegas), -np.inf)
-    for i in range(0, len(omegas), SCAN_BLOCK):
-        H = response(omegas[i:i + SCAN_BLOCK])
-        fro = np.linalg.norm(H, axis=(1, 2))
-        if i == 0:
-            j = int(np.argmax(fro))
-            best = np.linalg.svd(H[j:j + 1], compute_uv=False)[0, 0]
-        keep = np.flatnonzero(fro * (1.0 + 1e-9) >= best)
-        if keep.size:
-            top = np.linalg.svd(H[keep], compute_uv=False)[:, 0]
-            values[i + keep] = top
-            best = max(best, top.max())
-    return values
-
-
 def closed_loop_scan(A, B, K, penalties):
-    """Peak over [0, pi] of the largest singular value of the closed loop
-    u = -Kx, [Q^(1/2); R^(1/2) K] (e^(j w) I - A + B K)^-1, for A (n, n),
-    B (n, m) and K (m, n).
+    """The H-infinity norm over [0, pi] of the closed loop u = -Kx,
+    [Q^(1/2); R^(1/2) K] (e^(j w) I - A + B K)^-1, for A (n, n), B (n, m)
+    and K (m, n), as a FrequencyScan.
 
-    The peak of GRID_SIZE uniform frequencies is refined by golden section,
-    and the refined sample replaces it only when strictly larger, so a flat
-    response keeps the first grid peak (an all-pass reports peak_omega = 0).
-    Only grid points whose Frobenius norm can reach the peak get an exact
-    SVD (`_top_singular_values`); the result is bit for bit that of SVDs at
-    every point (test_hinf.py::test_scan_matches_whole_grid_reference).
+    The seeds are omega = 0, pi and the angles of the poles of A - BK.  The
+    level-set iteration (Boyd, Balakrishnan & Kabamba, Math. Control
+    Signals Systems 1989; Bruinsma & Steinbuch, Systems & Control Letters
+    1990) then raises the peak.  The Cayley transform s = (z - 1)/(z + 1)
+    maps the loop to a continuous-time one whose Hamiltonian at level g has
+    the eigenvalue j tan(omega/2) exactly where g is a singular value at
+    omega.  At g = peak (1 + 2 LEVEL_TOL) the eigenvalues with imaginary
+    part > 0 and real part at most LEVEL_TOL times the spectrum's largest
+    modulus are taken as those; the midpoints between consecutive ones are
+    evaluated, and the largest value replaces the peak.  The iteration
+    stops when fewer than two remain or no midpoint is larger.  The map is
+    ill-conditioned near s = inf (omega = pi), so the iteration runs again,
+    from the peak so far, on -(A - BK), whose s = 0 is omega = pi.
     ValueError on a shape mismatch or when A - BK is not Schur stable.
     """
     A = np.asarray(A, dtype=float)
@@ -539,21 +501,40 @@ def closed_loop_scan(A, B, K, penalties):
     if K.shape != (m, n):
         raise ValueError(f"K must be {m} x {n}, got {K.shape}")
     response = _frequency_response(A, B, K, penalties)
+    eye = np.eye(n)
 
-    omegas = np.linspace(0.0, np.pi, GRID_SIZE)
-    norms = _top_singular_values(response, omegas)
+    def sigma(omegas):
+        return np.linalg.svd(response(omegas), compute_uv=False)[:, 0]
 
-    ipk = int(np.argmax(norms))
-    peak_omega = float(omegas[ipk])
-    peak_norm = float(norms[ipk])
-
-    def sigma_at(w):
-        return float(np.linalg.svd(response(w), compute_uv=False)[0])
-
-    lo = float(omegas[max(ipk - 1, 0)])
-    hi = float(omegas[min(ipk + 1, GRID_SIZE - 1)])
-    w_ref, s_ref = _golden_max(sigma_at, lo, hi)
-    if s_ref > peak_norm * (1.0 + 1e-12):
-        peak_omega, peak_norm = float(w_ref), float(s_ref)
+    angles = np.abs(np.angle(np.linalg.eigvals(response.Acl)))
+    omegas = np.sort(np.concatenate([[0.0, np.pi], angles]))
+    values = sigma(omegas)
+    j = int(np.argmax(values))
+    peak_omega, peak_norm = float(omegas[j]), float(values[j])
+    for sign, offset in ((1.0, 0.0), (-1.0, np.pi)):
+        # The Cayley image of (sign Acl, I, C, 0) is (I - 2E, sqrt(2) E,
+        # sqrt(2) F, -F) with E = (I + sign Acl)^-1 and F = C E.  Its
+        # Hamiltonian reduces to the blocks below, with W = F'F and
+        # T = (g^2 I - W)^-1; sigma_max(F) is the response at the far end,
+        # omega = pi - offset, a seed, so g^2 I - W > 0
+        E = np.linalg.inv(eye + sign * response.Acl)
+        F = response.C @ E
+        W = F.T @ F
+        while True:
+            g2 = (peak_norm * (1.0 + 2.0 * LEVEL_TOL)) ** 2
+            T = np.linalg.inv(g2 * eye - W)
+            X = eye - 2.0 * g2 * E @ T
+            lam = np.linalg.eigvals(np.block([[X, 2.0 * E @ T @ E.T],
+                                              [-2.0 * g2 * W @ T, -X.T]]))
+            on_axis = np.abs(lam.real) <= LEVEL_TOL * np.abs(lam).max()
+            nu = np.sort(lam.imag[on_axis & (lam.imag > 0.0)])
+            if nu.size < 2:
+                break
+            omegas = offset + sign * 2.0 * np.arctan(0.5 * (nu[1:] + nu[:-1]))
+            values = sigma(omegas)
+            j = int(np.argmax(values))
+            if values[j] <= peak_norm:
+                break
+            peak_omega, peak_norm = float(omegas[j]), float(values[j])
 
     return FrequencyScan(peak_omega=peak_omega, peak_norm=peak_norm)
