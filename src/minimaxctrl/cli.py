@@ -23,10 +23,11 @@ from .disturbance import DisturbanceSpec, peak_sinusoid_spec, validate_spec
 from .fileio import atomic_write_text, svg_line_chart, write_csv
 from .hinf import BracketError, checked_level, gamma_stars, solve_riccati
 from .minimax_cert import (
+    _checked_search,
+    _checked_synthesis,
     load_certificate,
     minimal_feasible_gamma,
     save_certificate,
-    synthesize_certificate,
     value_bound,
     verify_certificate,
 )
@@ -92,14 +93,13 @@ def cmd_synth_minimax(args):
     gamma = None if args.gamma is None else checked_level(args.gamma, "--gamma")
     out_dir = _out_dir(args)
     if gamma is not None:
-        cert = synthesize_certificate(ms, p, gamma)
+        cert, check = _checked_synthesis(ms, p, gamma)
         if not cert:
             print(f"infeasible at gamma={args.gamma:g}: {cert.reason}", file=sys.stderr)
             return EXIT_INFEASIBLE
     else:
-        _, cert = minimal_feasible_gamma(ms, p)
+        _, cert, check = _checked_search(ms, p)
 
-    check = verify_certificate(ms, p, cert)
     stars = gamma_stars(ms.A, ms.B, p)
     gaps = suboptimality_gaps(cert.gamma_bar, stars)
     print(f"gamma_bar={cert.gamma_bar:.6g}  "

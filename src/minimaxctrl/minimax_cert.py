@@ -183,15 +183,21 @@ def synthesize_certificate(ms, penalties, gamma):
     0 < P < gamma^2 I, or a family that `verify_certificate` rejects (its
     worst violation and triple).
     """
+    return _checked_synthesis(ms, penalties, gamma)[0]
+
+
+def _checked_synthesis(ms, penalties, gamma):
+    """(`synthesize_certificate`'s result, the CertificateCheck that accepted
+    it or None)."""
     gamma = float(gamma)
     cert = _family(ms, penalties, gamma, _solve_stack(ms.A, ms.B, penalties, [gamma] * ms.size))
     if not cert:
-        return cert
+        return cert, None
     check = verify_certificate(ms, penalties, cert)
     if not check.feasible:
         return _fails_verification(gamma, "worst violation", check.worst_violation,
-                                   check.worst_triple)
-    return cert
+                                   check.worst_triple), None
+    return cert, check
 
 
 def _fails_verification(gamma, what, violation, triple):
@@ -268,6 +274,12 @@ def minimal_feasible_gamma(ms, penalties):
     rejection's reason names the screened triple's violation, and surfaces
     only as a BracketError's last reason.
     """
+    return _checked_search(ms, penalties)[:2]
+
+
+def _checked_search(ms, penalties):
+    """(gamma_bar, certificate, the CertificateCheck that accepted it) of
+    `minimal_feasible_gamma`."""
     F = ms.size
     failed_at = None  # worst triple (1-based) of the last failed full verification
 
@@ -282,7 +294,7 @@ def minimal_feasible_gamma(ms, penalties):
                 return _fails_verification(gamma, "violation", slack, failed_at)
         check = verify_certificate(ms, penalties, cert)
         if check.feasible:
-            return cert
+            return cert, check
         failed_at = check.worst_triple
         return _fails_verification(gamma, "worst violation", check.worst_violation, failed_at)
 
@@ -292,8 +304,8 @@ def minimal_feasible_gamma(ms, penalties):
                                [g for g in levels for _ in range(F)])
         return lambda j: certify(levels[j], designs[j * F:(j + 1) * F])
 
-    gs, certs = _level_search(probe, 1, penalties.Q, GAMMA_BAR_REL_TOL)
-    return gs[0], certs[0]
+    gs, accepted = _level_search(probe, 1, penalties.Q, GAMMA_BAR_REL_TOL)
+    return (gs[0], *accepted[0])
 
 
 def value_bound(cert, x0):

@@ -20,6 +20,8 @@ from .policies import hinf_step, minimax_step, update_residuals
 DIVERGENCE_LIMIT = 1e12
 # the longest block of steps played on one selection between residual folds
 BLOCK_CAP = 1024
+# the steps a block plays between copies out of the rollout's play buffer
+_CHUNK = 64
 
 
 class DivergedRollout(RuntimeError):
@@ -113,13 +115,17 @@ def rollout(cfg, controller, disturbance=None):
     (test_simulate.py::test_long_gaussian_rollout_steps_near_textbook).
     Blocks of steps double up to BLOCK_CAP and restart at 1 after a switch,
     which discards the rest of its block, so at most 2T steps are computed
-    (test_simulate.py::test_block_work_is_bounded).  ValueError on a shape
-    mismatch or a feedback disturbance of the other loop; DivergedRollout
-    at the first kept state whose squared norm exceeds DIVERGENCE_LIMIT**2
-    or that is not finite.
+    (test_simulate.py::test_block_work_is_bounded).  Steps are played in one
+    buffer of min(T, _CHUNK) + 1 rows, through row views made once per
+    rollout, and copied out _CHUNK steps at a time, so memory beyond x, u
+    and w does not grow with T; the seams are the reference loop's bits
+    too (test_simulate.py::test_chunk_seams_match_reference_loop).
+    ValueError on a shape mismatch or a feedback disturbance of the other
+    loop; DivergedRollout at the first kept state whose squared norm
+    exceeds DIVERGENCE_LIMIT**2 or that is not finite.
     """
     ms = cfg.model_set
-    T, n = cfg.horizon, ms.n
+    T, n, m = cfg.horizon, ms.n, ms.m
     A, B = ms.pair(cfg.true_index)
 
     adaptive = isinstance(controller, MinimaxCertificate)
@@ -127,9 +133,9 @@ def rollout(cfg, controller, disturbance=None):
         check_gains_shape(controller, ms)
     else:
         controller = np.asarray(controller, dtype=float)
-        if controller.shape != (ms.m, n):
+        if controller.shape != (m, n):
             raise ValueError(
-                f"gain must be ({ms.m}, {n}), got {controller.shape}"
+                f"gain must be ({m}, {n}), got {controller.shape}"
             )
 
     if disturbance is None:
@@ -149,12 +155,14 @@ def rollout(cfg, controller, disturbance=None):
             )
 
     x = np.zeros((T + 1, n))
-    u = np.zeros((T, ms.m))
+    u = np.zeros((T, m))
     x[0] = cfg.x0
     # a fixed gain is a one-gain stack whose selection never moves
     neg_gains = -(controller.gains if adaptive else controller[None])
     Z = np.hstack([A, B, np.eye(n)])
-    rows = np.empty((BLOCK_CAP + 1, Z.shape[1]))
+    rows = np.empty((min(T, _CHUNK) + 1, Z.shape[1]))
+    steps = list(zip(rows[:-1], rows[:-1, :n], rows[:-1, n:n + m],
+                     rows[:-1, n + m:], rows[1:, :n]))
 
     # residuals of the block being played; row 0 is the last kept step's
     alpha = np.zeros((BLOCK_CAP + 1, ms.size)) if adaptive else None
@@ -170,7 +178,7 @@ def rollout(cfg, controller, disturbance=None):
                 u[k], sel = minimax_step(controller, alpha[0], x[k])
             else:
                 u[k], sel = hinf_step(controller, x[k]), 1
-            _play_block(Z, neg_gains[sel - 1], law, rows, x, u, w, k, end)
+            _play_block(Z, neg_gains[sel - 1], law, rows, steps, x, u, w, k, end)
             stop = end
             if adaptive:
                 alpha[1:end - k + 1] = update_residuals(
@@ -210,36 +218,48 @@ def paired_rollouts(cfg, cert, gain):
     return rollout(cfg, cert, disturbance=fixed.w), fixed
 
 
-def _play_block(Z, neg_gain, law, rows, x, u, w, k, end):
+def _play_block(Z, neg_gain, law, rows, steps, x, u, w, k, end):
     """Steps k .. end-1 of x+ = Z [x; u; w], Z = [A B I], under u = neg_gain x,
-    u[k] already set, then copied out to x and u (and w for a feedback law).
+    u[k] already set, copied out to x and u (and w for a feedback law).
 
-    Step j is played in row j of `rows`, [x_j | u_j | w_j]: the gain product
-    and a feedback law write its u and w parts, and Z.dot(row_j,
-    out=row_{j+1}[:n]) the next state, so the loop allocates nothing.
-    ndarray.dot is @ with less dispatch; for n = 1 the gain product
-    multiplies directly, which can flip an exact zero's sign.
+    `rows` is the rollout's play buffer, a row [x_j | u_j | w_j] per step,
+    and steps[j] its views (row_j, x_j, u_j, w_j, x_{j+1}), made once per
+    rollout.  The block is played _CHUNK steps at a time: the gain product
+    and a feedback law write u_j and w_j, Z.dot(row_j, out=x_{j+1}) the
+    next state, and after each chunk its rows are copied out and its last
+    state carried into row 0.  ndarray.dot is @ with less dispatch; for
+    n = 1 the gain product multiplies directly, which can flip an exact
+    zero's sign.
     """
-    n, m, s = x.shape[1], u.shape[1], end - k
-    block = rows[:s + 1]
-    block[0, :n] = x[k]
-    block[0, n:n + m] = u[k]
-    if law is None:
-        block[:s, n + m:] = w[k:end]
+    n, m = x.shape[1], u.shape[1]
     z_dot, k_dot = Z.dot, neg_gain.dot
-    xj = block[0, :n]
-    steps = zip(block[:s], block[1:, :n], block[:s, n:n + m], block[:s, n + m:])
-    for j, (row, xn, uj, wj) in enumerate(steps):
-        if j:
-            k_dot(xj, out=uj)
+    rows[0, :n] = x[k]
+    rows[0, n:n + m] = u[k]
+    first = 1  # the block's first step has its u
+    for i in range(k, end, _CHUNK):
+        s = min(_CHUNK, end - i)
+        if law is None:
+            rows[:s, n + m:] = w[i:i + s]
+        if first:
+            row, xj, uj, wj, xn = steps[0]
+            if law is not None:
+                law(xj, uj, wj)
+            z_dot(row, out=xn)
+        if law is None:
+            for row, xj, uj, _, xn in steps[first:s]:
+                k_dot(xj, out=uj)
+                z_dot(row, out=xn)
+        else:
+            for row, xj, uj, wj, xn in steps[first:s]:
+                k_dot(xj, out=uj)
+                law(xj, uj, wj)
+                z_dot(row, out=xn)
+        x[i + 1:i + s + 1] = rows[1:s + 1, :n]
+        u[i:i + s] = rows[:s, n:n + m]
         if law is not None:
-            law(xj, uj, wj)
-        z_dot(row, out=xn)
-        xj = xn
-    x[k + 1:end + 1] = block[1:, :n]
-    u[k + 1:end] = block[1:s, n:n + m]
-    if law is not None:
-        w[k:end] = block[:s, n + m:]
+            w[i:i + s] = rows[:s, n + m:]
+        rows[0, :n] = rows[s, :n]
+        first = 0
 
 
 def accumulated_cost(traj, gamma):

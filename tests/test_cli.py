@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import minimaxctrl as mc
-from minimaxctrl import cli, simulate
+from minimaxctrl import cli, minimax_cert, simulate
 from minimaxctrl.fileio import sha256_of
 
 from conftest import CONFIG_PATH
@@ -59,6 +59,36 @@ def test_synth_minimax_writes_certificate(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "gamma_bar" in out
     assert "minimal" in out and "maximal" in out
+
+
+@pytest.mark.parametrize("gamma", [None, "200"], ids=["search", "gamma"])
+def test_synth_minimax_verifies_once_per_accepted_level(tmp_path, monkeypatch, capsys,
+                                                        bench_cfg, gamma):
+    """synth-minimax prints the worst slack of the check that accepted its
+    certificate, the value a fresh `verify_certificate` of it reads, and
+    verifies no more often than the search (or synthesis at --gamma) alone."""
+    ms, p = bench_cfg.model_set, bench_cfg.penalties
+    calls = []
+    verify = minimax_cert.verify_certificate
+
+    def counted(*args):
+        calls.append(args)
+        return verify(*args)
+
+    monkeypatch.setattr(minimax_cert, "verify_certificate", counted)
+    if gamma is None:
+        cert = mc.minimal_feasible_gamma(ms, p)[1]
+    else:
+        cert = mc.synthesize_certificate(ms, p, float(gamma))
+    alone = len(calls)
+    calls.clear()
+    argv = ["synth-minimax", CFG, "--out-dir", str(tmp_path)]
+    assert run(argv + ([] if gamma is None else ["--gamma", gamma])) == 0
+    assert len(calls) == alone
+    slack = verify(ms, p, cert).worst_violation
+    assert f"(verified, worst slack eigenvalue {slack:.3e})" in capsys.readouterr().out
+    saved = mc.load_certificate(tmp_path / "certificate.json")
+    assert saved.gains.tobytes() == cert.gains.tobytes()
 
 
 def test_synth_minimax_infeasible_level(tmp_path):
@@ -232,7 +262,7 @@ def test_confusing_target_is_rejected_before_synthesis(tmp_path, monkeypatch, ca
 def test_gamma_outside_level_range_is_input_error(tmp_path, monkeypatch,
                                                    command, gamma):
     monkeypatch.setattr(cli, "solve_riccati", synthesis_must_not_run)
-    monkeypatch.setattr(cli, "synthesize_certificate", synthesis_must_not_run)
+    monkeypatch.setattr(cli, "_checked_synthesis", synthesis_must_not_run)
     assert run([command, CFG, f"--gamma={gamma}", "--out-dir", str(tmp_path / "out")]) == 2
     assert list(tmp_path.iterdir()) == []
 
@@ -420,6 +450,7 @@ def test_unusable_out_dir_is_input_error(tmp_path, monkeypatch, capsys, argv,
     before any synthesis."""
     monkeypatch.setattr(cli, "gamma_stars", synthesis_must_not_run)
     monkeypatch.setattr(cli, "minimal_feasible_gamma", synthesis_must_not_run)
+    monkeypatch.setattr(cli, "_checked_search", synthesis_must_not_run)
     blocker = tmp_path / "blocker"
     blocker.write_text("not a directory\n")
     out = blocker / "out" if under_file else blocker

@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import inspect
 import itertools
 import re
 import tracemalloc
@@ -59,6 +60,20 @@ def test_long_adaptive_rollout_keeps_no_residual_history(bench_cfg, certified):
     history = 8 * (cfg.horizon + 1) * 4 + 8 * cfg.horizon
     assert history == 400_032
     assert rollout_peak_bytes(cfg, certified[1]) <= 1_042_989 - history
+
+
+def test_long_fixed_gain_rollout_peak_is_bounded(bench_cfg, certified,
+                                                 benchmark_controller):
+    """A fixed-gain T = 10^4 rollout on the shipped set peaks at most at
+    413,441 B, its tracemalloc peak when the play buffer had BLOCK_CAP + 1
+    rows and each block made its row views step by step (Python 3.11.7,
+    numpy 2.4.6): the views made once per rollout cost less than the rows
+    they replace."""
+    T = 10_000
+    spec = mc.DisturbanceSpec(
+        kind="external", sequence=np.random.default_rng(0).standard_normal((T, 3)))
+    cfg = dataclasses.replace(scenario_cfg(bench_cfg, certified, spec), horizon=T)
+    assert rollout_peak_bytes(cfg, benchmark_controller.K) <= 413_441
 
 
 @pytest.mark.parametrize("name", ["alpha_hist", "l"])
@@ -547,10 +562,13 @@ def record_blocks(monkeypatch):
     """List of (k, end, largest |x| the block computed), one per block."""
     blocks = []
     play = simulate._play_block
+    bind = inspect.signature(play).bind
 
-    def recorded(Z, neg_gain, law, rows, x, u, w, k, end):
-        play(Z, neg_gain, law, rows, x, u, w, k, end)
-        blocks.append((k, end, float(np.max(np.abs(x[k + 1:end + 1])))))
+    def recorded(*args):
+        play(*args)
+        a = bind(*args).arguments
+        k, end = a["k"], a["end"]
+        blocks.append((k, end, float(np.max(np.abs(a["x"][k + 1:end + 1])))))
 
     monkeypatch.setattr(simulate, "_play_block", recorded)
     return blocks
@@ -750,17 +768,24 @@ def test_steps_near_textbook_on_random_sets(seed):
 
 
 def switching_experiment(T=200):
-    """F = 2, n = m = 1, A = +-0.5, B = 0, true model 1 with x_k = +-1.
-    Each step adds exactly 2 x_k x_{k+1} = +-2 to alpha_2 - alpha_1, so the
-    selection moves to model 2 when the difference drops below 0 and back
-    to model 1 when it returns to the tie.  Excursions of 1..8 steps down
-    and back make blocks of every size end early at varied offsets."""
+    """F = 2, n = m = 1, A = +-0.5, B = 0, true model 1 with x_k = +-1
+    (`sign_experiment`).  Excursions of 1..8 steps down and back make blocks
+    of every size end early at varied offsets."""
     products = []  # x_{k+1} x_k: runs of r down-steps, then r back up
     for r in itertools.cycle(range(1, 9)):
         products += [-1.0] * r + [1.0] * r
         if len(products) >= T:
             break
-    x = np.cumprod(np.concatenate([[1.0], products[:T]]))
+    return sign_experiment(products[:T])
+
+
+def sign_experiment(products):
+    """F = 2, n = m = 1, A = +-0.5, B = 0, true model 1 with x_0 = 1 and
+    x_{k+1} x_k = products[k] = +-1.  Each step adds exactly 2 x_k x_{k+1}
+    to alpha_2 - alpha_1, so the selection moves to model 2 when the
+    difference drops below 0 and back to model 1 when it returns to the tie."""
+    T = len(products)
+    x = np.cumprod(np.concatenate([[1.0], products]))
     ms = mc.ModelSet.from_pairs([(np.array([[0.5]]), np.zeros((1, 1))),
                                  (np.array([[-0.5]]), np.zeros((1, 1)))])
     cfg = mc.ExperimentConfig(
@@ -800,3 +825,70 @@ def test_block_work_is_bounded(monkeypatch, bench_cfg, certified,
     blocks.clear()
     mc.rollout(cfg, cert)
     assert sum(e - k for k, e, _ in blocks) <= 2 * cfg.horizon
+
+
+CHUNK = simulate._CHUNK
+
+
+def seam_experiment(kind, n, m, T):
+    """F = 3 seeded random set with n states and m inputs, true model 1, the
+    per-model LQR gains as the certificate's and model 1's as the fixed
+    gain, horizon T under one disturbance law."""
+    rng = np.random.default_rng(10 * n + m)
+    A0 = rng.standard_normal((n, n))
+    A0 *= 1.05 / np.max(np.abs(np.linalg.eigvals(A0)))
+    B0 = rng.standard_normal((n, m))
+    ms = mc.ModelSet.from_pairs([
+        (A0 + 0.2 * rng.standard_normal((n, n)), B0 + 0.2 * rng.standard_normal((n, m)))
+        for _ in range(3)])
+    p = mc.Penalties(Q=np.eye(n), R=np.eye(m))
+    gains = np.stack([mc.solve_riccati(*ms.pair(i), p, np.inf).K for i in (1, 2, 3)])
+    cert = mc.MinimaxCertificate(gamma_bar=1.0, gains=gains, P=np.zeros((3, 3, n, n)))
+    direction = rng.standard_normal(n)
+    gamma = 2.0 * mc.optimal_attenuation(*ms.pair(1), p)
+    spec = {
+        "external": mc.DisturbanceSpec(kind="external",
+                                       sequence=rng.standard_normal((T, n))),
+        "sinusoid": mc.DisturbanceSpec(kind="sinusoid", amplitude=2.0, omega=0.7,
+                                       phase=0.3,
+                                       direction=direction / np.linalg.norm(direction)),
+        "hinf_worst_case": mc.DisturbanceSpec(
+            kind="hinf_worst_case", L=mc.solve_riccati(*ms.pair(1), p, gamma).L),
+        "confusing": mc.DisturbanceSpec(kind="confusing", target=2),
+    }[kind]
+    cfg = mc.ExperimentConfig(model_set=ms, penalties=p, true_index=1, horizon=T,
+                              gamma=gamma, disturbance=spec, x0=rng.standard_normal(n))
+    return cfg, cert, gains[0]
+
+
+@pytest.mark.parametrize("T", [1, CHUNK - 1, CHUNK, CHUNK + 1, 3 * CHUNK + 1])
+@pytest.mark.parametrize("n, m", [(1, 1), (4, 2)], ids=["n1", "n4m2"])
+@pytest.mark.parametrize("kind", ["external", "sinusoid", "hinf_worst_case",
+                                  "confusing"])
+def test_chunk_seams_match_reference_loop(monkeypatch, kind, n, m, T):
+    """Horizons on either side of the play buffer's CHUNK rows, and past a
+    seam inside a block: each loop under each law, bit for bit the
+    reference loop (as numbers for n = 1)."""
+    blocks = record_blocks(monkeypatch)
+    cfg, cert, K = seam_experiment(kind, n, m, T)
+    assert_loops_match_reference(cfg, cert, K)
+    if T > 2 * CHUNK:  # the fixed gain's block 2 CHUNK - 1 .. T - 1 has a seam
+        assert (2 * CHUNK - 1, T) in [b[:2] for b in blocks]
+
+
+def test_switch_on_a_chunk_seam_matches_reference(monkeypatch):
+    """The selection moves to model 2 at step 3 CHUNK - 1, the first step of
+    the second chunk of the block 2 CHUNK - 1 .. 4 CHUNK - 2: the block is
+    cut there, its speculative second chunk discarded, and the rollout is
+    the reference's."""
+    seam = 3 * CHUNK - 1
+    # alpha_2 - alpha_1 alternates 0, 2, ... and first drops below 0 at the seam
+    products = [(-1.0) ** k for k in range(4 * CHUNK)]
+    products[seam - 1] = -1.0
+    cfg, cert = sign_experiment(products)
+    blocks = record_blocks(monkeypatch)
+    traj = assert_matches_reference(cfg, cert)
+    assert traj.l[seam - 1] == 1 and traj.l[seam] == 2
+    assert np.all(traj.l[:seam] == 1)
+    played = [b[:2] for b in blocks]
+    assert (2 * CHUNK - 1, 4 * CHUNK - 1) in played and (seam, seam + 1) in played
