@@ -93,10 +93,11 @@ def cmd_synth_minimax(args):
     gamma = None if args.gamma is None else checked_level(args.gamma, "--gamma")
     out_dir = _out_dir(args)
     if gamma is not None:
-        cert, check = _checked_synthesis(ms, p, gamma)
-        if not cert:
-            print(f"infeasible at gamma={args.gamma:g}: {cert.reason}", file=sys.stderr)
+        found = _checked_synthesis(ms, p, gamma)
+        if not found:
+            print(f"infeasible at gamma={args.gamma:g}: {found.reason}", file=sys.stderr)
             return EXIT_INFEASIBLE
+        cert, check = found
     else:
         _, cert, check = _checked_search(ms, p)
 

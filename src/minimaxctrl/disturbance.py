@@ -61,13 +61,12 @@ def peak_sinusoid_spec(A, B, K, penalties):
 
     The phase pi/2 keeps every sample at unit norm when the peak is at
     omega = 0 or pi, where a sine vanishes on the integers.  The direction
-    is the right singular vector of the response there, made real by
-    rotating its largest entry to the positive real axis, taking the real
-    part and renormalizing.
+    is the top right singular vector of the scan's `peak_response`, made
+    real by rotating its largest entry to the positive real axis, taking
+    the real part and renormalizing.
     """
     scan = hinf.closed_loop_scan(A, B, K, penalties)
-    tf = hinf._frequency_response(A, B, K, penalties)(scan.peak_omega)
-    _, _, Vh = np.linalg.svd(tf)
+    _, _, Vh = np.linalg.svd(scan.peak_response)
     v = Vh[0].conj()
     lead = v[int(np.argmax(np.abs(v)))]
     v = v * (lead.conj() / abs(lead))

@@ -434,44 +434,18 @@ def optimal_attenuation(A, B, penalties):
 class FrequencyScan:
     """Peak of the weighted closed loop's largest singular value over [0, pi].
 
-    `peak_norm` is the largest singular value of the response at
-    `peak_omega`, bit for bit as `_frequency_response` and an SVD give it,
-    and no frequency exceeds it by a factor 1 + 2 LEVEL_TOL (up to the
-    rounding of the Hamiltonian's eigenvalues).  Ties go to the earlier
-    candidate: the lowest seed frequency with the largest seed value, which
-    a midpoint replaces only when strictly larger, so a flat response (an
-    all-pass) reports peak_omega = 0.
+    `peak_response` is the response at `peak_omega` and `peak_norm` its
+    largest singular value, bit for bit as an SVD gives it, and no
+    frequency exceeds it by a factor 1 + 2 LEVEL_TOL (up to the rounding of
+    the Hamiltonian's eigenvalues).  Ties go to the earlier candidate: the
+    lowest seed frequency with the largest seed value, which a midpoint
+    replaces only when strictly larger, so a flat response (an all-pass)
+    reports peak_omega = 0.
     """
 
     peak_omega: float
     peak_norm: float
-
-
-def _frequency_response(A, B, K, penalties):
-    """The map omega -> C (e^(j omega) I - Acl)^-1 with Acl = A - B K and
-    C = [Q^(1/2); R^(1/2) K]; the map carries Acl and C as attributes.
-
-    omega may be a scalar or an array (one response per entry).  Raises
-    ValueError if A - BK is not Schur stable (spectral radius must stay
-    below 1 - 1e-9), since the response is unbounded otherwise.
-    """
-    Acl = A - B @ K
-    radius = float(np.max(np.abs(np.linalg.eigvals(Acl))))
-    if radius >= 1.0 - 1e-9:
-        raise ValueError(f"A - BK must be Schur stable (spectral radius {radius:.6g})")
-    dq, Vq = np.linalg.eigh(penalties.Q)
-    dr, Vr = np.linalg.eigh(penalties.R)
-    Qh = (Vq * np.sqrt(np.maximum(dq, 0.0))) @ Vq.T
-    Rh = (Vr * np.sqrt(np.maximum(dr, 0.0))) @ Vr.T
-    C = np.vstack([Qh, Rh @ K])
-    eye = np.eye(A.shape[0])
-
-    def response(omega):
-        z = np.exp(1j * np.asarray(omega))[..., None, None] * eye - Acl
-        return C @ np.linalg.solve(z, np.broadcast_to(eye, z.shape))
-
-    response.Acl, response.C = Acl, C
-    return response
+    peak_response: np.ndarray
 
 
 def closed_loop_scan(A, B, K, penalties):
@@ -492,7 +466,8 @@ def closed_loop_scan(A, B, K, penalties):
     stops when fewer than two remain or no midpoint is larger.  The map is
     ill-conditioned near s = inf (omega = pi), so the iteration runs again,
     from the peak so far, on -(A - BK), whose s = 0 is omega = pi.
-    ValueError on a shape mismatch or when A - BK is not Schur stable.
+    ValueError on a shape mismatch or when A - BK is not Schur stable
+    (spectral radius 1 - 1e-9 or more), where the response is unbounded.
     """
     A = np.asarray(A, dtype=float)
     B = np.asarray(B, dtype=float)
@@ -500,28 +475,38 @@ def closed_loop_scan(A, B, K, penalties):
     n, m = _check_shapes(A, B, penalties.Q, penalties.R)
     if K.shape != (m, n):
         raise ValueError(f"K must be {m} x {n}, got {K.shape}")
-    response = _frequency_response(A, B, K, penalties)
+    Acl = A - B @ K
+    poles = np.linalg.eigvals(Acl)
+    radius = float(np.max(np.abs(poles)))
+    if radius >= 1.0 - 1e-9:
+        raise ValueError(f"A - BK must be Schur stable (spectral radius {radius:.6g})")
+    dq, Vq = np.linalg.eigh(penalties.Q)
+    dr, Vr = np.linalg.eigh(penalties.R)
+    Qh = (Vq * np.sqrt(np.maximum(dq, 0.0))) @ Vq.T
+    Rh = (Vr * np.sqrt(np.maximum(dr, 0.0))) @ Vr.T
+    C = np.vstack([Qh, Rh @ K])
     eye = np.eye(n)
 
-    def sigma(omegas):
-        return np.linalg.svd(response(omegas), compute_uv=False)[:, 0]
+    def largest(omegas):
+        """(omega, sigma_max, response) at the omega of largest sigma_max."""
+        z = np.exp(1j * omegas)[:, None, None] * eye - Acl
+        responses = C @ np.linalg.solve(z, np.broadcast_to(eye, z.shape))
+        values = np.linalg.svd(responses, compute_uv=False)[:, 0]
+        j = int(np.argmax(values))
+        return float(omegas[j]), float(values[j]), responses[j]
 
-    angles = np.abs(np.angle(np.linalg.eigvals(response.Acl)))
-    omegas = np.sort(np.concatenate([[0.0, np.pi], angles]))
-    values = sigma(omegas)
-    j = int(np.argmax(values))
-    peak_omega, peak_norm = float(omegas[j]), float(values[j])
+    peak = largest(np.sort(np.concatenate([[0.0, np.pi], np.abs(np.angle(poles))])))
     for sign, offset in ((1.0, 0.0), (-1.0, np.pi)):
         # The Cayley image of (sign Acl, I, C, 0) is (I - 2E, sqrt(2) E,
         # sqrt(2) F, -F) with E = (I + sign Acl)^-1 and F = C E.  Its
         # Hamiltonian reduces to the blocks below, with W = F'F and
         # T = (g^2 I - W)^-1; sigma_max(F) is the response at the far end,
         # omega = pi - offset, a seed, so g^2 I - W > 0
-        E = np.linalg.inv(eye + sign * response.Acl)
-        F = response.C @ E
+        E = np.linalg.inv(eye + sign * Acl)
+        F = C @ E
         W = F.T @ F
         while True:
-            g2 = (peak_norm * (1.0 + 2.0 * LEVEL_TOL)) ** 2
+            g2 = (peak[1] * (1.0 + 2.0 * LEVEL_TOL)) ** 2
             T = np.linalg.inv(g2 * eye - W)
             X = eye - 2.0 * g2 * E @ T
             lam = np.linalg.eigvals(np.block([[X, 2.0 * E @ T @ E.T],
@@ -530,11 +515,9 @@ def closed_loop_scan(A, B, K, penalties):
             nu = np.sort(lam.imag[on_axis & (lam.imag > 0.0)])
             if nu.size < 2:
                 break
-            omegas = offset + sign * 2.0 * np.arctan(0.5 * (nu[1:] + nu[:-1]))
-            values = sigma(omegas)
-            j = int(np.argmax(values))
-            if values[j] <= peak_norm:
+            found = largest(offset + sign * 2.0 * np.arctan(0.5 * (nu[1:] + nu[:-1])))
+            if found[1] <= peak[1]:
                 break
-            peak_omega, peak_norm = float(omegas[j]), float(values[j])
+            peak = found
 
-    return FrequencyScan(peak_omega=peak_omega, peak_norm=peak_norm)
+    return FrequencyScan(*peak)

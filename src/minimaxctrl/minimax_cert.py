@@ -176,28 +176,22 @@ def verify_certificate(ms, penalties, cert):
 
 
 def synthesize_certificate(ms, penalties, gamma):
-    """The certificate `_family` builds at level gamma, if it verifies.
+    """The certificate `_family` builds at level gamma, if it verifies: the
+    gamma_bar search's probe at that one level.
 
     Else Infeasible with the failing stage: a model without an H-infinity
     design at gamma (the lowest-index one), a family outside
     0 < P < gamma^2 I, or a family that `verify_certificate` rejects (its
     worst violation and triple).
     """
-    return _checked_synthesis(ms, penalties, gamma)[0]
+    found = _checked_synthesis(ms, penalties, gamma)
+    return found[0] if found else found
 
 
 def _checked_synthesis(ms, penalties, gamma):
-    """(`synthesize_certificate`'s result, the CertificateCheck that accepted
-    it or None)."""
-    gamma = float(gamma)
-    cert = _family(ms, penalties, gamma, _solve_stack(ms.A, ms.B, penalties, [gamma] * ms.size))
-    if not cert:
-        return cert, None
-    check = verify_certificate(ms, penalties, cert)
-    if not check.feasible:
-        return _fails_verification(gamma, "worst violation", check.worst_violation,
-                                   check.worst_triple), None
-    return cert, check
+    """(`synthesize_certificate`'s certificate, the CertificateCheck that
+    accepted it), or its Infeasible."""
+    return _certify_probe(ms, penalties)([float(gamma)], [0])(0)
 
 
 def _fails_verification(gamma, what, violation, triple):
@@ -258,10 +252,10 @@ def minimal_feasible_gamma(ms, penalties):
 
     `hinf._level_search` with gamma*'s bracket, at GAMMA_BAR_REL_TOL, and
     no gamma* is computed: a probe below a member's threshold fails at its
-    Riccati solve.  Each probe solves the F member designs at every planned
-    level as one `_solve_stack`.  gamma_bar and the certificate are those
-    of the bisection that probes one level per round with
-    `synthesize_certificate`
+    Riccati solve.  Its probe is `_certify_probe`, the one that
+    `synthesize_certificate` runs at a single level, so by construction
+    gamma_bar and the certificate are those of the bisection that probes
+    one level per round with `synthesize_certificate`
     (test_minimax_cert.py::test_gamma_bar_is_the_sequential_bisection_over_synthesis).
     Synthesis can fail where a certificate exists, and its feasible levels
     need not be an interval, so gamma_bar bounds the least certifiable
@@ -280,6 +274,17 @@ def minimal_feasible_gamma(ms, penalties):
 def _checked_search(ms, penalties):
     """(gamma_bar, certificate, the CertificateCheck that accepted it) of
     `minimal_feasible_gamma`."""
+    gs, accepted = _level_search(_certify_probe(ms, penalties), 1, penalties.Q,
+                                 GAMMA_BAR_REL_TOL)
+    return (gs[0], *accepted[0])
+
+
+def _certify_probe(ms, penalties):
+    """`_level_search`'s probe for one bracket: its result at a level is
+    (certificate, the CertificateCheck that accepted it) or Infeasible.
+    Each call solves every planned level's F member designs as one
+    `_solve_stack`, so a level's result has the bits of a call that plans
+    it alone; a fresh probe has no screen triple yet."""
     F = ms.size
     failed_at = None  # worst triple (1-based) of the last failed full verification
 
@@ -304,8 +309,7 @@ def _checked_search(ms, penalties):
                                [g for g in levels for _ in range(F)])
         return lambda j: certify(levels[j], designs[j * F:(j + 1) * F])
 
-    gs, accepted = _level_search(probe, 1, penalties.Q, GAMMA_BAR_REL_TOL)
-    return (gs[0], *accepted[0])
+    return probe
 
 
 def value_bound(cert, x0):

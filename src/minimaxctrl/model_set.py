@@ -145,9 +145,9 @@ class ExperimentConfig:
         self.gamma = checked_level(self.gamma, "gamma")
         if self.x0 is None:
             self.x0 = np.ones(ms.n)
-        self.x0 = numeric(self.x0, "x0").reshape(-1)
-        if self.x0.shape[0] != ms.n:
-            raise ConfigError(f"x0 has length {self.x0.shape[0]}, expected {ms.n}")
+        self.x0 = numeric(self.x0, "x0")
+        if self.x0.shape != (ms.n,):
+            raise ConfigError(f"x0 must be a list of {ms.n} numbers, got shape {self.x0.shape}")
         spec = self.disturbance = _dist.validate_spec(self.disturbance, ms,
                                                       self.true_index)
         if spec.kind == "external" and spec.sequence.shape[0] < self.horizon:

@@ -13,7 +13,7 @@ from minimaxctrl import cli, minimax_cert, simulate
 from minimaxctrl.fileio import sha256_of
 
 from conftest import CONFIG_PATH
-from test_minimax_cert import singular_pair_certificate
+from test_minimax_cert import GAMMA_BAR_PIN, singular_pair_certificate
 
 CFG = str(CONFIG_PATH)
 
@@ -89,6 +89,17 @@ def test_synth_minimax_verifies_once_per_accepted_level(tmp_path, monkeypatch, c
     assert f"(verified, worst slack eigenvalue {slack:.3e})" in capsys.readouterr().out
     saved = mc.load_certificate(tmp_path / "certificate.json")
     assert saved.gains.tobytes() == cert.gains.tobytes()
+
+
+def test_synth_minimax_at_gamma_bar_writes_the_search_certificate(tmp_path):
+    """synth-minimax --gamma gamma_bar runs the search's probe at that level,
+    so its certificate.json is the plain search's, byte for byte."""
+    searched, at_level = tmp_path / "search", tmp_path / "gamma"
+    assert run(["synth-minimax", CFG, "--out-dir", str(searched)]) == 0
+    assert run(["synth-minimax", CFG, "--gamma", repr(GAMMA_BAR_PIN),
+                "--out-dir", str(at_level)]) == 0
+    assert ((at_level / "certificate.json").read_bytes()
+            == (searched / "certificate.json").read_bytes())
 
 
 def test_synth_minimax_infeasible_level(tmp_path):
@@ -182,7 +193,8 @@ MODEL_3 = json.loads(CONFIG_PATH.read_text())["models"][2]
     (("penalties", "Q"), [[1.0, 0.0], [0.0, 1.0]]),
     (("penalties", "R"), [[1.0, 0.0], [0.0, 1.0]]),
     (("experiment", "x0"), [1.0, 1.0]),
-], ids=["A-column-dropped", "B-extra-row", "Q-2x2", "R-2x2", "x0-2"])
+    (("experiment", "x0"), [[1.0, 1.0, 1.0]]),
+], ids=["A-column-dropped", "B-extra-row", "Q-2x2", "R-2x2", "x0-2", "x0-nested"])
 def test_mismatched_dimensions_are_rejected_at_load(tmp_path, monkeypatch, where, value):
     assert_rejected_at_load(tmp_path, monkeypatch, where, value)
 

@@ -87,6 +87,12 @@ def test_peak_sinusoid_spec_sits_at_scan_peak(models, penalties, benchmark_contr
     assert spec.amplitude == 1.0
     assert spec.phase == np.pi / 2
     assert np.linalg.norm(spec.direction) == pytest.approx(1.0, abs=1e-12)
+    # the top right singular vector of the response at the peak, its
+    # largest entry rotated to the positive real axis, real part, unit norm
+    v = np.linalg.svd(scan.peak_response)[2][0].conj()
+    lead = v[np.argmax(np.abs(v))]
+    d = np.real(v * (lead.conj() / abs(lead)))
+    np.testing.assert_allclose(spec.direction, d / np.linalg.norm(d), rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("true_index, omega", [(2, np.pi), (1, 0.0)],

@@ -308,6 +308,18 @@ def test_search_families_are_mirrored_and_valid(searched, name):
         minimax_cert._check_cert_invariants(cert, ms)
 
 
+@pytest.mark.parametrize("name", list(SEARCH_PINS))
+def test_synthesis_at_gamma_bar_is_the_search_certificate(searched, penalties, name):
+    """`synthesize_certificate` at gamma_bar is the search's probe at that
+    one level: it returns the search's certificate, gains and P bit for bit."""
+    ms, _, gamma_bar, cert, _ = searched[name]
+    p = penalties if name == "shipped" else mc.Penalties(Q=np.eye(ms.n), R=np.eye(ms.m))
+    found = mc.synthesize_certificate(ms, p, gamma_bar)
+    assert found.gamma_bar == gamma_bar
+    assert found.gains.tobytes() == cert.gains.tobytes()
+    assert found.P.tobytes() == cert.P.tobytes()
+
+
 def test_minimal_feasible_gamma_is_deterministic(models, penalties, certified,
                                                  gamma_star_calls):
     gamma_bar, cert = mc.minimal_feasible_gamma(models, penalties)
